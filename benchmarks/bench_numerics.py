@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled numeric kernels against their numpy twins.
+"""Benchmark the ``*_numba`` numeric kernels against their numpy twins.
 
 Runs each kernel both ways on identical inputs, reports best-of-repeat
 wall times and the speedup, and verifies the outputs agree.  The numba
-path compiles on first call, so one warmup round precedes timing.
+path compiles on first call, so one warmup round precedes timing.  When
+numba is absent or disabled (``numerics.USING_NUMBA`` is False) the
+``*_numba`` kernels run as plain Python loops, and the first column is
+labelled ``python-loop`` instead of ``numba``.
 
 Usage:
     python3 benchmarks/bench_numerics.py [--size N] [--repeats K]
@@ -26,6 +29,9 @@ def best_of(fn, repeats: int) -> float:
     return best
 
 
+FIRST = "numba" if numerics.USING_NUMBA else "python-loop"
+
+
 def bench_pair(name: str, fast, slow, check, repeats: int) -> None:
     fast()  # warmup: trigger jit compilation outside the timed region
     slow()
@@ -33,7 +39,7 @@ def bench_pair(name: str, fast, slow, check, repeats: int) -> None:
     t_slow = best_of(slow, repeats)
     ok = check()
     ratio = t_slow / t_fast if t_fast > 0 else float("inf")
-    print(f"{name:<22} numba {t_fast * 1e3:9.3f} ms   "
+    print(f"{name:<22} {FIRST} {t_fast * 1e3:9.3f} ms   "
           f"numpy {t_slow * 1e3:9.3f} ms   x{ratio:6.2f}   "
           f"{'agree' if ok else 'MISMATCH'}")
     if not ok:
@@ -62,7 +68,11 @@ def main() -> None:
     args = ap.parse_args()
 
     rng = np.random.default_rng(0)
-    print(f"numba available and active by default: {numerics.USING_NUMBA}")
+    if numerics.USING_NUMBA:
+        print("first column: *_numba kernels compiled by numba")
+    else:
+        print("first column: *_numba kernels run as plain Python loops "
+              "(numba absent or disabled)")
     print(f"array size {args.size}, best of {args.repeats} repeats\n")
 
     x = rng.uniform(1e-6, 1e6, size=args.size)

@@ -16,6 +16,24 @@ Consequences violating span disjointness or the shortest-move constraint
 are simply not derived.  Mover lists are kept sorted by licensee name
 (unique under the SMC), so items built along different rule orders dedupe.
 
+Closure is agenda-driven (Shieber, Schabes & Pereira 1995), over span
+items for minimalist grammars (Harkema 2001).  Each item is queued once,
+when first derived.  When popped, it is filed under the keys the binary
+rules test and meets only the finished items filed under its partner keys:
+
+- ``=x`` heads by (x, end) and ``x=`` heads by (x, start), the adjacency
+  merge_right and merge_left test against a bare ``x`` argument;
+- every selector for x by x alone, for merge_mover, which tests none;
+- bare ``x`` items by (x, start) and by (x, end);
+- ``x -y ...`` items by x.
+
+So the pairs tried stay close to the consequences derived instead of
+growing with the square of the chart.  Inside the closure and extraction a
+suffix is a small int from ``Lexicon.codes`` (every suffix of every
+item's features, coded once per lexicon), so items hash tuples of ints, not
+Feature dataclasses and Enum members.  The chart is decoded to ChartItems
+once per item when the forest is returned.
+
 The goal is the head (0, n) with suffix exactly the start category and no
 movers.  Extraction walks goal back-pointers depth-first and returns one
 polish-order item sequence per distinct derivation, deduplicated and
@@ -33,7 +51,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded, UnknownCategoryError
-from .lexicon import Feature, FeatureKind, LexicalItem, Lexicon
+from .lexicon import (KIND_CODE, Feature, FeatureCodes, FeatureKind, LexicalItem,
+                      Lexicon)
 
 Mover = tuple[int, int, tuple[Feature, ...]]
 
@@ -76,66 +95,79 @@ class DerivationForest:
         return len(self.sequences)
 
 
-def _canon_movers(movers: Sequence[Mover]) -> tuple[Mover, ...] | None:
+# Inside the closure an item is (start, end, suffix code, movers), a mover
+# is (start, end, suffix code), and back-pointers name coded items.
+Coded = tuple
+
+_CAT = KIND_CODE[FeatureKind.CAT]
+_SEL_RIGHT = KIND_CODE[FeatureKind.SEL_RIGHT]
+_SEL_LEFT = KIND_CODE[FeatureKind.SEL_LEFT]
+_LICENSOR = KIND_CODE[FeatureKind.LICENSOR]
+
+
+def _canon(movers: tuple, name: list[int]) -> tuple | None:
     """Sort movers by leading licensee; None on an SMC violation."""
-    names = [m[2][0].name for m in movers]
-    if len(set(names)) != len(names):
-        return None
-    return tuple(m for _, m in sorted(zip(names, movers)))
+    if len(movers) < 2:
+        return movers
+    keyed = sorted((name[m[2]], m) for m in movers)
+    for i in range(1, len(keyed)):
+        if keyed[i - 1][0] == keyed[i][0]:
+            return None
+    return tuple(m for _, m in keyed)
 
 
-def _spans_disjoint(head: tuple[int, int], movers: Sequence[Mover]) -> bool:
-    spans = [head] + [(m[0], m[1]) for m in movers]
-    spans = sorted(s for s in spans if s[0] != s[1])
+def _disjoint(start: int, end: int, movers: tuple) -> bool:
+    """The head's and movers' non-empty spans are pairwise disjoint."""
+    if not movers:
+        return True
+    spans = sorted(m[:2] for m in movers if m[0] != m[1])
+    if start != end:
+        spans.append((start, end))
+        spans.sort()
     return all(spans[i][1] <= spans[i + 1][0] for i in range(len(spans) - 1))
 
 
-def _consequences(s: ChartItem, t: ChartItem) -> Iterator[tuple[ChartItem, BackPointer]]:
-    """Binary rules with s as the selecting head and t as the argument."""
-    if not s.suffix or not t.suffix:
-        return
-    f = s.suffix[0]
-    if not f.is_selector:
-        return
-    g = t.suffix[0]
-    if g.kind is not FeatureKind.CAT or g.name != f.name:
-        return
-    if len(t.suffix) == 1:
-        if f.kind is FeatureKind.SEL_LEFT and t.end == s.start:
-            head, tag = (t.start, s.end), MERGE_L
-            movers = _canon_movers(t.movers + s.movers)
-        elif f.kind is FeatureKind.SEL_RIGHT and s.end == t.start:
-            head, tag = (s.start, t.end), MERGE_R
-            movers = _canon_movers(s.movers + t.movers)
+def _merge(s: Coded, t: Coded, codes: FeatureCodes) -> tuple[Coded, BackPointer] | None:
+    """Merge selector-headed s with its category-headed argument t.
+
+    The caller pairs only items the rules can combine: t's category is the
+    one s selects, and a bare t meets s on the selector's side.
+    """
+    rest, name = codes.rest, codes.name
+    s_start, s_end, sc, s_movers = s
+    t_start, t_end, tc, t_movers = t
+    if rest[tc] < 0:
+        if codes.kind[sc] == _SEL_LEFT:
+            start, end, tag = t_start, s_end, MERGE_L
         else:
-            return
-        if movers is None or not _spans_disjoint(head, movers):
-            return
-        yield ChartItem(head[0], head[1], s.suffix[1:], movers), (tag, s, t)
+            start, end, tag = s_start, t_end, MERGE_R
+        movers = _canon(s_movers + t_movers, name)
     else:
-        new_mover: Mover = (t.start, t.end, t.suffix[1:])
-        movers = _canon_movers(s.movers + (new_mover,) + t.movers)
-        if movers is None or not _spans_disjoint((s.start, s.end), movers):
-            return
-        yield ChartItem(s.start, s.end, s.suffix[1:], movers), (MERGE_M, s, t)
+        start, end, tag = s_start, s_end, MERGE_M
+        movers = _canon(s_movers + ((t_start, t_end, rest[tc]),) + t_movers, name)
+    if movers is None or not _disjoint(start, end, movers):
+        return None
+    return (start, end, rest[sc], movers), (tag, s, t)
 
 
-def _move_consequences(s: ChartItem) -> Iterator[tuple[ChartItem, BackPointer]]:
-    if not s.suffix or s.suffix[0].kind is not FeatureKind.LICENSOR:
-        return
-    y = s.suffix[0].name
-    for i, m in enumerate(s.movers):
-        if m[2][0].name != y:
+def _move(s: Coded, codes: FeatureCodes) -> tuple[Coded, BackPointer] | None:
+    """Check s's leading licensor against the mover that leads with it."""
+    rest, name = codes.rest, codes.name
+    s_start, s_end, sc, s_movers = s
+    y = name[sc]
+    for i, (m_start, m_end, mc) in enumerate(s_movers):
+        if name[mc] != y:
             continue
-        rest = s.movers[:i] + s.movers[i + 1:]
-        if len(m[2]) == 1:
-            if m[1] == s.start:
-                yield ChartItem(m[0], s.end, s.suffix[1:], rest), (MOVE_1, s)
-        else:
-            movers = _canon_movers(rest + ((m[0], m[1], m[2][1:]),))
-            if movers is not None:
-                yield ChartItem(s.start, s.end, s.suffix[1:], movers), (MOVE_2, s)
-        return  # SMC: at most one mover can lead with -y
+        others = s_movers[:i] + s_movers[i + 1:]
+        if rest[mc] < 0:
+            if m_end != s_start:
+                return None
+            return (m_start, s_end, rest[sc], others), (MOVE_1, s)
+        movers = _canon(others + ((m_start, m_end, rest[mc]),), name)
+        if movers is None:
+            return None
+        return (s_start, s_end, rest[sc], movers), (MOVE_2, s)
+    return None
 
 
 def parse(lex: Lexicon, tokens: Sequence[str], cfg: ParseConfig) -> DerivationForest:
@@ -149,67 +181,130 @@ def parse(lex: Lexicon, tokens: Sequence[str], cfg: ParseConfig) -> DerivationFo
         raise UnknownCategoryError(f"start category {cfg.start!r} not in lexicon")
     tokens = tuple(tokens)
     n = len(tokens)
-    steps = 0
+    codes = lex.codes
+    chart, steps = _close(lex, tokens, cfg.max_steps)
+    goal_suffix = (Feature(FeatureKind.CAT, cfg.start),)
+    goal_code = (0, n, codes.code.get(goal_suffix), ())
+    if goal_code not in chart:
+        return DerivationForest(tokens, _decode(chart, codes), None, ())
+    # Extract before decoding: the extraction stack and the decoded chart
+    # are then never alive together, which keeps peak memory down.
+    sequences = _extract(chart, goal_code, lex, cfg, steps)
+    return DerivationForest(tokens, _decode(chart, codes),
+                            ChartItem(0, n, goal_suffix, ()), sequences)
 
-    chart: dict[ChartItem, list[BackPointer]] = {}
-    agenda: deque[ChartItem] = deque()
 
-    def derive(item: ChartItem, bp: BackPointer) -> None:
+def _close(
+    lex: Lexicon, tokens: tuple[str, ...], max_steps: int,
+) -> tuple[dict[Coded, list[BackPointer]], int]:
+    """The closed coded chart over ``tokens`` and the agenda pops it took."""
+    n = len(tokens)
+    codes = lex.codes
+    kind, name, rest = codes.kind, codes.name, codes.rest
+
+    # Back-pointers per item.  None repeats: the indices pair two items
+    # once, when the later of them is popped, and each pair or popped item
+    # yields at most one consequence, so a list needs no membership test.
+    chart: dict[Coded, list[BackPointer]] = {}
+    agenda: deque[Coded] = deque()
+
+    def derive(item: Coded, bp: BackPointer) -> None:
         bps = chart.get(item)
         if bps is None:
             chart[item] = [bp]
             agenda.append(item)
-        elif bp not in bps:
+        else:
             bps.append(bp)
 
     for i, tok in enumerate(tokens):
         for it in lex.items_by_phon(tok):
-            derive(ChartItem(i, i + 1, it.features, ()), (LEX, lex.global_index(it)))
+            g = lex.global_index(it)
+            derive((i, i + 1, codes.item[g], ()), (LEX, g))
     for it in lex.covert_items():
+        g = lex.global_index(it)
         for i in range(n + 1):
-            derive(ChartItem(i, i, it.features, ()), (LEX, lex.global_index(it)))
+            derive((i, i, codes.item[g], ()), (LEX, g))
 
-    done: list[ChartItem] = []
-    done_set: set[ChartItem] = set()
+    # Finished items, filed under the keys the binary rules test.
+    sel_right: dict[tuple[int, int], list[Coded]] = {}   # =x by (x, end)
+    sel_left: dict[tuple[int, int], list[Coded]] = {}    # x= by (x, start)
+    selectors: dict[int, list[Coded]] = {}               # =x and x= by x
+    bare_start: dict[tuple[int, int], list[Coded]] = {}  # bare x by (x, start)
+    bare_end: dict[tuple[int, int], list[Coded]] = {}    # bare x by (x, end)
+    movable: dict[int, list[Coded]] = {}                 # x -y... by x
+    no_items: list[Coded] = []
+
+    steps = 0
     while agenda:
         x = agenda.popleft()
-        if x in done_set:
-            continue
-        done.append(x)
-        done_set.add(x)
         steps += 1
-        if steps > cfg.max_steps:
+        if steps > max_steps:
             raise CapExceeded(
-                f"chart closure exceeded {cfg.max_steps} steps "
+                f"chart closure exceeded {max_steps} steps "
                 f"(covert-recursion cycle?)")
-        for y in done:
-            for item, bp in _consequences(x, y):
-                derive(item, bp)
-            if y is not x:
-                for item, bp in _consequences(y, x):
-                    derive(item, bp)
-        for item, bp in _move_consequences(x):
-            derive(item, bp)
+        start, end, c, _ = x
+        k, f = kind[c], name[c]
+        if k == _CAT:
+            if rest[c] < 0:
+                bare_start.setdefault((f, start), []).append(x)
+                bare_end.setdefault((f, end), []).append(x)
+                heads = (sel_right.get((f, start), no_items)
+                         + sel_left.get((f, end), no_items))
+            else:
+                movable.setdefault(f, []).append(x)
+                heads = selectors.get(f, no_items)
+            for s in heads:
+                r = _merge(s, x, codes)
+                if r is not None:
+                    derive(*r)
+        elif k == _SEL_RIGHT or k == _SEL_LEFT:
+            if k == _SEL_RIGHT:
+                sel_right.setdefault((f, end), []).append(x)
+                args = bare_start.get((f, end), no_items)
+            else:
+                sel_left.setdefault((f, start), []).append(x)
+                args = bare_end.get((f, start), no_items)
+            selectors.setdefault(f, []).append(x)
+            for t in args + movable.get(f, no_items):
+                r = _merge(x, t, codes)
+                if r is not None:
+                    derive(*r)
+        elif k == _LICENSOR:
+            r = _move(x, codes)
+            if r is not None:
+                derive(*r)
+    return chart, steps
 
-    goal = ChartItem(0, n, (Feature(FeatureKind.CAT, cfg.start),), ())
-    frozen = {item: tuple(bps) for item, bps in chart.items()}
-    if goal not in frozen:
-        return DerivationForest(tokens, frozen, None, ())
 
-    sequences = _extract(frozen, goal, lex, cfg, steps)
-    return DerivationForest(tokens, frozen, goal, sequences)
+def _decode(
+    chart: dict[Coded, list[BackPointer]],
+    codes: FeatureCodes,
+) -> dict[ChartItem, tuple[BackPointer, ...]]:
+    """The coded chart in public form: ChartItems holding Feature tuples."""
+    suffixes = codes.suffixes
+    item = {
+        c: ChartItem(c[0], c[1], suffixes[c[2]],
+                     tuple((m[0], m[1], suffixes[m[2]]) for m in c[3]))
+        for c in chart
+    }
+    return {
+        item[c]: tuple(bp if bp[0] == LEX
+                       else (bp[0],) + tuple(item[a] for a in bp[1:])
+                       for bp in bps)
+        for c, bps in chart.items()
+    }
 
 
 def _extract(
-    chart: dict[ChartItem, tuple[BackPointer, ...]],
-    goal: ChartItem,
+    chart: dict[Coded, list[BackPointer]],
+    goal: Coded,
     lex: Lexicon,
     cfg: ParseConfig,
     steps_used: int,
 ) -> tuple[tuple[LexicalItem, ...], ...]:
     budget = [cfg.max_steps - steps_used]
 
-    def expand(item: ChartItem, covert_budget: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    def expand(item: Coded, covert_budget: int) -> Iterator[tuple[tuple[int, ...], int]]:
         budget[0] -= 1
         if budget[0] < 0:
             raise CapExceeded(

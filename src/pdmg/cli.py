@@ -2,7 +2,7 @@
 
 Exit codes: 0 success; 1 a checked sequence was rejected; 2 bad input
 (lexicon, references, model vectors); 3 evaluation or coverage failure;
-4 a configured cap was exceeded.
+4 a configured cap, or Python's recursion limit, was exceeded.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ def _run(body: Callable[[], int | None]) -> None:
     except CapExceeded as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(CAP_EXCEEDED)
+    except RecursionError:
+        click.echo("error: derivation nests deeper than Python's recursion "
+                   f"limit ({sys.getrecursionlimit()}) allows", err=True)
+        sys.exit(CAP_EXCEEDED)
     except (EvalError, UnparsedSentence) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EVAL_FAILURE)
@@ -49,6 +53,22 @@ def _run(body: Callable[[], int | None]) -> None:
         click.echo(f"error: {exc}", err=True)
         sys.exit(BAD_INPUT)
     sys.exit(code or 0)
+
+
+def _cap_options(command: Callable) -> Callable:
+    """Add the chart's caps as options; they reach the command as keywords."""
+    for option in reversed((
+        click.option("--max-derivations", default=10_000, show_default=True),
+        click.option("--max-covert", default=3, show_default=True,
+                     help="Unpronounced leaves allowed per derivation."),
+        click.option("--max-steps", default=1_000_000, show_default=True),
+    )):
+        command = option(command)
+    return command
+
+
+def _parse_config(start: str, caps: dict[str, int]) -> ParseConfig:
+    return ParseConfig(start=start, **caps)
 
 
 def resolve_item(lexicon: Lexicon, ref: str) -> LexicalItem:
@@ -154,21 +174,16 @@ def derive(lexicon_path: str, refs: tuple[str, ...]) -> None:
 @click.option("--start", required=True, help="Category a derivation must yield.")
 @click.option("--corpus", "corpus_path", default=None,
               help="Read sentences from a file (one per line) as well.")
-@click.option("--max-derivations", default=10_000, show_default=True)
-@click.option("--max-covert", default=3, show_default=True,
-              help="Unpronounced leaves allowed per derivation.")
-@click.option("--max-steps", default=1_000_000, show_default=True)
+@_cap_options
 def parse_cmd(lexicon_path: str, sentences: tuple[str, ...], start: str,
-              corpus_path: str | None, max_derivations: int, max_covert: int,
-              max_steps: int) -> None:
+              corpus_path: str | None, **caps: int) -> None:
     """Enumerate the derivations of each sentence; one JSON line each."""
     def body() -> None:
         lex = load_lexicon(lexicon_path)
         todo = list(sentences)
         if corpus_path is not None:
             todo.extend(load_corpus(corpus_path))
-        cfg = ParseConfig(start=start, max_derivations=max_derivations,
-                          max_covert=max_covert, max_steps=max_steps)
+        cfg = _parse_config(start, caps)
         for sentence in todo:
             forest = parse(lex, sentence.split(), cfg)
             payload = {
@@ -186,19 +201,15 @@ def parse_cmd(lexicon_path: str, sentences: tuple[str, ...], start: str,
 @click.option("--start", required=True, help="Category a derivation must yield.")
 @click.option("--theta", "theta_path", default=None,
               help="Item probabilities as JSON (default: uniform per category).")
-@click.option("--max-derivations", default=10_000, show_default=True)
-@click.option("--max-covert", default=3, show_default=True)
-@click.option("--max-steps", default=1_000_000, show_default=True)
+@_cap_options
 def score(lexicon_path: str, sentence: str, start: str, theta_path: str | None,
-          max_derivations: int, max_covert: int, max_steps: int) -> None:
+          **caps: int) -> None:
     """Sum derivation probabilities for SENTENCE; one JSON object."""
     def body() -> None:
         lex = load_lexicon(lexicon_path)
         theta = (uniform_theta(lex) if theta_path is None
                  else load_theta(theta_path, lex))
-        cfg = ParseConfig(start=start, max_derivations=max_derivations,
-                          max_covert=max_covert, max_steps=max_steps)
-        forest = parse(lex, sentence.split(), cfg)
+        forest = parse(lex, sentence.split(), _parse_config(start, caps))
         logs = [log_prob_of_sequence(seq, theta) for seq in forest.sequences]
         finite = [lp for lp in logs if lp != -math.inf]
         total = (math.exp(_logsumexp(finite)) if finite else 0.0)
@@ -260,13 +271,10 @@ def sample(lexicon_path: str, start: str, count: int, seed: int | None,
               help="Drop underivable sentences instead of failing.")
 @click.option("--out", "out_path", default="result.json", show_default=True,
               help="Where to write the fitted model.")
-@click.option("--max-derivations", default=10_000, show_default=True)
-@click.option("--max-covert", default=3, show_default=True)
-@click.option("--max-steps", default=1_000_000, show_default=True)
+@_cap_options
 def train_cmd(lexicon_path: str, corpus_path: str, start: str,
               alpha_path: str | None, tol: float, max_iters: int,
-              skip_unparsed: bool, out_path: str, max_derivations: int,
-              max_covert: int, max_steps: int) -> None:
+              skip_unparsed: bool, out_path: str, **caps: int) -> None:
     """Fit per-item probabilities to CORPUS and write a JSON result."""
     def body() -> None:
         lex = load_lexicon(lexicon_path)
@@ -274,9 +282,7 @@ def train_cmd(lexicon_path: str, corpus_path: str, start: str,
                  else load_alpha(alpha_path, lex))
         sentences = load_corpus(corpus_path)
         cfg = TrainConfig(start=start, tol=tol, max_iters=max_iters,
-                          skip_unparsed=skip_unparsed,
-                          max_derivations=max_derivations,
-                          max_covert=max_covert, max_steps=max_steps)
+                          skip_unparsed=skip_unparsed, **caps)
         state = train(lex, sentences, alpha, cfg)
         payload = {
             "omega": state.omega,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import FeatureOrderError, LexiconError, UnknownCategoryError
 
@@ -148,6 +149,46 @@ class LexicalItem:
         return f"{self.phon_display} :: {' '.join(str(f) for f in self.features)}"
 
 
+# Small-int codes of the feature kinds, as FeatureCodes.kind holds them.
+KIND_CODE = {kind: code for code, kind in enumerate(FeatureKind)}
+
+
+class FeatureCodes:
+    """Small-int codes for the feature suffixes of a lexicon's items.
+
+    Every suffix of every item's feature sequence gets one code, its index
+    in ``suffixes``; equal suffixes of different items share it.  For a
+    code c, ``kind[c]`` (a KIND_CODE value) and ``name[c]`` code the first
+    feature, and ``rest[c]`` is the code of the suffix without it, -1 when
+    that is empty.  Names are numbered in sorted order, so ordering name
+    codes orders the names.  ``item[g]`` codes the whole sequence of the
+    item with global index g, and ``code`` maps a suffix back to its code.
+    """
+
+    def __init__(self, items: tuple[LexicalItem, ...]):
+        names = sorted({f.name for it in items for f in it.features})
+        name_code = {nm: i for i, nm in enumerate(names)}
+        self.suffixes: list[tuple[Feature, ...]] = []
+        self.kind: list[int] = []
+        self.name: list[int] = []
+        self.rest: list[int] = []
+        self.code: dict[tuple[Feature, ...], int] = {}
+        for it in items:
+            feats = it.features
+            rest = -1
+            for i in range(len(feats) - 1, -1, -1):
+                suffix = feats[i:]
+                c = self.code.get(suffix)
+                if c is None:
+                    c = self.code[suffix] = len(self.suffixes)
+                    self.suffixes.append(suffix)
+                    self.kind.append(KIND_CODE[suffix[0].kind])
+                    self.name.append(name_code[suffix[0].name])
+                    self.rest.append(rest)
+                rest = c
+        self.item = [self.code[it.features] for it in items]
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Immutable item collection with id and category bookkeeping.
@@ -200,6 +241,11 @@ class Lexicon:
 
     def covert_items(self) -> tuple[LexicalItem, ...]:
         return self._by_phon.get("", ())
+
+    @cached_property
+    def codes(self) -> FeatureCodes:
+        """The items' feature suffixes as small ints (built on first use)."""
+        return FeatureCodes(self.items)
 
     def smc_risk_groups(self) -> dict[str, tuple[LexicalItem, ...]]:
         """Items grouped by leading licensee, for groups of two or more.

@@ -2,19 +2,22 @@
 
 Everything here is deliberately naive: the checker walks a plain list of
 mutable records and carries word lists along with the feature checks, the
-enumerator tries every item string within explicit budgets, and the
-posterior is computed by direct normalization.  No code is shared with
-the package's linked-list cursor, expression algebra, chart, or flat
-array kernels.
+enumerator tries every item string within explicit budgets, the
+posterior is computed by direct normalization, and ``reference_parse``
+closes the chart by trying every pair of finished items.  No code is
+shared with the package's linked-list cursor, expression algebra, indexed
+chart closure, or flat array kernels.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
-from pdmg import LexicalItem, Lexicon
+from pdmg import (CapExceeded, ChartItem, Feature, FeatureKind, LexicalItem,
+                  Lexicon, ParseConfig)
 
 SEL_RIGHT = "sel_right"
 SEL_LEFT = "sel_left"
@@ -221,3 +224,135 @@ def all_sentences(vocab, max_tokens: int):
     for n in range(max_tokens + 1):
         for toks in itertools.product(sorted(vocab), repeat=n):
             yield " ".join(toks)
+
+
+# -- all-pairs chart closure --------------------------------------------------
+#
+# The span chart as first written: every popped item is tried against every
+# finished item in both roles, over items that hold Feature tuples.  The
+# package's indexed, integer-coded closure must build the same chart.
+
+def _canon_movers(movers):
+    """Sort movers by leading licensee; None on an SMC violation."""
+    names = [m[2][0].name for m in movers]
+    if len(set(names)) != len(names):
+        return None
+    return tuple(m for _, m in sorted(zip(names, movers)))
+
+
+def _spans_disjoint(head, movers) -> bool:
+    spans = [head] + [(m[0], m[1]) for m in movers]
+    spans = sorted(s for s in spans if s[0] != s[1])
+    return all(spans[i][1] <= spans[i + 1][0] for i in range(len(spans) - 1))
+
+
+def _consequences(s, t):
+    """Binary rules with s as the selecting head and t as the argument."""
+    if not s.suffix or not t.suffix:
+        return
+    f = s.suffix[0]
+    if not f.is_selector:
+        return
+    g = t.suffix[0]
+    if g.kind is not FeatureKind.CAT or g.name != f.name:
+        return
+    if len(t.suffix) == 1:
+        if f.kind is FeatureKind.SEL_LEFT and t.end == s.start:
+            head, tag = (t.start, s.end), "merge-L"
+            movers = _canon_movers(t.movers + s.movers)
+        elif f.kind is FeatureKind.SEL_RIGHT and s.end == t.start:
+            head, tag = (s.start, t.end), "merge-R"
+            movers = _canon_movers(s.movers + t.movers)
+        else:
+            return
+        if movers is None or not _spans_disjoint(head, movers):
+            return
+        yield ChartItem(head[0], head[1], s.suffix[1:], movers), (tag, s, t)
+    else:
+        new_mover = (t.start, t.end, t.suffix[1:])
+        movers = _canon_movers(s.movers + (new_mover,) + t.movers)
+        if movers is None or not _spans_disjoint((s.start, s.end), movers):
+            return
+        yield ChartItem(s.start, s.end, s.suffix[1:], movers), ("merge-m", s, t)
+
+
+def _move_consequences(s):
+    if not s.suffix or s.suffix[0].kind is not FeatureKind.LICENSOR:
+        return
+    y = s.suffix[0].name
+    for i, m in enumerate(s.movers):
+        if m[2][0].name != y:
+            continue
+        rest = s.movers[:i] + s.movers[i + 1:]
+        if len(m[2]) == 1:
+            if m[1] == s.start:
+                yield ChartItem(m[0], s.end, s.suffix[1:], rest), ("move-1", s)
+        else:
+            movers = _canon_movers(rest + ((m[0], m[1], m[2][1:]),))
+            if movers is not None:
+                yield ChartItem(s.start, s.end, s.suffix[1:], movers), ("move-2", s)
+        return  # SMC: at most one mover can lead with -y
+
+
+def reference_parse(lex: Lexicon, tokens, cfg: ParseConfig):
+    """(chart, goal, sequences) by the all-pairs closure.
+
+    ``chart`` maps each ChartItem to its set of back-pointers; ``goal`` is
+    None when the sentence is not derived; ``sequences`` lists the goal's
+    distinct derivations as sorted global item-index tuples, at most
+    ``cfg.max_covert`` covert leaves each.
+    """
+    tokens = tuple(tokens)
+    n = len(tokens)
+    chart: dict = {}
+    agenda: deque = deque()
+
+    def derive(item, bp):
+        if item not in chart:
+            chart[item] = set()
+            agenda.append(item)
+        chart[item].add(bp)
+
+    for i, tok in enumerate(tokens):
+        for it in lex.items_by_phon(tok):
+            derive(ChartItem(i, i + 1, it.features, ()), ("lex", lex.global_index(it)))
+    for it in lex.covert_items():
+        for i in range(n + 1):
+            derive(ChartItem(i, i, it.features, ()), ("lex", lex.global_index(it)))
+
+    done: list = []
+    steps = 0
+    while agenda:
+        x = agenda.popleft()
+        done.append(x)
+        steps += 1
+        if steps > cfg.max_steps:
+            raise CapExceeded("reference closure exceeded max_steps")
+        for y in done:
+            for item, bp in _consequences(x, y):
+                derive(item, bp)
+            if y is not x:
+                for item, bp in _consequences(y, x):
+                    derive(item, bp)
+        for item, bp in _move_consequences(x):
+            derive(item, bp)
+
+    goal = ChartItem(0, n, (Feature(FeatureKind.CAT, cfg.start),), ())
+    if goal not in chart:
+        return chart, None, []
+
+    def expand(item, covert_budget):
+        for bp in chart[item]:
+            tag = bp[0]
+            if tag == "lex":
+                cost = 1 if lex.item_at(bp[1]).phon == "" else 0
+                if cost <= covert_budget:
+                    yield (bp[1],), cost
+            elif tag in ("move-1", "move-2"):
+                yield from expand(bp[1], covert_budget)
+            else:
+                for s_ids, s_cost in expand(bp[1], covert_budget):
+                    for t_ids, t_cost in expand(bp[2], covert_budget - s_cost):
+                        yield s_ids + t_ids, s_cost + t_cost
+
+    return chart, goal, sorted({ids for ids, _ in expand(goal, cfg.max_covert)})

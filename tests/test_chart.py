@@ -1,5 +1,7 @@
 """Unit tests for the span chart and derivation extraction."""
 
+import random
+
 import pytest
 
 import oracle
@@ -156,3 +158,114 @@ class TestAgainstOracle:
             tokens = sentence.split()
             forest = parse(whq, tokens, CFG())
             assert ids_of(forest) == sorted(by_sentence.get(sentence, []))
+
+
+CHAIN = "a :: =x x\nb :: x\nε :: =x c\n"
+
+PP = """\
+kim :: d
+what :: d -wh
+saw :: =d d= v
+the :: =n d
+man :: n
+dog :: n
+with :: =d n= n
+with :: =d v= v
+ε :: =v c
+ε :: =v +wh c
+"""
+
+# Each fixture's test sentences with their start category; the fixtures'
+# short sentences are covered exhaustively below as well.
+FIXTURE_SENTENCES = {
+    "whq": [("what did you see", "c"), ("what did see you", "c"),
+            ("you", "d"), ("did you see you", "i"), ("you see what", "c"),
+            ("xyzzy", "c"), ("", "c")],
+    "move2": [("obj see", "c"), ("that see it", "c")],
+    "ambig": [("saw", "c"), ("saw kim", "c"), ("", "d")],
+    "chain": [("su ja ki", "c"), ("ja ki su", "c")],
+    "symmetric": [("w", "c"), ("w", "a"), ("", "c")],
+}
+
+
+def random_lexicon(rng: random.Random) -> pdmg.Lexicon:
+    """3-7 items over categories a-c and licensees f, g; ε items are covert."""
+    cats, lics = "abc"[:rng.randint(2, 3)], "fg"[:rng.randint(0, 2)]
+    lines = set()
+    for _ in range(rng.randint(3, 7)):
+        feats = [rng.choice(("={}", "{}=")).format(rng.choice(cats))
+                 for _ in range(rng.randint(0, 2))]
+        feats += ["+" + y for y in rng.sample(lics, rng.randint(0, min(1, len(lics))))]
+        feats.append(rng.choice(cats))
+        feats += ["-" + y for y in rng.sample(lics, rng.randint(0, len(lics)))]
+        lines.add(f"{rng.choice('pqrε')} :: {' '.join(feats)}")
+    return pdmg.parse_lexicon("\n".join(sorted(lines)) + "\n")
+
+
+def assert_same_as_reference(lex, sentence, start):
+    """The chart, goal and sequences equal the all-pairs reference's."""
+    cfg = CFG(start)
+    forest = parse(lex, sentence.split(), cfg)
+    chart, goal, sequences = oracle.reference_parse(lex, sentence.split(), cfg)
+    assert forest.chart.keys() == chart.keys(), sentence
+    for item, bps in chart.items():
+        got = forest.chart[item]
+        assert len(set(got)) == len(got)
+        assert set(got) == bps, (sentence, item)
+    assert forest.goal == goal
+    assert [tuple(lex.global_index(it) for it in seq)
+            for seq in forest.sequences] == sequences
+
+
+class TestAgainstReferenceClosure:
+    @pytest.mark.parametrize("name", sorted(FIXTURE_SENTENCES))
+    def test_fixture_sentences(self, name, request):
+        lex = request.getfixturevalue(name)
+        for sentence, start in FIXTURE_SENTENCES[name]:
+            assert_same_as_reference(lex, sentence, start)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_SENTENCES))
+    def test_fixture_short_sentences_every_start(self, name, request):
+        lex = request.getfixturevalue(name)
+        vocab = sorted({it.phon for it in lex.items if it.phon})
+        for sentence in oracle.all_sentences(vocab, 4):
+            for start in lex.categories:
+                assert_same_as_reference(lex, sentence, start)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_lexicons(self, seed):
+        lex = random_lexicon(random.Random(seed))
+        vocab = sorted({it.phon for it in lex.items if it.phon})
+        for sentence in oracle.all_sentences(vocab, 4):
+            for start in lex.categories:
+                assert_same_as_reference(lex, sentence, start)
+
+    @pytest.mark.parametrize("pps", range(6))
+    def test_pp_attachment(self, pps):
+        lex = pdmg.parse_lexicon(PP)
+        tail = " with the dog" * pps
+        assert_same_as_reference(lex, "kim saw the man" + tail, "c")
+        assert_same_as_reference(lex, "what kim saw" + tail, "c")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 40, 60])
+    def test_chain(self, n):
+        lex = pdmg.parse_lexicon(CHAIN)
+        assert_same_as_reference(lex, " ".join(["a"] * (n - 1) + ["b"]), "c")
+
+
+def test_closure_tries_few_pairs(monkeypatch):
+    """Pairs tried grow with the chart, not with its square."""
+    from pdmg import chart
+
+    calls = [0]
+    merge = chart._merge
+
+    def counted(*args):
+        calls[0] += 1
+        return merge(*args)
+
+    monkeypatch.setattr(chart, "_merge", counted)
+    lex = pdmg.parse_lexicon(CHAIN)
+    forest = parse(lex, ["a"] * 299 + ["b"], CFG())
+    assert forest.count == 1
+    assert 0 < calls[0] <= len(forest.chart)

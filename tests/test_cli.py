@@ -302,6 +302,29 @@ class TestTrain:
         assert r.exit_code == 4
 
 
+class TestDeepDerivations:
+    """Derivations deeper than the recursion limit end in exit 4, no traceback."""
+
+    @pytest.fixture()
+    def chain(self, tmp_path):
+        p = tmp_path / "chain.lex"
+        p.write_text("a :: =x x\nb :: x\nε :: =x c\n")
+        return str(p)
+
+    def test_derive(self, runner, chain):
+        r = runner.invoke(main, ["derive", chain, "ε"] + ["a"] * 1199 + ["b"])
+        assert r.exit_code == 4
+        assert "recursion limit" in r.stderr
+        assert "Traceback" not in r.output
+
+    def test_parse(self, runner, chain):
+        sentence = " ".join(["a"] * 1199 + ["b"])
+        r = runner.invoke(main, ["parse", chain, sentence, "--start", "c"])
+        assert r.exit_code == 4
+        assert "recursion limit" in r.stderr
+        assert "Traceback" not in r.output
+
+
 class TestValidate:
     def test_whq_summary(self, runner):
         r = runner.invoke(main, ["validate", WHQ])
