@@ -52,6 +52,9 @@ def _run(body: Callable[[], int | None]) -> None:
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(BAD_INPUT)
+    except UnicodeDecodeError as exc:
+        click.echo(f"error: input is not UTF-8 text ({exc})", err=True)
+        sys.exit(BAD_INPUT)
     sys.exit(code or 0)
 
 

@@ -27,10 +27,6 @@ def load_corpus(path: str) -> list[str]:
     return out
 
 
-def tokenize(sentence: str) -> list[str]:
-    return sentence.split()
-
-
 def _fmt_float(x: float) -> str:
     if x != x:
         raise ValueError("cannot serialize NaN")

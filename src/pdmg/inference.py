@@ -210,12 +210,8 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
 
     for it in range(1, config.max_iters + 1):
         iterations = it
-        log_tstar = log_theta_star_flat(omega, offsets)
-        q, logz, counts = estep_flat(log_tstar, encoded.item_ids,
-                                     encoded.dstart, encoded.sstart,
-                                     lexicon.n_items)
-        surrogate = float(np.sum(logz)) - dirichlet_kl_flat(
-            omega, alpha_flat, offsets)
+        q, logz, counts = e_step(lexicon, encoded, omega)
+        surrogate = elbo_surrogate(lexicon, logz, omega, alpha_flat)
         if not math.isfinite(surrogate):
             raise InvalidModel(
                 f"objective became non-finite at iteration {it}")

@@ -333,10 +333,7 @@ def parse_lexicon(text: str) -> Lexicon:
         entries.append((phon, feats))
     if not entries:
         raise LexiconError("lexicon has no items")
-    try:
-        return build_lexicon(entries)
-    except LexiconError:
-        raise
+    return build_lexicon(entries)
 
 
 def load_lexicon(path: str) -> Lexicon:

@@ -32,50 +32,52 @@ Theta = dict[str, list[float]]
 Alpha = dict[str, list[float]]
 
 
-def validate_theta(lexicon: Lexicon, theta: Mapping[str, Sequence[float]]) -> Theta:
-    """Check shape, positivity, and per-category normalization of theta."""
-    out: Theta = {}
+def _validate_rows(lexicon: Lexicon, rows: Mapping[str, Sequence[float]],
+                   name: str, *, positive: bool, normalized: bool,
+                   ) -> dict[str, list[float]]:
+    """One finite row per category, entries > 0 (``positive``) or >= 0,
+    summing to 1 within ``_NORM_TOL`` when ``normalized``."""
+    bound = "> 0" if positive else ">= 0"
+    out: dict[str, list[float]] = {}
     for cat in lexicon.categories:
-        if cat not in theta:
-            raise InvalidModel(f"theta missing category {cat!r}")
-        row = [float(v) for v in theta[cat]]
+        if cat not in rows:
+            raise InvalidModel(f"{name} missing category {cat!r}")
+        raw = rows[cat]
+        if isinstance(raw, (str, bytes, Mapping)):
+            raw = None  # iterable, but not a row of numbers
+        try:
+            row = [float(v) for v in raw]
+        except (TypeError, ValueError):
+            raise InvalidModel(
+                f"{name}[{cat!r}] must be a list of numbers") from None
         n = len(lexicon.items_of_category(cat))
         if len(row) != n:
             raise InvalidModel(
-                f"theta[{cat!r}] has {len(row)} entries, lexicon has {n} items")
+                f"{name}[{cat!r}] has {len(row)} entries, lexicon has {n} items")
         for v in row:
-            if not math.isfinite(v) or v < 0.0:
-                raise InvalidModel(f"theta[{cat!r}] entries must be finite and >= 0")
-        s = math.fsum(row)
-        if abs(s - 1.0) > _NORM_TOL:
-            raise InvalidModel(
-                f"theta[{cat!r}] sums to {s!r}, expected 1 within {_NORM_TOL}")
+            if not math.isfinite(v) or v < 0.0 or (positive and v == 0.0):
+                raise InvalidModel(
+                    f"{name}[{cat!r}] entries must be finite and {bound}")
+        if normalized:
+            s = math.fsum(row)
+            if abs(s - 1.0) > _NORM_TOL:
+                raise InvalidModel(
+                    f"{name}[{cat!r}] sums to {s!r}, expected 1 within {_NORM_TOL}")
         out[cat] = row
-    extra = set(theta) - set(lexicon.categories)
+    extra = set(rows) - set(lexicon.categories)
     if extra:
-        raise InvalidModel(f"theta has unknown categories: {sorted(extra)}")
+        raise InvalidModel(f"{name} has unknown categories: {sorted(extra)}")
     return out
+
+
+def validate_theta(lexicon: Lexicon, theta: Mapping[str, Sequence[float]]) -> Theta:
+    """Check shape, positivity, and per-category normalization of theta."""
+    return _validate_rows(lexicon, theta, "theta", positive=False, normalized=True)
 
 
 def validate_alpha(lexicon: Lexicon, alpha: Mapping[str, Sequence[float]]) -> Alpha:
     """Check shape and strict positivity of Dirichlet pseudo-counts."""
-    out: Alpha = {}
-    for cat in lexicon.categories:
-        if cat not in alpha:
-            raise InvalidModel(f"alpha missing category {cat!r}")
-        row = [float(v) for v in alpha[cat]]
-        n = len(lexicon.items_of_category(cat))
-        if len(row) != n:
-            raise InvalidModel(
-                f"alpha[{cat!r}] has {len(row)} entries, lexicon has {n} items")
-        for v in row:
-            if not math.isfinite(v) or v <= 0.0:
-                raise InvalidModel(f"alpha[{cat!r}] entries must be finite and > 0")
-        out[cat] = row
-    extra = set(alpha) - set(lexicon.categories)
-    if extra:
-        raise InvalidModel(f"alpha has unknown categories: {sorted(extra)}")
-    return out
+    return _validate_rows(lexicon, alpha, "alpha", positive=True, normalized=False)
 
 
 def uniform_theta(lexicon: Lexicon) -> Theta:
@@ -89,7 +91,7 @@ def ones_alpha(lexicon: Lexicon) -> Alpha:
             for cat in lexicon.categories}
 
 
-def load_theta(path: str, lexicon: Lexicon) -> Theta:
+def _read_rows(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -97,18 +99,15 @@ def load_theta(path: str, lexicon: Lexicon) -> Theta:
             raise InvalidModel(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise InvalidModel(f"{path}: expected a JSON object of category -> list")
-    return validate_theta(lexicon, raw)
+    return raw
+
+
+def load_theta(path: str, lexicon: Lexicon) -> Theta:
+    return validate_theta(lexicon, _read_rows(path))
 
 
 def load_alpha(path: str, lexicon: Lexicon) -> Alpha:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidModel(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise InvalidModel(f"{path}: expected a JSON object of category -> list")
-    return validate_alpha(lexicon, raw)
+    return validate_alpha(lexicon, _read_rows(path))
 
 
 def log_prob_of_sequence(seq: Sequence[LexicalItem],

@@ -1,10 +1,7 @@
 """Numeric kernels: digamma, log-gamma, and the training inner loops.
 
-Hot paths compile with numba when it is importable; setting
-``PDMG_DISABLE_NUMBA=1`` in the environment before import forces the pure
-numpy implementations instead (``USING_NUMBA`` reports which path is live).
-Both paths are exported with ``_numba``/``_numpy`` suffixes so tests and
-the benchmark can compare them directly.
+Every kernel is vectorized numpy over flat arrays; categories are
+contiguous blocks delimited by an ``offsets`` array.
 
 digamma uses the recurrence psi(x) = psi(x+1) - 1/x to shift the argument
 to >= 6, then the de Moivre asymptotic series through the y**-14 term
@@ -21,32 +18,8 @@ sin reflection below; both functions are defined for positive reals only.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_env = os.environ.get("PDMG_DISABLE_NUMBA", "").strip()
-_want_numba = _env in ("", "0")
-
-if _want_numba:
-    try:
-        from numba import njit as _njit
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        USING_NUMBA = False
-else:
-    USING_NUMBA = False
-
-if not USING_NUMBA:
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp split constant
 
@@ -70,146 +43,7 @@ _LANCZOS = np.array([
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-@_njit(cache=False)
-def _digamma_scalar(x: float) -> float:
-    # Caller guarantees x > 0.
-    big = 0.0
-    bigfix = 0.0
-    small = 0.0
-    comp = 0.0
-    y = x
-    while y < 6.0:
-        t = 1.0 / y
-        if t > 1000.0:
-            # Only the first reciprocal can be this large.  Recover the
-            # rounding error of the division exactly: big*y = p + err.
-            ty = _SPLIT * y
-            yhi = ty - (ty - y)
-            ylo = y - yhi
-            tb = _SPLIT * t
-            bhi = tb - (tb - t)
-            blo = t - bhi
-            p = t * y
-            err = ((bhi * yhi - p) + bhi * ylo + blo * yhi) + blo * ylo
-            big = t
-            bigfix = ((1.0 - p) - err) / y
-        else:
-            s = small + t
-            if abs(small) >= abs(t):
-                comp += (small - s) + t
-            else:
-                comp += (t - s) + small
-            small = s
-        y += 1.0
-    v = 1.0 / y
-    v2 = v * v
-    ser = v2 * (_C12 - v2 * (_C120 - v2 * (_C252 - v2 * (
-        _C240 - v2 * (_C132 - v2 * (_C32760 - v2 * _C12))))))
-    psi = math.log(y) - 0.5 * v - ser
-    return ((psi - small) - (comp + bigfix)) - big
-
-
-@_njit(cache=False)
-def _gammaln_scalar(x: float) -> float:
-    # Caller guarantees x > 0.
-    z = x
-    reflect = x < 0.5
-    if reflect:
-        z = 1.0 - x
-    zz = z - 1.0
-    a = _LANCZOS[0]
-    for i in range(1, 9):
-        a += _LANCZOS[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    out = _HALF_LOG_2PI + (zz + 0.5) * math.log(t) - t + math.log(a)
-    if reflect:
-        out = math.log(math.pi / math.sin(math.pi * x)) - out
-    return out
-
-
-@_njit(cache=False)
-def _digamma_arr_loops(x, out):
-    for i in range(x.shape[0]):
-        out[i] = _digamma_scalar(x[i])
-
-
-@_njit(cache=False)
-def _gammaln_arr_loops(x, out):
-    for i in range(x.shape[0]):
-        out[i] = _gammaln_scalar(x[i])
-
-
-@_njit(cache=False)
-def _log_theta_star_loops(omega, offsets, out):
-    for k in range(offsets.shape[0] - 1):
-        a, b = offsets[k], offsets[k + 1]
-        tot = 0.0
-        for i in range(a, b):
-            tot += omega[i]
-        d = _digamma_scalar(tot)
-        for i in range(a, b):
-            out[i] = _digamma_scalar(omega[i]) - d
-
-
-@_njit(cache=False)
-def _dirichlet_kl_loops(omega, alpha, offsets) -> float:
-    total = 0.0
-    for k in range(offsets.shape[0] - 1):
-        a, b = offsets[k], offsets[k + 1]
-        so = 0.0
-        sa = 0.0
-        for i in range(a, b):
-            so += omega[i]
-            sa += alpha[i]
-        dso = _digamma_scalar(so)
-        acc = _gammaln_scalar(so) - _gammaln_scalar(sa)
-        for i in range(a, b):
-            acc += _gammaln_scalar(alpha[i]) - _gammaln_scalar(omega[i])
-            acc += (omega[i] - alpha[i]) * (_digamma_scalar(omega[i]) - dso)
-        total += acc
-    return total
-
-
-@_njit(cache=False)
-def _estep_loops(log_tstar, item_ids, dstart, sstart, n_items):
-    n_derivs = dstart.shape[0] - 1
-    n_sents = sstart.shape[0] - 1
-    logw = np.empty(n_derivs)
-    q = np.empty(n_derivs)
-    logz = np.empty(n_sents)
-    counts = np.zeros(n_items)
-    for j in range(n_derivs):
-        s = 0.0
-        for p in range(dstart[j], dstart[j + 1]):
-            s += log_tstar[item_ids[p]]
-        logw[j] = s
-    for nn in range(n_sents):
-        j0, j1 = sstart[nn], sstart[nn + 1]
-        m = logw[j0]
-        for j in range(j0 + 1, j1):
-            if logw[j] > m:
-                m = logw[j]
-        z = 0.0
-        for j in range(j0, j1):
-            z += math.exp(logw[j] - m)
-        lz = m + math.log(z)
-        logz[nn] = lz
-        tot = 0.0
-        for j in range(j0, j1):
-            q[j] = math.exp(logw[j] - lz)
-            tot += q[j]
-        for j in range(j0, j1):
-            q[j] /= tot
-        for j in range(j0, j1):
-            for p in range(dstart[j], dstart[j + 1]):
-                counts[item_ids[p]] += q[j]
-    return q, logz, counts
-
-
-# --- pure numpy twins ----------------------------------------------------
-
-
-def _two_prod_err_np(a, b, p):
+def _two_prod_err(a, b, p):
     ta = _SPLIT * a
     ahi = ta - (ta - a)
     alo = a - ahi
@@ -219,7 +53,7 @@ def _two_prod_err_np(a, b, p):
     return ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
-def digamma_numpy(x: np.ndarray) -> np.ndarray:
+def _digamma_arr(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     y = x.copy()
     big = np.zeros_like(y)
@@ -231,7 +65,7 @@ def digamma_numpy(x: np.ndarray) -> np.ndarray:
         yt = y[tiny]
         b = 1.0 / yt
         p = b * yt
-        err = _two_prod_err_np(b, yt, p)
+        err = _two_prod_err(b, yt, p)
         big[tiny] = b
         bigfix[tiny] = ((1.0 - p) - err) / yt
         y[tiny] += 1.0
@@ -253,7 +87,7 @@ def digamma_numpy(x: np.ndarray) -> np.ndarray:
     return ((psi - small) - (comp + bigfix)) - big
 
 
-def gammaln_numpy(x: np.ndarray) -> np.ndarray:
+def _gammaln_arr(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     z = np.where(x < 0.5, 1.0 - x, x)
     zz = z - 1.0
@@ -269,26 +103,33 @@ def gammaln_numpy(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_theta_star_numpy(omega: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def log_theta_star_flat(omega: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """psi(omega_i) - psi(sum of omega_i's category), per item."""
     sums = np.add.reduceat(omega, offsets[:-1])
-    dsums = digamma_numpy(sums)
+    dsums = _digamma_arr(sums)
     sizes = np.diff(offsets)
-    return digamma_numpy(omega) - np.repeat(dsums, sizes)
+    return _digamma_arr(omega) - np.repeat(dsums, sizes)
 
 
-def dirichlet_kl_numpy(omega: np.ndarray, alpha: np.ndarray,
-                       offsets: np.ndarray) -> float:
+def dirichlet_kl_flat(omega: np.ndarray, alpha: np.ndarray,
+                      offsets: np.ndarray) -> float:
+    """Sum over categories of KL(Dir(omega) || Dir(alpha))."""
     so = np.add.reduceat(omega, offsets[:-1])
     sa = np.add.reduceat(alpha, offsets[:-1])
     sizes = np.diff(offsets)
-    dso = np.repeat(digamma_numpy(so), sizes)
-    per_item = (gammaln_numpy(alpha) - gammaln_numpy(omega)
-                + (omega - alpha) * (digamma_numpy(omega) - dso))
+    dso = np.repeat(_digamma_arr(so), sizes)
+    per_item = (_gammaln_arr(alpha) - _gammaln_arr(omega)
+                + (omega - alpha) * (_digamma_arr(omega) - dso))
     per_cat = np.add.reduceat(per_item, offsets[:-1])
-    return float(np.sum(gammaln_numpy(so) - gammaln_numpy(sa) + per_cat))
+    return float(np.sum(_gammaln_arr(so) - _gammaln_arr(sa) + per_cat))
 
 
-def estep_numpy(log_tstar, item_ids, dstart, sstart, n_items):
+def estep_flat(log_tstar, item_ids, dstart, sstart, n_items):
+    """Responsibilities ``q``, per-sentence ``logz`` and expected counts.
+
+    ``item_ids[dstart[j]:dstart[j+1]]`` are derivation j's items, and
+    ``sstart`` marks sentence boundaries in the derivation list.
+    """
     n_derivs = dstart.shape[0] - 1
     n_sents = sstart.shape[0] - 1
     if n_derivs:
@@ -311,61 +152,12 @@ def estep_numpy(log_tstar, item_ids, dstart, sstart, n_items):
     return q, logz, counts
 
 
-# --- numba-dispatching wrappers ------------------------------------------
-
-
-def digamma_numba(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    flat = np.ascontiguousarray(x).reshape(-1)
-    out = np.empty(flat.shape[0])
-    _digamma_arr_loops(flat, out)
-    return out.reshape(x.shape)
-
-
-def gammaln_numba(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    flat = np.ascontiguousarray(x).reshape(-1)
-    out = np.empty(flat.shape[0])
-    _gammaln_arr_loops(flat, out)
-    return out.reshape(x.shape)
-
-
-def log_theta_star_numba(omega: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    out = np.empty_like(omega)
-    _log_theta_star_loops(omega, offsets, out)
-    return out
-
-
-def dirichlet_kl_numba(omega, alpha, offsets) -> float:
-    return float(_dirichlet_kl_loops(omega, alpha, offsets))
-
-
-def estep_numba(log_tstar, item_ids, dstart, sstart, n_items):
-    return _estep_loops(log_tstar, item_ids, dstart, sstart, n_items)
-
-
-# --- public API -----------------------------------------------------------
-
-if USING_NUMBA:
-    _digamma_impl = digamma_numba
-    _gammaln_impl = gammaln_numba
-    log_theta_star_flat = log_theta_star_numba
-    dirichlet_kl_flat = dirichlet_kl_numba
-    estep_flat = estep_numba
-else:
-    _digamma_impl = digamma_numpy
-    _gammaln_impl = gammaln_numpy
-    log_theta_star_flat = log_theta_star_numpy
-    dirichlet_kl_flat = dirichlet_kl_numpy
-    estep_flat = estep_numpy
-
-
 def digamma(x):
     """psi(x) for positive reals; scalar in, scalar out."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.size and not np.all(arr > 0.0):
         raise ValueError("digamma requires x > 0")
-    out = _digamma_impl(arr)
+    out = _digamma_arr(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -374,5 +166,5 @@ def gammaln(x):
     arr = np.asarray(x, dtype=np.float64)
     if arr.size and not np.all(arr > 0.0):
         raise ValueError("gammaln requires x > 0")
-    out = _gammaln_impl(arr)
+    out = _gammaln_arr(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out

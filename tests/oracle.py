@@ -3,10 +3,11 @@
 Everything here is deliberately naive: the checker walks a plain list of
 mutable records and carries word lists along with the feature checks, the
 enumerator tries every item string within explicit budgets, the
-posterior is computed by direct normalization, and ``reference_parse``
-closes the chart by trying every pair of finished items.  No code is
-shared with the package's linked-list cursor, expression algebra, indexed
-chart closure, or flat array kernels.
+posterior is computed by direct normalization, the flat e-step by loops
+over ``math.fsum``, and ``reference_parse`` closes the chart by trying
+every pair of finished items.  No code is shared with the package's
+linked-list cursor, expression algebra, indexed chart closure, or flat
+array kernels.
 """
 
 from __future__ import annotations
@@ -197,6 +198,35 @@ def dirichlet_kl_exact(omega: list[float], alpha: list[float],
     for w, a in zip(omega, alpha):
         acc += lgamma(a) - lgamma(w) + (w - a) * (psi(w) - psi(so))
     return acc
+
+
+def estep_exact(log_tstar, item_ids, dstart, sstart, n_items):
+    """(q, logz, counts) of the flat e-step, as lists, by ``math.fsum``.
+
+    Derivation j's log weight sums ``log_tstar`` over
+    ``item_ids[dstart[j]:dstart[j+1]]``; sentence n's derivations are
+    ``sstart[n]`` up to ``sstart[n+1]``.
+    """
+    log_tstar = [float(v) for v in log_tstar]
+    ids = [int(i) for i in item_ids]
+    dstart = [int(d) for d in dstart]
+    sstart = [int(s) for s in sstart]
+    logw = [math.fsum(log_tstar[i] for i in ids[a:b])
+            for a, b in zip(dstart, dstart[1:])]
+    q: list[float] = []
+    logz: list[float] = []
+    for j0, j1 in zip(sstart, sstart[1:]):
+        top = max(logw[j0:j1])
+        lz = top + math.log(math.fsum(math.exp(w - top) for w in logw[j0:j1]))
+        logz.append(lz)
+        unnorm = [math.exp(w - lz) for w in logw[j0:j1]]
+        total = math.fsum(unnorm)
+        q.extend(u / total for u in unnorm)
+    terms: list[list[float]] = [[] for _ in range(n_items)]
+    for j, (a, b) in enumerate(zip(dstart, dstart[1:])):
+        for i in ids[a:b]:
+            terms[i].append(q[j])
+    return q, logz, [math.fsum(t) for t in terms]
 
 
 def chi_square_stat(counts: dict, expected: dict) -> float:

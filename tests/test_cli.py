@@ -302,6 +302,66 @@ class TestTrain:
         assert r.exit_code == 4
 
 
+def _assert_one_error_line(r, code):
+    assert r.exit_code == code
+    assert r.stderr.startswith("error: ")
+    assert r.stderr.count("\n") == 1
+    assert "Traceback" not in r.output
+
+
+class TestBadModelRows:
+    """Rows that are not lists of numbers exit 2 with one error line."""
+
+    THETA = {"d": [0.5, 0.5], "v": [1.0], "i": [1.0], "c": [1.0]}
+
+    @pytest.mark.parametrize("row", [["x", 1], [None, 1]])
+    def test_alpha_entry_not_a_number(self, runner, tmp_path, row):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("what did you see\n")
+        p = tmp_path / "alpha.json"
+        p.write_text(json.dumps({"d": [1.0, 1.0], "v": row, "i": [1.0],
+                                 "c": [1.0]}))
+        r = runner.invoke(main, ["train", WHQ, str(corpus), "--start", "c",
+                                 "--alpha", str(p),
+                                 "--out", str(tmp_path / "r.json")])
+        _assert_one_error_line(r, 2)
+        assert "alpha['v'] must be a list of numbers" in r.stderr
+
+    @pytest.mark.parametrize("row", [["x", 1], [None, 1]])
+    def test_theta_entry_not_a_number(self, runner, tmp_path, row):
+        p = tmp_path / "theta.json"
+        p.write_text(json.dumps(dict(self.THETA, v=row)))
+        r = runner.invoke(main, ["score", WHQ, "what did you see",
+                                 "--start", "c", "--theta", str(p)])
+        _assert_one_error_line(r, 2)
+        assert "theta['v'] must be a list of numbers" in r.stderr
+
+    def test_theta_row_not_a_list(self, runner, tmp_path):
+        p = tmp_path / "theta.json"
+        p.write_text(json.dumps(dict(self.THETA, v=3)))
+        r = runner.invoke(main, ["sample", WHQ, "--start", "c", "--seed", "0",
+                                 "--theta", str(p)])
+        _assert_one_error_line(r, 2)
+        assert "theta['v'] must be a list of numbers" in r.stderr
+
+
+class TestNonUtf8Input:
+    def test_lexicon(self, runner, tmp_path):
+        p = tmp_path / "bad.lex"
+        p.write_bytes(b"kim :: d\xff\n")
+        r = runner.invoke(main, ["validate", str(p)])
+        _assert_one_error_line(r, 2)
+        assert "not UTF-8" in r.stderr
+
+    def test_corpus(self, runner, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"kim saw\xff\n")
+        r = runner.invoke(main, ["train", WHQ, str(corpus), "--start", "c",
+                                 "--out", str(tmp_path / "r.json")])
+        _assert_one_error_line(r, 2)
+        assert "not UTF-8" in r.stderr
+
+
 class TestDeepDerivations:
     """Derivations deeper than the recursion limit end in exit 4, no traceback."""
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmg.corpus import canonical_json, load_corpus, tokenize
+from pdmg.corpus import canonical_json, load_corpus
 
 
 class TestLoadCorpus:
@@ -24,14 +24,6 @@ class TestLoadCorpus:
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_corpus("/nonexistent/corpus.txt")
-
-
-class TestTokenize:
-    def test_split_on_whitespace(self):
-        assert tokenize("  what  did\tyou see ") == ["what", "did", "you", "see"]
-
-    def test_empty(self):
-        assert tokenize("") == []
 
 
 class TestCanonicalJson:

@@ -68,6 +68,14 @@ class TestValidateTheta:
         theta["d"] = [1.0, 0.0]
         assert validate_theta(whq, theta)["d"] == [1.0, 0.0]
 
+    @pytest.mark.parametrize("row", [["x", 1.0], [None, 1.0], 3, "ab", {"a": 1}])
+    def test_row_not_numbers(self, whq, row):
+        theta = uniform_theta(whq)
+        theta["d"] = row
+        with pytest.raises(InvalidModel,
+                           match=r"theta\['d'\] must be a list of numbers"):
+            validate_theta(whq, theta)
+
 
 class TestValidateAlpha:
     def test_ones_pass(self, whq):
@@ -84,6 +92,14 @@ class TestValidateAlpha:
         alpha = ones_alpha(whq)
         alpha["d"] = [3.0, 17.0]
         assert validate_alpha(whq, alpha)["d"] == [3.0, 17.0]
+
+    @pytest.mark.parametrize("row", [["x", 1.0], [None, 1.0], 3])
+    def test_row_not_numbers(self, whq, row):
+        alpha = ones_alpha(whq)
+        alpha["d"] = row
+        with pytest.raises(InvalidModel,
+                           match=r"alpha\['d'\] must be a list of numbers"):
+            validate_alpha(whq, alpha)
 
 
 class TestLoad:

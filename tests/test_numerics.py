@@ -1,9 +1,6 @@
 """Unit tests for the numeric kernels against mpmath-derived oracles."""
 
 import math
-import os
-import subprocess
-import sys
 
 import mpmath
 import numpy as np
@@ -51,11 +48,6 @@ class TestDigamma:
         # near zero the rhs cancels two huge terms, so scale by them
         scale = np.maximum(np.maximum(1.0, np.abs(lhs)), 1.0 / x)
         assert np.max(np.abs(lhs - rhs) / scale) <= 1e-12
-
-    def test_paths_agree(self):
-        a = numerics.digamma_numba(GRID)
-        b = numerics.digamma_numpy(GRID)
-        assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_scalar_in_scalar_out(self):
         out = numerics.digamma(2.5)
@@ -107,12 +99,6 @@ class TestGammaln:
         scale = np.maximum(1.0, np.abs(lhs))
         assert np.max(np.abs(lhs - rhs) / scale) <= 1e-12
 
-    def test_paths_agree(self):
-        a = numerics.gammaln_numba(GRID)
-        b = numerics.gammaln_numpy(GRID)
-        scale = np.maximum(1.0, np.abs(a))
-        assert np.max(np.abs(a - b) / scale) <= 1e-12
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             numerics.gammaln(-0.5)
@@ -151,14 +137,6 @@ class TestLogThetaStar:
             s = mp_digamma(block.sum())
             want.extend(mp_digamma(w) - s for w in block)
         assert np.max(np.abs(out - np.array(want))) <= 1e-12
-
-    def test_paths_agree(self):
-        rng = np.random.default_rng(11)
-        offsets = np.array([0, 4, 5, 12], dtype=np.int64)
-        omega = rng.uniform(1e-3, 1e3, size=12)
-        a = numerics.log_theta_star_numba(omega, offsets)
-        b = numerics.log_theta_star_numpy(omega, offsets)
-        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 class TestDirichletKL:
@@ -199,15 +177,6 @@ class TestDirichletKL:
             omega[2:], alpha[2:], np.array([0, 3], dtype=np.int64))
         assert abs(whole - (first + second)) <= 1e-10
 
-    def test_paths_agree(self):
-        rng = np.random.default_rng(13)
-        offsets = np.array([0, 2, 6], dtype=np.int64)
-        omega = rng.uniform(1e-2, 1e2, size=6)
-        alpha = rng.uniform(1e-2, 1e2, size=6)
-        a = numerics.dirichlet_kl_numba(omega, alpha, offsets)
-        b = numerics.dirichlet_kl_numpy(omega, alpha, offsets)
-        assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
-
 
 def _flat_case():
     # Two sentences over three items.  Sentence 0 has derivations (0,) and
@@ -219,7 +188,51 @@ def _flat_case():
     return log_tstar, item_ids, dstart, sstart, 3
 
 
+def _random_flat_case(rng, deep: bool):
+    """A seeded flat e-step problem over 1-8 items and 1-5 sentences.
+
+    Sentences have 1-4 derivations of 1-5 items drawn with replacement,
+    so single-derivation sentences and repeated items both occur.  When
+    ``deep`` is set, item 0 has log weight near -800 and opens every
+    derivation, so exp of any log weight underflows to zero.  Deep
+    weights lie on a 2**-20 grid: every derivation's log weight is then
+    an exact float64 sum, so the comparison tests the shift and the
+    normalization, not the rounding of a sum near 800 (one ulp there is
+    1.1e-13).
+    """
+    n_items = int(rng.integers(1, 9))
+    log_tstar = rng.uniform(-5.0, 0.0, size=n_items)
+    if deep:
+        log_tstar[0] = rng.uniform(-802.0, -798.0)
+        log_tstar = np.round(log_tstar * 2.0**20) / 2.0**20
+    item_ids: list[int] = []
+    dstart = [0]
+    sstart = [0]
+    for _ in range(int(rng.integers(1, 6))):
+        for _ in range(int(rng.integers(1, 5))):
+            if deep:
+                item_ids.append(0)
+            item_ids.extend(int(i) for i in
+                            rng.integers(0, n_items, size=rng.integers(1, 6)))
+            dstart.append(len(item_ids))
+        sstart.append(len(dstart) - 1)
+    return (log_tstar, np.asarray(item_ids, dtype=np.int64),
+            np.asarray(dstart, dtype=np.int64),
+            np.asarray(sstart, dtype=np.int64), n_items)
+
+
 class TestEstep:
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_against_fsum_oracle(self, deep):
+        rng = np.random.default_rng(17 + deep)
+        for _ in range(300):
+            case = _random_flat_case(rng, deep)
+            q, logz, counts = numerics.estep_flat(*case)
+            want_q, want_logz, want_counts = oracle.estep_exact(*case)
+            assert np.max(np.abs(q - want_q)) <= 1e-13
+            assert np.max(np.abs(logz - want_logz)) <= 1e-12
+            assert np.max(np.abs(counts - want_counts)) <= 1e-13
+
     def test_hand_case(self):
         log_tstar, item_ids, dstart, sstart, n = _flat_case()
         q, logz, counts = numerics.estep_flat(
@@ -265,37 +278,3 @@ class TestEstep:
         q, logz, _ = numerics.estep_flat(log_tstar, item_ids, dstart, sstart, 2)
         assert np.isfinite(logz).all()
         assert q[0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-13)
-
-    def test_paths_agree(self):
-        log_tstar, item_ids, dstart, sstart, n = _flat_case()
-        qa, za, ca = numerics.estep_numba(log_tstar, item_ids, dstart, sstart, n)
-        qb, zb, cb = numerics.estep_numpy(log_tstar, item_ids, dstart, sstart, n)
-        assert np.max(np.abs(qa - qb)) <= 1e-14
-        assert np.max(np.abs(za - zb)) <= 1e-13
-        assert np.max(np.abs(ca - cb)) <= 1e-13
-
-
-class TestDispatch:
-    def test_default_uses_numba_when_available(self):
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            pytest.skip("numba not installed")
-        if os.environ.get("PDMG_DISABLE_NUMBA", "").strip() not in ("", "0"):
-            pytest.skip("numba disabled via environment for this run")
-        assert numerics.USING_NUMBA
-        assert numerics.log_theta_star_flat is numerics.log_theta_star_numba
-
-    def test_env_flag_selects_numpy_path(self):
-        code = (
-            "import pdmg.numerics as nm\n"
-            "assert not nm.USING_NUMBA\n"
-            "assert nm.log_theta_star_flat is nm.log_theta_star_numpy\n"
-            "print(repr(nm.digamma(2.5)))\n"
-        )
-        env = dict(os.environ, PDMG_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, check=True, cwd=os.path.dirname(os.path.dirname(__file__)))
-        value = float(out.stdout.strip())
-        assert abs(value - numerics.digamma(2.5)) <= 1e-12
