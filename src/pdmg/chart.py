@@ -37,18 +37,23 @@ once per item when the forest is returned.
 The goal is the head (0, n) with suffix exactly the start category and no
 movers.  Extraction walks goal back-pointers depth-first and returns one
 polish-order item sequence per distinct derivation, deduplicated and
-sorted by item ids.  Covert leaves per derivation are capped (max_covert),
-which also bounds the unwinding of covert recursion cycles; the number of
-distinct sequences is capped by max_derivations and the total closure plus
-extraction work by max_steps.  Exceeding a cap raises CapExceeded rather
-than silently truncating.
+sorted by item ids.  The walk is one loop over a stack of states (pending
+items, leaf ids, covert leaves used).  It pops a state, expands its first
+pending item by each of that item's back-pointers in chart order, and
+pushes the results; a state with nothing pending is a derivation.  Pending
+items and leaf ids are cons lists whose tails the states share, so a step
+costs the same at any depth.  Covert leaves per derivation are capped
+(max_covert), which also bounds the unwinding of covert recursion cycles;
+the number of distinct sequences is capped by max_derivations and the
+total closure plus extraction work by max_steps.  Exceeding a cap raises
+CapExceeded rather than silently truncating.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded, UnknownCategoryError
 from .lexicon import (KIND_CODE, Feature, FeatureCodes, FeatureKind, LexicalItem,
@@ -302,33 +307,40 @@ def _extract(
     cfg: ParseConfig,
     steps_used: int,
 ) -> tuple[tuple[LexicalItem, ...], ...]:
-    budget = [cfg.max_steps - steps_used]
-
-    def expand(item: Coded, covert_budget: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        budget[0] -= 1
-        if budget[0] < 0:
+    budget = cfg.max_steps - steps_used
+    covert = {lex.global_index(it) for it in lex.covert_items()}
+    found: set[tuple[int, ...]] = set()
+    # (pending, ids, used): pending is (item, rest) in polish order and ids
+    # is (id, earlier), newest first; None ends both lists.
+    stack: list[tuple] = [((goal, None), None, 0)]
+    while stack:
+        pending, ids, used = stack.pop()
+        if pending is None:
+            leaves: list[int] = []
+            while ids is not None:
+                g, ids = ids
+                leaves.append(g)
+            found.add(tuple(reversed(leaves)))
+            if len(found) > cfg.max_derivations:
+                raise CapExceeded(
+                    f"more than {cfg.max_derivations} distinct derivations")
+            continue
+        budget -= 1
+        if budget < 0:
             raise CapExceeded(
                 f"derivation extraction exceeded {cfg.max_steps} steps "
                 f"(covert-recursion cycle?)")
-        for bp in chart[item]:
+        item, rest = pending
+        for bp in reversed(chart[item]):  # popped in chart order
             tag = bp[0]
             if tag == LEX:
-                cost = 1 if lex.item_at(bp[1]).phon == "" else 0
-                if cost <= covert_budget:
-                    yield (bp[1],), cost
+                cost = used + (bp[1] in covert)
+                if cost <= cfg.max_covert:
+                    stack.append((rest, (bp[1], ids), cost))
             elif tag in (MOVE_1, MOVE_2):
-                yield from expand(bp[1], covert_budget)
+                stack.append(((bp[1], rest), ids, used))
             else:
-                for s_ids, s_cost in expand(bp[1], covert_budget):
-                    for t_ids, t_cost in expand(bp[2], covert_budget - s_cost):
-                        yield s_ids + t_ids, s_cost + t_cost
-
-    found: set[tuple[int, ...]] = set()
-    for ids, _ in expand(goal, cfg.max_covert):
-        found.add(ids)
-        if len(found) > cfg.max_derivations:
-            raise CapExceeded(
-                f"more than {cfg.max_derivations} distinct derivations")
+                stack.append(((bp[1], (bp[2], rest)), ids, used))
     return tuple(
         tuple(lex.item_at(g) for g in ids) for ids in sorted(found)
     )

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success; 1 a checked sequence was rejected; 2 bad input
 (lexicon, references, model vectors); 3 evaluation or coverage failure;
-4 a configured cap, or Python's recursion limit, was exceeded.
+4 a configured cap was exceeded.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .model import (SampleConfig, load_alpha, load_theta, log_prob_of_sequence,
                     ones_alpha, sample_derivation, uniform_theta)
 from .structure import (derived_category, eval_sequence, render_tree,
                         seq_to_tree)
-from .wellformed import trace_wellformed
+from .wellformed import is_wellformed, trace_wellformed
 
 REJECTED = 1
 BAD_INPUT = 2
@@ -39,17 +39,10 @@ def _run(body: Callable[[], int | None]) -> None:
     except CapExceeded as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(CAP_EXCEEDED)
-    except RecursionError:
-        click.echo("error: derivation nests deeper than Python's recursion "
-                   f"limit ({sys.getrecursionlimit()}) allows", err=True)
-        sys.exit(CAP_EXCEEDED)
     except (EvalError, UnparsedSentence) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EVAL_FAILURE)
-    except PdmgError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(BAD_INPUT)
-    except OSError as exc:
+    except (PdmgError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(BAD_INPUT)
     except UnicodeDecodeError as exc:
@@ -61,17 +54,16 @@ def _run(body: Callable[[], int | None]) -> None:
 def _cap_options(command: Callable) -> Callable:
     """Add the chart's caps as options; they reach the command as keywords."""
     for option in reversed((
-        click.option("--max-derivations", default=10_000, show_default=True),
-        click.option("--max-covert", default=3, show_default=True,
+        click.option("--max-derivations", default=ParseConfig.max_derivations,
+                     show_default=True),
+        click.option("--max-covert", default=ParseConfig.max_covert,
+                     show_default=True,
                      help="Unpronounced leaves allowed per derivation."),
-        click.option("--max-steps", default=1_000_000, show_default=True),
+        click.option("--max-steps", default=ParseConfig.max_steps,
+                     show_default=True),
     )):
         command = option(command)
     return command
-
-
-def _parse_config(start: str, caps: dict[str, int]) -> ParseConfig:
-    return ParseConfig(start=start, **caps)
 
 
 def resolve_item(lexicon: Lexicon, ref: str) -> LexicalItem:
@@ -145,13 +137,16 @@ def check_seq(lexicon_path: str, refs: tuple[str, ...], trace: bool) -> None:
     def body() -> int:
         lex = load_lexicon(lexicon_path)
         seq = tuple(resolve_item(lex, r) for r in refs)
-        result = trace_wellformed(seq)
         if trace:
+            result = trace_wellformed(seq)
             for i, step in enumerate(result.steps, start=1):
                 where = "-" if step.position < 0 else str(step.position)
                 click.echo(f"{i:3d}  pos={where:>2}  {step.action:<14} {step.detail}")
-        click.echo("well-formed" if result.verdict else "ill-formed")
-        return 0 if result.verdict else REJECTED
+            verdict = result.verdict
+        else:
+            verdict = is_wellformed(seq)
+        click.echo("well-formed" if verdict else "ill-formed")
+        return 0 if verdict else REJECTED
     _run(body)
 
 
@@ -186,7 +181,7 @@ def parse_cmd(lexicon_path: str, sentences: tuple[str, ...], start: str,
         todo = list(sentences)
         if corpus_path is not None:
             todo.extend(load_corpus(corpus_path))
-        cfg = _parse_config(start, caps)
+        cfg = ParseConfig(start=start, **caps)
         for sentence in todo:
             forest = parse(lex, sentence.split(), cfg)
             payload = {
@@ -212,7 +207,7 @@ def score(lexicon_path: str, sentence: str, start: str, theta_path: str | None,
         lex = load_lexicon(lexicon_path)
         theta = (uniform_theta(lex) if theta_path is None
                  else load_theta(theta_path, lex))
-        forest = parse(lex, sentence.split(), _parse_config(start, caps))
+        forest = parse(lex, sentence.split(), ParseConfig(start=start, **caps))
         logs = [log_prob_of_sequence(seq, theta) for seq in forest.sequences]
         finite = [lp for lp in logs if lp != -math.inf]
         total = (math.exp(_logsumexp(finite)) if finite else 0.0)
@@ -240,11 +235,13 @@ def _logsumexp(values: list[float]) -> float:
 @click.option("--start", required=True, help="Category to expand from.")
 @click.option("-n", "count", default=1, show_default=True,
               help="Number of sequences to draw.")
-@click.option("--seed", type=int, default=None, help="RNG seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="RNG seed.")
 @click.option("--theta", "theta_path", default=None,
               help="Item probabilities as JSON (default: uniform per category).")
-@click.option("--max-depth", default=64, show_default=True)
-@click.option("--max-rejections", default=10_000, show_default=True)
+@click.option("--max-depth", default=SampleConfig.max_depth, show_default=True)
+@click.option("--max-rejections", default=SampleConfig.max_rejections,
+              show_default=True)
 def sample(lexicon_path: str, start: str, count: int, seed: int | None,
            theta_path: str | None, max_depth: int, max_rejections: int) -> None:
     """Draw well-formed sequences; one line of item references each."""
@@ -267,9 +264,9 @@ def sample(lexicon_path: str, start: str, count: int, seed: int | None,
 @click.option("--start", required=True, help="Category a derivation must yield.")
 @click.option("--alpha", "alpha_path", default=None,
               help="Dirichlet pseudo-counts as JSON (default: all ones).")
-@click.option("--tol", default=1.0e-6, show_default=True,
+@click.option("--tol", default=TrainConfig.tol, show_default=True,
               help="Stop when the bound moves less than this.")
-@click.option("--max-iters", default=100, show_default=True)
+@click.option("--max-iters", default=TrainConfig.max_iters, show_default=True)
 @click.option("--skip-unparsed", is_flag=True,
               help="Drop underivable sentences instead of failing.")
 @click.option("--out", "out_path", default="result.json", show_default=True,

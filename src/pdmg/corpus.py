@@ -17,7 +17,7 @@ from typing import Any
 
 
 def load_corpus(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     out = []
     for line in text.splitlines():

@@ -139,9 +139,9 @@ class TrainConfig:
     tol: float = 1.0e-6
     max_iters: int = 100
     skip_unparsed: bool = False
-    max_derivations: int = 10_000
-    max_covert: int = 3
-    max_steps: int = 1_000_000
+    max_derivations: int = ParseConfig.max_derivations
+    max_covert: int = ParseConfig.max_covert
+    max_steps: int = ParseConfig.max_steps
 
 
 @dataclass

@@ -337,7 +337,7 @@ def parse_lexicon(text: str) -> Lexicon:
 
 
 def load_lexicon(path: str) -> Lexicon:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_lexicon(fh.read())
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -46,6 +47,9 @@ def _validate_rows(lexicon: Lexicon, rows: Mapping[str, Sequence[float]],
         if isinstance(raw, (str, bytes, Mapping)):
             raw = None  # iterable, but not a row of numbers
         try:
+            # float() takes booleans and numeric strings; they are not numbers.
+            if any(isinstance(v, (bool, str)) for v in raw):
+                raise TypeError
             row = [float(v) for v in raw]
         except (TypeError, ValueError):
             raise InvalidModel(
@@ -92,11 +96,22 @@ def ones_alpha(lexicon: Lexicon) -> Alpha:
 
 
 def _read_rows(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidModel(f"{path}: not valid JSON ({exc})") from None
+    """The JSON object in ``path``; InvalidModel for anything else."""
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    # A theta or alpha file nests two levels.  The bound keeps json's decoder,
+    # which takes one Python frame per level, far from the interpreter's limit.
+    depth = 0
+    for tok in re.findall(r'"(?:[^"\\]|\\.)*"|[][{}]', text):  # strings, brackets
+        depth += (tok in ("[", "{")) - (tok in ("]", "}"))
+        if depth > 100:
+            raise InvalidModel(f"{path}: JSON nests deeper than 100 levels")
+    try:
+        # A long integer literal read as int overflows float() or trips
+        # Python's digit limit; read as a float it is just inf.
+        raw = json.loads(text, parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise InvalidModel(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise InvalidModel(f"{path}: expected a JSON object of category -> list")
     return raw

@@ -28,7 +28,7 @@ folds the rules over that tree bottom-up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import ArityError, EvalError, FeatureMismatch, SmcViolation
 from .lexicon import Feature, FeatureKind, LexicalItem
@@ -177,52 +177,57 @@ def seq_to_tree(seq: Sequence[LexicalItem]) -> Node:
 
     The tree shape is fully determined by the items' selector and licensor
     counts; a sequence that runs out of items, or has items left over,
-    raises ArityError.
+    raises ArityError.  One left-to-right pass: an item waits on a stack
+    while its next selector's argument is read, and takes a MoveNode for
+    each licensor it reaches.
     """
     if not seq:
         raise ArityError("empty item sequence")
-
-    def build(i: int) -> tuple[Node, int]:
-        if i >= len(seq):
-            raise ArityError("ran out of items while expanding selectors")
-        item = seq[i]
+    waiting: list[tuple[Node, Iterator[Feature]]] = []
+    for i, item in enumerate(seq):
         node: Node = Leaf(item)
-        i += 1
-        for f in item.features:
-            if f.is_selector:
-                child, i = build(i)
-                node = MergeNode(node, child)
-            elif f.kind is FeatureKind.LICENSOR:
+        feats = iter(item.features)
+        while True:
+            f = next(feats, None)
+            while f is not None and f.kind is FeatureKind.LICENSOR:
                 node = MoveNode(node)
-            else:
+                f = next(feats, None)
+            if f is not None and f.is_selector:
+                waiting.append((node, feats))
                 break
-        return node, i
+            if not waiting:
+                if i + 1 < len(seq):
+                    raise ArityError(f"{len(seq) - i - 1} items left over "
+                                     "after the root's arguments")
+                return node
+            head, feats = waiting.pop()
+            node = MergeNode(head, node)
+    raise ArityError("ran out of items while expanding selectors")
 
-    tree, end = build(0)
-    if end != len(seq):
-        raise ArityError(f"{len(seq) - end} items left over after the root's arguments")
-    return tree
+
+def _postorder(root: Node) -> list[Node]:
+    """Every node after its children, the head's subtree before the arg's."""
+    out: list[Node] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, MergeNode):
+            stack += (node.head, node.arg)
+        elif isinstance(node, MoveNode):
+            stack.append(node.child)
+    return out[::-1]
 
 
 def tree_to_seq(node: Node) -> tuple[LexicalItem, ...]:
     """Depth-first leaves; inverse of seq_to_tree."""
-    if isinstance(node, Leaf):
-        return (node.item,)
-    if isinstance(node, MergeNode):
-        return tree_to_seq(node.head) + tree_to_seq(node.arg)
-    return tree_to_seq(node.child)
+    return tuple(n.item for n in _postorder(node) if isinstance(n, Leaf))
 
 
 def count_nodes(node: Node) -> tuple[int, int, int]:
     """(leaves, merge nodes, move nodes)."""
-    if isinstance(node, Leaf):
-        return (1, 0, 0)
-    if isinstance(node, MergeNode):
-        a = count_nodes(node.head)
-        b = count_nodes(node.arg)
-        return (a[0] + b[0], a[1] + b[1] + 1, a[2] + b[2])
-    a = count_nodes(node.child)
-    return (a[0], a[1], a[2] + 1)
+    kinds = [type(n) for n in _postorder(node)]
+    return (kinds.count(Leaf), kinds.count(MergeNode), kinds.count(MoveNode))
 
 
 def leaf_expression(item: LexicalItem) -> Expression:
@@ -232,27 +237,27 @@ def leaf_expression(item: LexicalItem) -> Expression:
 
 def eval_tree(node: Node) -> Expression:
     """Fold the rules over a derivation tree bottom-up."""
-    if isinstance(node, Leaf):
-        return leaf_expression(node.item)
-    if isinstance(node, MergeNode):
-        s = eval_tree(node.head)
-        t = eval_tree(node.arg)
-        f = _leading_selector(s)
-        suf = t.head.suffix
-        if not suf or suf[0] != Feature(FeatureKind.CAT, f.name):
-            raise FeatureMismatch(
-                f"selector {f} against argument head {t.head}")
-        if len(suf) > 1:
-            return merge_mover(s, t)
-        if f.kind is FeatureKind.SEL_LEFT:
-            return merge_left(s, t)
-        return merge_right(s, t)
-    s = eval_tree(node.child)
-    f = _leading_licensor(s)
-    i = _find_mover(s, f.name)
-    if len(s.movers[i].suffix) == 1:
-        return move_final(s)
-    return move_again(s)
+    values: list[Expression] = []
+    for n in _postorder(node):
+        if isinstance(n, Leaf):
+            values.append(leaf_expression(n.item))
+        elif isinstance(n, MergeNode):
+            t = values.pop()
+            s = values.pop()
+            f = _leading_selector(s)
+            suf = t.head.suffix
+            if not suf or suf[0] != Feature(FeatureKind.CAT, f.name):
+                raise FeatureMismatch(
+                    f"selector {f} against argument head {t.head}")
+            rule = (merge_mover if len(suf) > 1 else
+                    merge_left if f.kind is FeatureKind.SEL_LEFT else merge_right)
+            values.append(rule(s, t))
+        else:
+            s = values.pop()
+            i = _find_mover(s, _leading_licensor(s).name)
+            rule = move_final if len(s.movers[i].suffix) == 1 else move_again
+            values.append(rule(s))
+    return values[0]
 
 
 def eval_expression(seq: Sequence[LexicalItem]) -> Expression:
@@ -287,8 +292,14 @@ def derived_category(seq: Sequence[LexicalItem]) -> str:
 
 def render_tree(node: Node) -> str:
     """Compact single-line bracketing of a derivation tree."""
-    if isinstance(node, Leaf):
-        return node.item.phon_display
-    if isinstance(node, MergeNode):
-        return f"[merge {render_tree(node.head)} {render_tree(node.arg)}]"
-    return f"[move {render_tree(node.child)}]"
+    parts: list[str] = []
+    stack: list[Node | str] = [node]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, MergeNode):
+            stack += ("]", top.arg, " ", top.head, "[merge ")
+        elif isinstance(top, MoveNode):
+            stack += ("]", top.child, "[move ")
+        else:
+            parts.append(top if isinstance(top, str) else top.item.phon_display)
+    return "".join(parts)

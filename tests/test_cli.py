@@ -217,6 +217,12 @@ class TestSample:
                                  "-n", "20", "--seed", "2"])
         assert a.output != b.output
 
+    def test_negative_seed(self, runner):
+        r = runner.invoke(main, ["sample", WHQ, "--start", "c", "--seed", "-1"])
+        assert r.exit_code == 2
+        assert "Invalid value for '--seed'" in r.stderr
+        assert "Traceback" not in r.output
+
     def test_rejection_cap(self, runner, tmp_path):
         theta = {"d": [1.0, 0.0], "v": [1.0], "i": [1.0], "c": [1.0]}
         p = tmp_path / "theta.json"
@@ -314,7 +320,9 @@ class TestBadModelRows:
 
     THETA = {"d": [0.5, 0.5], "v": [1.0], "i": [1.0], "c": [1.0]}
 
-    @pytest.mark.parametrize("row", [["x", 1], [None, 1]])
+    # JSON booleans and numeric strings are not numbers, though float()
+    # takes them.
+    @pytest.mark.parametrize("row", [["x", 1], [None, 1], [True], ["1"]])
     def test_alpha_entry_not_a_number(self, runner, tmp_path, row):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("what did you see\n")
@@ -327,7 +335,7 @@ class TestBadModelRows:
         _assert_one_error_line(r, 2)
         assert "alpha['v'] must be a list of numbers" in r.stderr
 
-    @pytest.mark.parametrize("row", [["x", 1], [None, 1]])
+    @pytest.mark.parametrize("row", [["x", 1], [None, 1], [True], ["1"]])
     def test_theta_entry_not_a_number(self, runner, tmp_path, row):
         p = tmp_path / "theta.json"
         p.write_text(json.dumps(dict(self.THETA, v=row)))
@@ -343,6 +351,74 @@ class TestBadModelRows:
                                  "--theta", str(p)])
         _assert_one_error_line(r, 2)
         assert "theta['v'] must be a list of numbers" in r.stderr
+
+    # Integer literals too long for float(), or for Python's int-from-string
+    # digit limit, are out of range, not a crash.
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_theta_entry_too_large(self, runner, tmp_path, digits):
+        p = tmp_path / "theta.json"
+        p.write_text('{"d": [1%s, 0.5], "v": [1], "i": [1], "c": [1]}'
+                     % ("0" * digits))
+        r = runner.invoke(main, ["score", WHQ, "what did you see",
+                                 "--start", "c", "--theta", str(p)])
+        _assert_one_error_line(r, 2)
+        assert "theta['d'] entries must be finite" in r.stderr
+
+    def test_theta_nested_too_deeply(self, runner, tmp_path):
+        p = tmp_path / "theta.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        r = runner.invoke(main, ["score", WHQ, "what did you see",
+                                 "--start", "c", "--theta", str(p)])
+        _assert_one_error_line(r, 2)
+        assert "JSON nests deeper than" in r.stderr
+
+    def test_brackets_in_strings_do_not_nest(self, runner, tmp_path):
+        p = tmp_path / "theta.json"
+        p.write_text(json.dumps(dict(self.THETA, **{"[{" * 200: [1.0]})))
+        r = runner.invoke(main, ["score", WHQ, "what did you see",
+                                 "--start", "c", "--theta", str(p)])
+        _assert_one_error_line(r, 2)
+        assert "theta has unknown categories" in r.stderr
+
+    def test_alpha_nested_too_deeply(self, runner, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("what did you see\n")
+        p = tmp_path / "alpha.json"
+        p.write_text('{"d": ' + "[" * 5000 + "]" * 5000 + "}")
+        r = runner.invoke(main, ["train", WHQ, str(corpus), "--start", "c",
+                                 "--alpha", str(p),
+                                 "--out", str(tmp_path / "r.json")])
+        _assert_one_error_line(r, 2)
+        assert "JSON nests deeper than" in r.stderr
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark is not part of the first line."""
+
+    def test_lexicon(self, runner, tmp_path):
+        # whq.lex without its comment line, so an item comes first
+        text = open(WHQ, encoding="utf-8").read().split("\n", 1)[1]
+        p = tmp_path / "bom.lex"
+        p.write_text(text, encoding="utf-8-sig")
+        r = runner.invoke(main, ["parse", str(p), "what did you see",
+                                 "--start", "c"])
+        assert r.exit_code == 0
+        assert json.loads(r.output)["count"] == 1
+
+    def test_corpus_and_theta(self, runner, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("what did you see\n", encoding="utf-8-sig")
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(TestBadModelRows.THETA),
+                         encoding="utf-8-sig")
+        r = runner.invoke(main, ["parse", WHQ, "--start", "c",
+                                 "--corpus", str(corpus)])
+        assert r.exit_code == 0
+        assert json.loads(r.output)["count"] == 1
+        r = runner.invoke(main, ["score", WHQ, "what did you see",
+                                 "--start", "c", "--theta", str(theta)])
+        assert r.exit_code == 0
+        assert json.loads(r.output)["prob"] == 0.25
 
 
 class TestNonUtf8Input:
@@ -363,26 +439,64 @@ class TestNonUtf8Input:
 
 
 class TestDeepDerivations:
-    """Derivations deeper than the recursion limit end in exit 4, no traceback."""
+    """A 10,000-token chain derivation checks, derives, parses and scores.
 
-    @pytest.fixture()
-    def chain(self, tmp_path):
-        p = tmp_path / "chain.lex"
+    No step takes one Python frame per tree level, so depth is bounded by
+    memory, not by the interpreter's recursion limit.
+    """
+
+    N = 10_000
+    REFS = ["ε"] + ["a"] * (N - 1) + ["b"]
+    SENTENCE = " ".join(["a"] * (N - 1) + ["b"])
+    IDS = [[1, 0]] + [[0, 0]] * (N - 1) + [[0, 1]]
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        p = tmp_path_factory.mktemp("deep") / "chain.lex"
         p.write_text("a :: =x x\nb :: x\nε :: =x c\n")
         return str(p)
 
+    def test_check_seq(self, runner, chain):
+        # --no-trace only: a trace stores every remaining item at every
+        # step, so its size grows with the square of the length.
+        r = runner.invoke(main, ["check-seq", chain, "--no-trace"] + self.REFS)
+        assert r.exit_code == 0
+        assert r.output == "well-formed\n"
+
     def test_derive(self, runner, chain):
-        r = runner.invoke(main, ["derive", chain, "ε"] + ["a"] * 1199 + ["b"])
-        assert r.exit_code == 4
-        assert "recursion limit" in r.stderr
-        assert "Traceback" not in r.output
+        r = runner.invoke(main, ["derive", chain] + self.REFS)
+        assert r.exit_code == 0
+        assert r.output == (
+            "[merge ε " + "[merge a " * (self.N - 1) + "b" + "]" * self.N + "\n"
+            "category: c\n"
+            f"string: {self.SENTENCE}\n")
 
     def test_parse(self, runner, chain):
-        sentence = " ".join(["a"] * 1199 + ["b"])
-        r = runner.invoke(main, ["parse", chain, sentence, "--start", "c"])
-        assert r.exit_code == 4
-        assert "recursion limit" in r.stderr
-        assert "Traceback" not in r.output
+        r = runner.invoke(main, ["parse", chain, self.SENTENCE, "--start", "c"])
+        assert r.exit_code == 0
+        payload = json.loads(r.output)
+        assert payload["count"] == 1
+        assert payload["derivations"] == [self.IDS]
+
+    def test_score(self, runner, chain):
+        r = runner.invoke(main, ["score", chain, self.SENTENCE, "--start", "c"])
+        assert r.exit_code == 0
+        payload = json.loads(r.output)
+        assert payload["count"] == 1
+        assert [d["items"] for d in payload["derivations"]] == [self.IDS]
+
+    def test_library(self, chain):
+        import pdmg
+        lex = pdmg.load_lexicon(chain)
+        forest = pdmg.parse(lex, self.SENTENCE.split(), pdmg.ParseConfig(start="c"))
+        assert forest.count == 1
+        seq = forest.sequences[0]
+        assert [list(it.item_id) for it in seq] == self.IDS
+        tree = pdmg.seq_to_tree(seq)
+        assert pdmg.tree_to_seq(tree) == seq
+        assert pdmg.count_nodes(tree) == (self.N + 1, self.N, 0)
+        assert pdmg.render_tree(tree).endswith("[merge a b" + "]" * self.N)
+        assert pdmg.eval_sequence(seq) == self.SENTENCE
 
 
 class TestValidate:
