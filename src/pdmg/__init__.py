@@ -10,7 +10,7 @@ sentence (`parse`), scores and samples them under per-item probabilities
 probabilities to a corpus with variational Bayes (`train`).
 """
 
-from .chart import ChartItem, DerivationForest, ParseConfig, extract_sequences, parse
+from .chart import ChartItem, DerivationForest, ParseConfig, parse
 from .errors import (ArityError, CapExceeded, EvalError, FeatureMismatch,
                      FeatureOrderError, InvalidModel, LexiconError, PdmgError,
                      RuleError, SmcViolation, UnknownCategoryError,
@@ -44,7 +44,6 @@ __all__ = [
     "TrainState", "UnknownCategoryError", "UnparsedSentence", "build_lexicon",
     "count_nodes", "derived_category", "e_step", "elbo_surrogate",
     "encode_corpus", "eval_expression", "eval_sequence", "eval_tree",
-    "extract_sequences",
     "is_wellformed", "leaf_expression", "lexicon_to_text", "load_alpha",
     "load_lexicon", "load_theta", "log_joint", "log_prob_of_sequence",
     "merge_left", "merge_mover", "merge_right", "move_again", "move_final",

@@ -344,8 +344,3 @@ def _extract(
     return tuple(
         tuple(lex.item_at(g) for g in ids) for ids in sorted(found)
     )
-
-
-def extract_sequences(forest: DerivationForest) -> tuple[tuple[LexicalItem, ...], ...]:
-    """The forest's polish-order sequences, one per distinct derivation."""
-    return forest.sequences

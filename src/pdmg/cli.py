@@ -23,8 +23,7 @@ from .inference import TrainConfig, train
 from .lexicon import LexicalItem, Lexicon, load_lexicon
 from .model import (SampleConfig, load_alpha, load_theta, log_prob_of_sequence,
                     ones_alpha, sample_derivation, uniform_theta)
-from .structure import (derived_category, eval_sequence, render_tree,
-                        seq_to_tree)
+from .structure import _completed, eval_tree, render_tree, seq_to_tree
 from .wellformed import is_wellformed, trace_wellformed
 
 REJECTED = 1
@@ -160,9 +159,9 @@ def derive(lexicon_path: str, refs: tuple[str, ...]) -> None:
         seq = tuple(resolve_item(lex, r) for r in refs)
         tree = seq_to_tree(seq)
         click.echo(render_tree(tree))
-        words = eval_sequence(seq)
-        click.echo(f"category: {derived_category(seq)}")
-        click.echo(f"string: {words if words else 'ε'}")
+        head = _completed(eval_tree(tree)).head
+        click.echo(f"category: {head.suffix[0].name}")
+        click.echo(f"string: {head.text() or 'ε'}")
     _run(body)
 
 

@@ -119,10 +119,14 @@ class LexicalItem:
 
     @property
     def category(self) -> str:
-        for f in self.features:
-            if f.kind is FeatureKind.CAT:
-                return f.name
-        raise AssertionError("unreachable: validated items carry a category")
+        return self.features[self.stages[1]].name
+
+    @cached_property
+    def stages(self) -> tuple[int, int]:
+        """(s, c): ``features[:s]`` are the selectors, ``features[s:c]`` the
+        licensors, ``features[c]`` the category and the rest licensees."""
+        kinds = [f.kind for f in self.features]
+        return len(self.selectors), kinds.index(FeatureKind.CAT)
 
     @property
     def item_id(self) -> tuple[int, int]:
@@ -235,9 +239,6 @@ class Lexicon:
 
     def item_at(self, global_index: int) -> LexicalItem:
         return self.items[global_index]
-
-    def category_sizes(self) -> dict[str, int]:
-        return {c: len(self._by_cat[c]) for c in self.categories}
 
     def covert_items(self) -> tuple[LexicalItem, ...]:
         return self._by_phon.get("", ())

@@ -273,12 +273,16 @@ def eval_sequence(seq: Sequence[LexicalItem]) -> str:
     it.  Raises ArityError/FeatureMismatch/SmcViolation from tree building
     and rule application, and EvalError for an incomplete result.
     """
-    e = eval_expression(seq)
+    return _completed(eval_expression(seq)).head.text()
+
+
+def _completed(e: Expression) -> Expression:
+    """``e`` itself, if it is one chain whose suffix is exactly a category."""
     if e.movers:
         raise EvalError(f"movers never landed: {e}")
     if len(e.head.suffix) != 1 or e.head.suffix[0].kind is not FeatureKind.CAT:
         raise EvalError(f"head features left unchecked: {e}")
-    return e.head.text()
+    return e
 
 
 def derived_category(seq: Sequence[LexicalItem]) -> str:

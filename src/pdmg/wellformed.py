@@ -29,11 +29,21 @@ cursor walking the sequence and deleting features as they check:
 The sequence is well-formed iff every item and feature is deleted.  Two
 dead ends make the walk total: a leading selector with nothing checkable
 to its right, and a leading licensee with no item to its left, both mean
-the feature can never check, so they reject.  A no-progress check (the
-cursor revisiting an item with no deletion in between) backstops any
-remaining way to wander: deletions strictly shrink the state, so the
-walk always terminates, and since it is deterministic a loop could never
-have led to acceptance.
+the feature can never check, so they reject.
+
+Features are deleted only from the front, and each item's features come
+in the order (selector)* (licensor)* category (licensee)*.  So an item's
+state is one int, the index of its first unchecked feature, and each rule
+tests it against the item's fixed ``LexicalItem.stages``: before the
+category index the item still projects, past it the item is a checked-out
+mover leading with a licensee, and at the end of its features it is spent.
+
+The walk ends with no record of where the cursor has been.  Each check or
+deletion removes a feature or an item.  Between two of them the cursor
+moves left only from an item leading with a licensee (rule 3), and a move
+right (rule 1) never lands on such an item, so it makes some left moves,
+then some right moves, and then checks, deletes or rejects: it never
+revisits an item.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lexicon import Feature, FeatureKind, LexicalItem
+from .lexicon import LexicalItem
 
 # Action tags recorded in traces.
 SKIP_RIGHT = "skip-right"          # rule 1
@@ -59,14 +69,12 @@ class TraceStep:
     """One cursor action.
 
     ``position`` is the cursor item's index in the original sequence (-1 on
-    the terminal accept step), ``remaining`` the surviving items and their
-    unchecked features after the action.
+    the terminal accept step).
     """
 
     position: int
     action: str
     detail: str
-    remaining: tuple[tuple[str, tuple[Feature, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -77,7 +85,7 @@ class CursorTrace:
 
 def is_wellformed(seq: Sequence[LexicalItem]) -> bool:
     """True iff ``seq`` is the polish traversal of a convergent derivation."""
-    return _run(seq, record=False)[0]
+    return _run(seq, None)
 
 
 def trace_wellformed(seq: Sequence[LexicalItem]) -> CursorTrace:
@@ -87,145 +95,134 @@ def trace_wellformed(seq: Sequence[LexicalItem]) -> CursorTrace:
     sequence; a false verdict's trace ends with a ``reject`` step naming
     the failing rule.
     """
-    verdict, steps = _run(seq, record=True)
+    steps: list[TraceStep] = []
+    verdict = _run(seq, steps)
     return CursorTrace(steps=tuple(steps), verdict=verdict)
 
 
-def _run(seq: Sequence[LexicalItem], record: bool) -> tuple[bool, list[TraceStep]]:
+def _run(seq: Sequence[LexicalItem], steps: list[TraceStep] | None) -> bool:
+    """The verdict; records each action in ``steps`` unless it is None."""
     if not seq:
         raise ValueError("empty item sequence")
     n = len(seq)
-    feats: list[tuple[Feature, ...]] = [it.features for it in seq]
-    head = [0] * n          # index of the first unchecked feature
-    alive = [True] * n
-    left = [i - 1 for i in range(n)]
-    right = [i + 1 if i + 1 < n else -1 for i in range(n)]
-    left[0] = -1
-    alive_count = n
+    feats = [it.features for it in seq]
+    sel, cat = zip(*[it.stages for it in seq])
+    end = [len(fs) for fs in feats]
+    at = [0] * n  # index of each item's first unchecked feature
+    left = list(range(-1, n - 1))
+    right = [*range(1, n), -1]
+    live = n
     cur = 0
-    visited: set[int] = set()  # items seen since the last deletion
-    steps: list[TraceStep] = []
-
-    def remaining(i: int) -> tuple[Feature, ...]:
-        return feats[i][head[i]:]
-
-    def snapshot() -> tuple[tuple[str, tuple[Feature, ...]], ...]:
-        return tuple(
-            (seq[i].phon, remaining(i)) for i in range(n) if alive[i]
-        )
-
-    def emit(pos: int, action: str, detail: str) -> None:
-        if record:
-            steps.append(TraceStep(pos, action, detail, snapshot()))
-
-    def reject(pos: int, detail: str) -> tuple[bool, list[TraceStep]]:
-        emit(pos, REJECT, detail)
-        return False, steps
-
-    def delete_item(i: int) -> None:
-        nonlocal alive_count
-        alive[i] = False
-        alive_count -= 1
-        l, r = left[i], right[i]
-        if l != -1:
-            right[l] = r
-        if r != -1:
-            left[r] = l
 
     while True:
-        if cur in visited:
-            return reject(cur, "cursor loop: no feature can check between revisits")
-        visited.add(cur)
-        rem = remaining(cur)
+        i = at[cur]
 
-        if not rem:
+        if i == end[cur]:
             # rule 5: delete the item, move left if possible, else right
             l, r = left[cur], right[cur]
-            delete_item(cur)
-            visited.clear()
-            emit(cur, DELETE_ITEM,
-                 f"{seq[cur].phon_display} is out of features; deleted")
-            if alive_count == 0:
-                emit(-1, ACCEPT, "empty sequence")
-                return True, steps
+            if l != -1:
+                right[l] = r
+            if r != -1:
+                left[r] = l
+            live -= 1
+            if steps is not None:
+                steps.append(TraceStep(
+                    cur, DELETE_ITEM,
+                    f"{seq[cur].phon_display} is out of features; deleted"))
+                if not live:
+                    steps.append(TraceStep(-1, ACCEPT, "empty sequence"))
+            if not live:
+                return True
             cur = l if l != -1 else r
             continue
 
-        f = rem[0]
+        f = feats[cur][i]
 
-        if f.is_selector:
+        if i < sel[cur]:
             # rule 1; checked-out movers (bare licensees) are transparent,
             # exactly as they are for the leftward search in rule 2b.
             r = right[cur]
-            while r != -1:
-                rr = remaining(r)
-                if not (rr and rr[0].kind is FeatureKind.LICENSEE):
-                    break
+            while r != -1 and cat[r] < at[r] < end[r]:
                 r = right[r]
             if r == -1:
-                return reject(
-                    cur, f"rule 1: selector {f} with no checkable item "
-                         f"to the right")
-            emit(cur, SKIP_RIGHT, f"selector {f}; move right")
+                if steps is not None:
+                    steps.append(TraceStep(
+                        cur, REJECT,
+                        f"rule 1: selector {f} with no checkable item to the right"))
+                return False
+            if steps is not None:
+                steps.append(TraceStep(cur, SKIP_RIGHT, f"selector {f}; move right"))
             cur = r
-            continue
 
-        if f.kind is FeatureKind.CAT:
+        elif i == cat[cur]:
             # rule 2
             if cur == 0:
-                head[cur] += 1
-                visited.clear()
-                emit(cur, ROOT_CATEGORY, f"root category {f} deleted")
+                at[0] += 1
+                if steps is not None:
+                    steps.append(TraceStep(0, ROOT_CATEGORY,
+                                           f"root category {f} deleted"))
                 continue
             j = left[cur]
-            while j != -1:
-                if any(g.kind is FeatureKind.CAT for g in remaining(j)):
-                    break
+            while j != -1 and at[j] > cat[j]:
                 j = left[j]
             if j == -1:
-                return reject(
-                    cur, f"rule 2c: no item to the left still carries a category "
-                         f"to project over {f}")
-            g = remaining(j)[0]
-            if g.is_selector and g.name == f.name:
-                head[cur] += 1
-                head[j] += 1
-                visited.clear()
-                emit(cur, CATEGORY_MATCH,
-                     f"category {f} checked by {g} on {seq[j].phon_display}")
-                continue
-            return reject(
-                cur, f"rule 2c: nearest category-bearing item "
-                     f"{seq[j].phon_display} leads with {g}, not a selector "
-                     f"for {f.name}")
+                if steps is not None:
+                    steps.append(TraceStep(
+                        cur, REJECT, "rule 2c: no item to the left still carries "
+                        f"a category to project over {f}"))
+                return False
+            g = feats[j][at[j]]
+            if not (at[j] < sel[j] and g.name == f.name):
+                if steps is not None:
+                    steps.append(TraceStep(
+                        cur, REJECT, "rule 2c: nearest category-bearing item "
+                        f"{seq[j].phon_display} leads with {g}, not a selector "
+                        f"for {f.name}"))
+                return False
+            at[cur] += 1
+            at[j] += 1
+            if steps is not None:
+                steps.append(TraceStep(
+                    cur, CATEGORY_MATCH,
+                    f"category {f} checked by {g} on {seq[j].phon_display}"))
 
-        if f.kind is FeatureKind.LICENSEE:
+        elif i > cat[cur]:
             # rule 3
-            l = left[cur]
-            if l == -1:
-                return reject(cur, f"rule 3: licensee {f} with no item to the left")
-            emit(cur, LICENSEE_LEFT, f"licensee {f}; move left")
-            cur = l
-            continue
+            if left[cur] == -1:
+                if steps is not None:
+                    steps.append(TraceStep(
+                        cur, REJECT, f"rule 3: licensee {f} with no item to the left"))
+                return False
+            if steps is not None:
+                steps.append(TraceStep(cur, LICENSEE_LEFT, f"licensee {f}; move left"))
+            cur = left[cur]
 
-        # rule 4: leading licensor
-        j = right[cur]
-        blocker = -1
-        while j != -1:
-            rj = remaining(j)
-            if rj and rj[0].kind is FeatureKind.LICENSEE and rj[0].name == f.name:
-                break
-            if blocker == -1 and any(g.kind is FeatureKind.CAT for g in rj):
-                blocker = j
-            j = right[j]
-        if j == -1:
-            return reject(cur, f"rule 4a: no item to the right leads with -{f.name}")
-        if blocker != -1:
-            return reject(
-                cur, f"rule 4b: category-bearing item {seq[blocker].phon_display} "
-                     f"intervenes before -{f.name}")
-        head[cur] += 1
-        head[j] += 1
-        visited.clear()
-        emit(cur, LICENSOR_MATCH,
-             f"licensor {f} checked against -{f.name} on {seq[j].phon_display}")
+        else:
+            # rule 4: leading licensor
+            j = right[cur]
+            blocker = -1
+            while j != -1:
+                a = at[j]
+                if cat[j] < a < end[j] and feats[j][a].name == f.name:
+                    break
+                if blocker == -1 and a <= cat[j]:
+                    blocker = j
+                j = right[j]
+            if j == -1:
+                if steps is not None:
+                    steps.append(TraceStep(
+                        cur, REJECT,
+                        f"rule 4a: no item to the right leads with -{f.name}"))
+                return False
+            if blocker != -1:
+                if steps is not None:
+                    steps.append(TraceStep(
+                        cur, REJECT, "rule 4b: category-bearing item "
+                        f"{seq[blocker].phon_display} intervenes before -{f.name}"))
+                return False
+            at[cur] += 1
+            at[j] += 1
+            if steps is not None:
+                steps.append(TraceStep(
+                    cur, LICENSOR_MATCH, f"licensor {f} checked against -{f.name} "
+                    f"on {seq[j].phon_display}"))

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 
-from pdmg import Lexicon, load_lexicon
+from pdmg import Lexicon, load_lexicon, parse_lexicon
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,3 +51,17 @@ def whq_seq(whq_items):
 
 def data_path(name: str) -> str:
     return str(DATA / name)
+
+
+def random_lexicon(rng: random.Random) -> Lexicon:
+    """3-7 items over categories a-c and licensees f, g; ε items are covert."""
+    cats, lics = "abc"[:rng.randint(2, 3)], "fg"[:rng.randint(0, 2)]
+    lines = set()
+    for _ in range(rng.randint(3, 7)):
+        feats = [rng.choice(("={}", "{}=")).format(rng.choice(cats))
+                 for _ in range(rng.randint(0, 2))]
+        feats += ["+" + y for y in rng.sample(lics, rng.randint(0, min(1, len(lics))))]
+        feats.append(rng.choice(cats))
+        feats += ["-" + y for y in rng.sample(lics, rng.randint(0, len(lics)))]
+        lines.add(f"{rng.choice('pqrε')} :: {' '.join(feats)}")
+    return parse_lexicon("\n".join(sorted(lines)) + "\n")

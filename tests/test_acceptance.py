@@ -22,7 +22,6 @@ from pdmg import (
     ParseConfig,
     SampleConfig,
     TrainConfig,
-    extract_sequences,
     numerics,
     ones_alpha,
     parse,
@@ -127,7 +126,7 @@ def test_criterion_04_parser_completeness(move2, ambig, chain):
             for sentence in oracle.all_sentences(vocab, 4):
                 forest = parse(lex, sentence.split(), cfg)
                 got = [tuple(it.item_id for it in seq)
-                       for seq in extract_sequences(forest)]
+                       for seq in forest.sequences]
                 assert got == sorted(by_sentence.get(sentence, [])), sentence
                 checked += 1
         return checked

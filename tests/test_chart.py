@@ -6,12 +6,13 @@ import pytest
 
 import oracle
 import pdmg
-from pdmg import CapExceeded, ParseConfig, UnknownCategoryError, extract_sequences, parse
+from conftest import random_lexicon
+from pdmg import CapExceeded, ParseConfig, UnknownCategoryError, parse
 
 
 def ids_of(forest) -> list[tuple[tuple[int, int], ...]]:
     return [tuple((it.cat_index, it.item_index) for it in seq)
-            for seq in extract_sequences(forest)]
+            for seq in forest.sequences]
 
 
 def CFG(start="c", **kw) -> ParseConfig:
@@ -43,7 +44,7 @@ class TestWhqParsing:
         forest = parse(whq, "you see what".split(), CFG())
         assert forest.count == 0
         assert forest.goal is None
-        assert extract_sequences(forest) == ()
+        assert forest.sequences == ()
 
     def test_unknown_token(self, whq):
         forest = parse(whq, ["xyzzy"], CFG())
@@ -67,7 +68,7 @@ class TestWhqParsing:
     def test_sequences_evaluate_back_to_sentence(self, whq):
         sentence = "what did you see"
         forest = parse(whq, sentence.split(), CFG())
-        for seq in extract_sequences(forest):
+        for seq in forest.sequences:
             assert pdmg.eval_sequence(seq) == sentence
             assert pdmg.is_wellformed(seq)
 
@@ -129,9 +130,9 @@ class TestCaps:
         forest = parse(lex, ["a"], CFG(max_covert=3))
         # a; ε a; ε ε a; ε ε ε a
         assert forest.count == 4
-        lengths = sorted(len(s) for s in extract_sequences(forest))
+        lengths = sorted(len(s) for s in forest.sequences)
         assert lengths == [1, 2, 3, 4]
-        for seq in extract_sequences(forest):
+        for seq in forest.sequences:
             assert pdmg.eval_sequence(seq) == "a"
 
 
@@ -139,7 +140,7 @@ class TestDeterminism:
     def test_repeat_parse_identical(self, ambig):
         a = parse(ambig, ["saw"], CFG())
         b = parse(ambig, ["saw"], CFG())
-        assert extract_sequences(a) == extract_sequences(b)
+        assert a.sequences == b.sequences
 
     def test_sequences_sorted_by_ids(self, ambig):
         forest = parse(ambig, ["saw"], CFG())
@@ -186,20 +187,6 @@ FIXTURE_SENTENCES = {
     "chain": [("su ja ki", "c"), ("ja ki su", "c")],
     "symmetric": [("w", "c"), ("w", "a"), ("", "c")],
 }
-
-
-def random_lexicon(rng: random.Random) -> pdmg.Lexicon:
-    """3-7 items over categories a-c and licensees f, g; ε items are covert."""
-    cats, lics = "abc"[:rng.randint(2, 3)], "fg"[:rng.randint(0, 2)]
-    lines = set()
-    for _ in range(rng.randint(3, 7)):
-        feats = [rng.choice(("={}", "{}=")).format(rng.choice(cats))
-                 for _ in range(rng.randint(0, 2))]
-        feats += ["+" + y for y in rng.sample(lics, rng.randint(0, min(1, len(lics))))]
-        feats.append(rng.choice(cats))
-        feats += ["-" + y for y in rng.sample(lics, rng.randint(0, len(lics)))]
-        lines.add(f"{rng.choice('pqrε')} :: {' '.join(feats)}")
-    return pdmg.parse_lexicon("\n".join(sorted(lines)) + "\n")
 
 
 def assert_same_as_reference(lex, sentence, start):

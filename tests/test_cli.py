@@ -115,6 +115,21 @@ class TestDerive:
         r = runner.invoke(main, ["derive", WHQ, "did"])
         assert r.exit_code == 2
 
+    def test_builds_the_tree_once(self, runner, monkeypatch):
+        from pdmg import cli, structure
+        calls = []
+        real = structure.seq_to_tree
+
+        def counted(seq):
+            calls.append(seq)
+            return real(seq)
+
+        monkeypatch.setattr(structure, "seq_to_tree", counted)
+        monkeypatch.setattr(cli, "seq_to_tree", counted)
+        r = runner.invoke(main, ["derive", WHQ, "ε", "did", "see", "you", "what"])
+        assert r.exit_code == 0
+        assert len(calls) == 1
+
 
 class TestParse:
     def test_question_json(self, runner):
@@ -457,11 +472,14 @@ class TestDeepDerivations:
         return str(p)
 
     def test_check_seq(self, runner, chain):
-        # --no-trace only: a trace stores every remaining item at every
-        # step, so its size grows with the square of the length.
         r = runner.invoke(main, ["check-seq", chain, "--no-trace"] + self.REFS)
         assert r.exit_code == 0
         assert r.output == "well-formed\n"
+
+    def test_check_seq_traced(self, runner, chain):
+        r = runner.invoke(main, ["check-seq", chain] + self.REFS)
+        assert r.exit_code == 0
+        assert r.output.endswith("accept         empty sequence\nwell-formed\n")
 
     def test_derive(self, runner, chain):
         r = runner.invoke(main, ["derive", chain] + self.REFS)

@@ -1,12 +1,35 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 import oracle
 import pdmg
-from pdmg import is_wellformed, trace_wellformed
+from conftest import random_lexicon
+from pdmg import Feature, LexicalItem, is_wellformed, trace_wellformed
+
+# Actions that check a feature or delete an item.
+PROGRESS = {"category-match", "licensor-match", "root-category", "delete-item"}
+
+
+@pytest.fixture(scope="module")
+def census(whq, move2, ambig, chain, symmetric):
+    """Every sequence of up to five items over each fixture lexicon."""
+    return [seq for lex in (whq, move2, ambig, chain, symmetric)
+            for length in range(1, 6)
+            for seq in itertools.product(lex.items, repeat=length)]
+
+
+def random_sequences(seeds=range(200), per_lexicon=100, max_len=9):
+    """Uniform random sequences of 1 to ``max_len`` items over seeded lexicons."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        lex = random_lexicon(rng)
+        for _ in range(per_lexicon):
+            yield tuple(rng.choice(lex.items)
+                        for _ in range(rng.randint(1, max_len)))
 
 # The sixteen actions, in order, that check the walkthrough sequence,
 # plus the terminal accept.
@@ -38,13 +61,6 @@ class TestWhqWalkthrough:
         t = trace_wellformed(whq_seq)
         assert [s.position for s in t.steps] == [
             0, 1, 2, 3, 3, 2, 4, 4, 2, 2, 1, 1, 0, 0, 0, 4, -1]
-
-    def test_remaining_shrinks_to_empty(self, whq_seq):
-        t = trace_wellformed(whq_seq)
-        assert t.steps[-1].remaining == ()
-        sizes = [sum(len(f) for _, f in s.remaining) + len(s.remaining)
-                 for s in t.steps]
-        assert sizes == sorted(sizes, reverse=True)
 
     def test_single_category_item(self, whq_items):
         _, you, *_ = whq_items
@@ -120,6 +136,14 @@ class TestAgainstOracle:
                     assert is_wellformed(seq) == oracle.check(seq)[0], \
                         [it.ref for it in seq]
 
+    def test_random_lexicons_to_length_nine(self):
+        accepted = 0
+        for seq in random_sequences():
+            verdict = is_wellformed(seq)
+            assert verdict == oracle.check(seq)[0], [it.ref for it in seq]
+            accepted += verdict
+        assert accepted > 100  # both verdicts are exercised
+
     def test_whq_wellformed_census(self, whq):
         # Frozen: the complete census of accepted sequences to length 5.
         per_len = {}
@@ -157,3 +181,30 @@ class TestTraceShape:
         # both licensors check against the same mover, one licensee each
         licensor_steps = [s for s in t.steps if s.action == "licensor-match"]
         assert len(licensor_steps) == 2
+
+    @pytest.mark.parametrize("source", ["census", "random"])
+    def test_no_revisit_between_checks(self, source, request):
+        # Between two checks or deletions the cursor visits each item at
+        # most once, which is why the walk needs no record of visited items.
+        seqs = (request.getfixturevalue("census") if source == "census"
+                else random_sequences(seeds=range(50)))
+        for seq in seqs:
+            since_progress: set[int] = set()
+            for step in trace_wellformed(seq).steps:
+                assert step.position not in since_progress, \
+                    [it.ref for it in seq]
+                since_progress.add(step.position)
+                if step.action in PROGRESS:
+                    since_progress.clear()
+
+
+def test_untraced_walk_formats_nothing(census, monkeypatch):
+    """is_wellformed builds no trace detail, on accepted and rejected input."""
+    def boom(*_):
+        raise AssertionError("an untraced walk formatted a feature or item")
+
+    verdicts = [is_wellformed(seq) for seq in census]
+    monkeypatch.setattr(Feature, "__str__", boom)
+    monkeypatch.setattr(LexicalItem, "phon_display", property(boom))
+    assert [is_wellformed(seq) for seq in census] == verdicts
+    assert True in verdicts and False in verdicts
