@@ -31,8 +31,10 @@ So the pairs tried stay close to the consequences derived instead of
 growing with the square of the chart.  Inside the closure and extraction a
 suffix is a small int from ``Lexicon.codes`` (every suffix of every
 item's features, coded once per lexicon), so items hash tuples of ints, not
-Feature dataclasses and Enum members.  The chart is decoded to ChartItems
-once per item when the forest is returned.
+Feature dataclasses and Enum members.  The forest keeps the coded chart and
+decodes it to ChartItems, once per item, only when ``forest.chart`` is first
+read; training, scoring and ``pdmg parse`` read only the sequences, so they
+never pay for it.
 
 The goal is the head (0, n) with suffix exactly the start category and no
 movers.  Extraction walks goal back-pointers depth-first and returns one
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded, UnknownCategoryError
@@ -60,6 +63,10 @@ from .lexicon import (KIND_CODE, Feature, FeatureCodes, FeatureKind, LexicalItem
                       Lexicon)
 
 Mover = tuple[int, int, tuple[Feature, ...]]
+
+# Inside the closure an item is (start, end, suffix code, movers), a mover
+# is (start, end, suffix code), and back-pointers name coded items.
+Coded = tuple
 
 
 class ChartItem(NamedTuple):
@@ -90,19 +97,27 @@ class ParseConfig:
 
 @dataclass(frozen=True)
 class DerivationForest:
+    """A sentence's closed chart, its goal item and its derivations.
+
+    The chart is held coded, with the lexicon's suffix table; ``chart``
+    decodes it on first read and keeps the result.  Equality compares the
+    coded chart and the suffix table, which fix the decoded chart.
+    """
     tokens: tuple[str, ...]
-    chart: dict[ChartItem, tuple[BackPointer, ...]] = field(repr=False)
     goal: ChartItem | None
     sequences: tuple[tuple[LexicalItem, ...], ...]
+    _coded: dict[Coded, list[BackPointer]] = field(repr=False)
+    _suffixes: list[tuple[Feature, ...]] = field(repr=False)
 
     @property
     def count(self) -> int:
         return len(self.sequences)
 
+    @cached_property
+    def chart(self) -> dict[ChartItem, tuple[BackPointer, ...]]:
+        """Every derived item and its back-pointers, as ChartItems."""
+        return _decode(self._coded, self._suffixes)
 
-# Inside the closure an item is (start, end, suffix code, movers), a mover
-# is (start, end, suffix code), and back-pointers name coded items.
-Coded = tuple
 
 _CAT = KIND_CODE[FeatureKind.CAT]
 _SEL_RIGHT = KIND_CODE[FeatureKind.SEL_RIGHT]
@@ -191,12 +206,10 @@ def parse(lex: Lexicon, tokens: Sequence[str], cfg: ParseConfig) -> DerivationFo
     goal_suffix = (Feature(FeatureKind.CAT, cfg.start),)
     goal_code = (0, n, codes.code.get(goal_suffix), ())
     if goal_code not in chart:
-        return DerivationForest(tokens, _decode(chart, codes), None, ())
-    # Extract before decoding: the extraction stack and the decoded chart
-    # are then never alive together, which keeps peak memory down.
+        return DerivationForest(tokens, None, (), chart, codes.suffixes)
     sequences = _extract(chart, goal_code, lex, cfg, steps)
-    return DerivationForest(tokens, _decode(chart, codes),
-                            ChartItem(0, n, goal_suffix, ()), sequences)
+    return DerivationForest(tokens, ChartItem(0, n, goal_suffix, ()), sequences,
+                            chart, codes.suffixes)
 
 
 def _close(
@@ -283,10 +296,9 @@ def _close(
 
 def _decode(
     chart: dict[Coded, list[BackPointer]],
-    codes: FeatureCodes,
+    suffixes: list[tuple[Feature, ...]],
 ) -> dict[ChartItem, tuple[BackPointer, ...]]:
     """The coded chart in public form: ChartItems holding Feature tuples."""
-    suffixes = codes.suffixes
     item = {
         c: ChartItem(c[0], c[1], suffixes[c[2]],
                      tuple((m[0], m[1], suffixes[m[2]]) for m in c[3]))

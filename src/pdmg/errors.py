@@ -30,6 +30,10 @@ class UnknownCategoryError(PdmgError):
     """A category name that the lexicon does not define."""
 
 
+class UnderivableCategory(PdmgError):
+    """A start category that no well-formed sequence can derive."""
+
+
 class InvalidModel(PdmgError):
     """Probability or pseudo-count vectors with wrong shape or invalid values."""
 

@@ -21,7 +21,10 @@ decreases.  Training stops when consecutive bound values agree within
 ``tol``, when ``omega`` repeats bitwise, or after ``max_iters`` rounds.
 
 Derivation candidates come from the chart parser once, up front; the
-loop itself runs on flat arrays via the kernels in ``numerics``.
+loop itself runs on flat arrays via the kernels in ``numerics``.  An
+iteration computes ``log t*`` once and uses it both to weigh derivations
+and in the KL's ``(omega - alpha) * log t*`` term; the prior's log-gamma
+terms are computed once per fit.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chart import DerivationForest, ParseConfig, parse
+from .chart import ParseConfig, parse
 from .errors import InvalidModel, UnparsedSentence
 from .lexicon import LexicalItem, Lexicon
 from .model import Alpha, Theta, validate_alpha
-from .numerics import dirichlet_kl_flat, estep_flat, log_theta_star_flat
+from .numerics import (dirichlet_kl_flat, estep_flat, gammaln_terms,
+                       log_theta_star_flat)
 
 
 def _flat_offsets(lexicon: Lexicon) -> np.ndarray:
@@ -89,30 +93,35 @@ class SentencePosterior:
 class EncodedCorpus:
     """Parsed corpus flattened for the array kernels.
 
+    ``derivations[n]`` is sentence n's candidate item sequences.
     ``item_ids`` concatenates every derivation's global item indices;
     ``dstart`` marks derivation boundaries within it, and ``sstart``
-    marks sentence boundaries within the derivation list.
+    marks sentence boundaries within the derivation list.  No chart is
+    kept: training holds only these through the VB loop.
     """
     sentences: tuple[str, ...]
-    forests: tuple[DerivationForest, ...]
+    derivations: tuple[tuple[tuple[LexicalItem, ...], ...], ...]
     item_ids: np.ndarray
     dstart: np.ndarray
     sstart: np.ndarray
 
 
-def encode_corpus(lexicon: Lexicon, sentences: Sequence[str],
-                  forests: Sequence[DerivationForest]) -> EncodedCorpus:
+def encode_corpus(
+    lexicon: Lexicon, sentences: Sequence[str],
+    derivations: Sequence[tuple[tuple[LexicalItem, ...], ...]],
+) -> EncodedCorpus:
+    """Flatten each sentence's derivations (a forest's ``sequences``)."""
     ids: list[int] = []
     dstart = [0]
     sstart = [0]
-    for forest in forests:
-        for seq in forest.sequences:
+    for seqs in derivations:
+        for seq in seqs:
             ids.extend(lexicon.global_index(it) for it in seq)
             dstart.append(len(ids))
         sstart.append(len(dstart) - 1)
     return EncodedCorpus(
         sentences=tuple(sentences),
-        forests=tuple(forests),
+        derivations=tuple(derivations),
         item_ids=np.asarray(ids, dtype=np.int64),
         dstart=np.asarray(dstart, dtype=np.int64),
         sstart=np.asarray(sstart, dtype=np.int64),
@@ -159,11 +168,11 @@ class TrainState:
 def _posteriors_from(encoded: EncodedCorpus, q: np.ndarray,
                      logz: np.ndarray) -> list[SentencePosterior]:
     out = []
-    for n, forest in enumerate(encoded.forests):
+    for n, seqs in enumerate(encoded.derivations):
         j0, j1 = int(encoded.sstart[n]), int(encoded.sstart[n + 1])
         out.append(SentencePosterior(
             sentence=encoded.sentences[n],
-            sequences=forest.sequences,
+            sequences=seqs,
             weights=tuple(float(v) for v in q[j0:j1]),
             log_z=float(logz[n]),
         ))
@@ -185,22 +194,24 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
 
     pc = ParseConfig(start=config.start, max_derivations=config.max_derivations,
                      max_covert=config.max_covert, max_steps=config.max_steps)
+    # Only the sequences are kept, so each chart is freed once parsed.
     kept_sentences: list[str] = []
-    kept_forests: list[DerivationForest] = []
+    kept_derivations: list[tuple[tuple[LexicalItem, ...], ...]] = []
     unparsed: list[int] = []
     for n, sentence in enumerate(sentences):
-        forest = parse(lexicon, sentence.split(), pc)
-        if forest.count == 0:
+        sequences = parse(lexicon, sentence.split(), pc).sequences
+        if not sequences:
             if not config.skip_unparsed:
                 raise UnparsedSentence(n, sentence)
             unparsed.append(n)
             continue
         kept_sentences.append(sentence)
-        kept_forests.append(forest)
-    encoded = encode_corpus(lexicon, kept_sentences, kept_forests)
+        kept_derivations.append(sequences)
+    encoded = encode_corpus(lexicon, kept_sentences, kept_derivations)
 
     offsets = _flat_offsets(lexicon)
     alpha_flat = dict_to_flat(lexicon, alpha)
+    alpha_terms = gammaln_terms(alpha_flat, offsets)
     omega = alpha_flat.copy()
     trace: list[float] = []
     iterations = 0
@@ -210,8 +221,12 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
 
     for it in range(1, config.max_iters + 1):
         iterations = it
-        q, logz, counts = e_step(lexicon, encoded, omega)
-        surrogate = elbo_surrogate(lexicon, logz, omega, alpha_flat)
+        # One digamma pass: log t* weighs the derivations and enters the KL.
+        log_tstar = log_theta_star_flat(omega, offsets)
+        q, logz, counts = estep_flat(log_tstar, encoded.item_ids, encoded.dstart,
+                                     encoded.sstart, lexicon.n_items)
+        surrogate = float(np.sum(logz)) - dirichlet_kl_flat(
+            omega, alpha_flat, offsets, log_tstar, alpha_terms)
         if not math.isfinite(surrogate):
             raise InvalidModel(
                 f"objective became non-finite at iteration {it}")

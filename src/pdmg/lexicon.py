@@ -244,6 +244,15 @@ class Lexicon:
         return self._by_phon.get("", ())
 
     @cached_property
+    def root_categories(self) -> frozenset[str]:
+        """Categories of the items without licensees (built on first use).
+
+        Only such an item can head a whole derivation: nothing above the
+        root can check a licensee.
+        """
+        return frozenset(it.category for it in self.items if not it.licensees)
+
+    @cached_property
     def codes(self) -> FeatureCodes:
         """The items' feature suffixes as small ints (built on first use)."""
         return FeatureCodes(self.items)

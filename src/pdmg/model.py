@@ -22,7 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArityError, CapExceeded, InvalidModel, UnknownCategoryError
+from .errors import (ArityError, CapExceeded, InvalidModel, UnderivableCategory,
+                     UnknownCategoryError)
 from .lexicon import LexicalItem, Lexicon
 from .numerics import gammaln
 from .wellformed import is_wellformed
@@ -199,10 +200,17 @@ def sample_derivation(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
     Proposals come from the top-down expansion of the start category;
     draws the checker rejects are discarded and retried.  Exceeding
     ``max_depth`` during a proposal, or ``max_rejections`` overall,
-    raises CapExceeded.
+    raises CapExceeded.  A start category whose every item has licensees
+    raises UnderivableCategory up front: each proposal's root would keep
+    them unchecked.
     """
     if not lexicon.has_category(config.start):
         raise UnknownCategoryError(f"unknown start category {config.start!r}")
+    if config.start not in lexicon.root_categories:
+        raise UnderivableCategory(
+            f"start category {config.start!r} derives nothing: every "
+            f"{config.start!r} item has licensees, which nothing above the "
+            f"root can check")
     if rng is None:
         rng = np.random.default_rng()
     probs = {cat: np.asarray(theta[cat], dtype=np.float64)

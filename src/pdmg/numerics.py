@@ -1,7 +1,14 @@
 """Numeric kernels: digamma, log-gamma, and the training inner loops.
 
-Every kernel is vectorized numpy over flat arrays; categories are
-contiguous blocks delimited by an ``offsets`` array.
+Every kernel is vectorized numpy over flat arrays.  Categories are
+contiguous blocks of items delimited by an ``offsets`` array, and in the
+e-step sentences are contiguous blocks of derivations delimited by
+``sstart``.  A per-block sum or maximum is one segment reduction
+(``np.add.reduceat``, ``np.maximum.reduceat``), spread back over the
+block's members with ``np.repeat``, so no kernel loops over blocks in
+Python.  ``reduceat`` adds a block's values in sequence where ``np.sum``
+adds pairwise, so a block sum can differ from ``np.sum``'s in its last
+bits.
 
 digamma uses the recurrence psi(x) = psi(x+1) - 1/x to shift the argument
 to >= 6, then the de Moivre asymptotic series through the y**-14 term
@@ -111,44 +118,53 @@ def log_theta_star_flat(omega: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return _digamma_arr(omega) - np.repeat(dsums, sizes)
 
 
-def dirichlet_kl_flat(omega: np.ndarray, alpha: np.ndarray,
-                      offsets: np.ndarray) -> float:
-    """Sum over categories of KL(Dir(omega) || Dir(alpha))."""
-    so = np.add.reduceat(omega, offsets[:-1])
-    sa = np.add.reduceat(alpha, offsets[:-1])
-    sizes = np.diff(offsets)
-    dso = np.repeat(_digamma_arr(so), sizes)
-    per_item = (_gammaln_arr(alpha) - _gammaln_arr(omega)
-                + (omega - alpha) * (_digamma_arr(omega) - dso))
+def gammaln_terms(x: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log Gamma(x_i) per item, log Gamma(category sum) per category)."""
+    return _gammaln_arr(x), _gammaln_arr(np.add.reduceat(x, offsets[:-1]))
+
+
+def dirichlet_kl_flat(omega: np.ndarray, alpha: np.ndarray, offsets: np.ndarray,
+                      log_tstar: np.ndarray | None = None,
+                      alpha_terms: tuple[np.ndarray, np.ndarray] | None = None,
+                      ) -> float:
+    """Sum over categories of KL(Dir(omega) || Dir(alpha)).
+
+    ``log_tstar`` is ``log_theta_star_flat(omega, offsets)`` and
+    ``alpha_terms`` is ``gammaln_terms(alpha, offsets)``; a caller that
+    already holds them passes them in, and they are computed here when
+    omitted.
+    """
+    if log_tstar is None:
+        log_tstar = log_theta_star_flat(omega, offsets)
+    if alpha_terms is None:
+        alpha_terms = gammaln_terms(alpha, offsets)
+    ga, gsa = alpha_terms
+    go, gso = gammaln_terms(omega, offsets)
+    per_item = ga - go + (omega - alpha) * log_tstar
     per_cat = np.add.reduceat(per_item, offsets[:-1])
-    return float(np.sum(_gammaln_arr(so) - _gammaln_arr(sa) + per_cat))
+    return float(np.sum(gso - gsa + per_cat))
 
 
 def estep_flat(log_tstar, item_ids, dstart, sstart, n_items):
     """Responsibilities ``q``, per-sentence ``logz`` and expected counts.
 
     ``item_ids[dstart[j]:dstart[j+1]]`` are derivation j's items, and
-    ``sstart`` marks sentence boundaries in the derivation list.
+    ``sstart`` marks sentence boundaries in the derivation list.  Every
+    sentence needs at least one derivation: its max, log Z and the sum
+    that normalizes q are segment reductions over ``sstart``.
     """
-    n_derivs = dstart.shape[0] - 1
-    n_sents = sstart.shape[0] - 1
-    if n_derivs:
-        logw = np.add.reduceat(log_tstar[item_ids], dstart[:-1])
-    else:
-        logw = np.zeros(0)
-    q = np.empty(n_derivs)
-    logz = np.empty(n_sents)
-    for nn in range(n_sents):
-        j0, j1 = int(sstart[nn]), int(sstart[nn + 1])
-        w = logw[j0:j1]
-        m = w.max()
-        lz = m + math.log(np.sum(np.exp(w - m)))
-        logz[nn] = lz
-        qn = np.exp(w - lz)
-        q[j0:j1] = qn / qn.sum()
-    lens = np.diff(dstart)
-    counts = np.bincount(item_ids, weights=np.repeat(q, lens),
-                         minlength=int(n_items)).astype(np.float64)
+    if dstart.shape[0] == 1:
+        # No derivations, so no sentences: reduceat cannot take empty offsets.
+        return np.zeros(0), np.zeros(0), np.zeros(int(n_items))
+    logw = np.add.reduceat(log_tstar[item_ids], dstart[:-1])
+    starts = sstart[:-1]
+    sizes = np.diff(sstart)
+    top = np.maximum.reduceat(logw, starts)
+    logz = top + np.log(np.add.reduceat(np.exp(logw - np.repeat(top, sizes)), starts))
+    qn = np.exp(logw - np.repeat(logz, sizes))
+    q = qn / np.repeat(np.add.reduceat(qn, starts), sizes)
+    counts = np.bincount(item_ids, weights=np.repeat(q, np.diff(dstart)),
+                         minlength=int(n_items))
     return q, logz, counts
 
 

@@ -1,13 +1,16 @@
 """Unit tests for the span chart and derivation extraction."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
+from click.testing import CliRunner
 
 import oracle
 import pdmg
-from conftest import random_lexicon
-from pdmg import CapExceeded, ParseConfig, UnknownCategoryError, parse
+from conftest import data_path, random_lexicon
+from pdmg import CapExceeded, ParseConfig, UnknownCategoryError, chart, parse
+from pdmg.cli import main
 
 
 def ids_of(forest) -> list[tuple[tuple[int, int], ...]]:
@@ -242,8 +245,6 @@ class TestAgainstReferenceClosure:
 
 def test_closure_tries_few_pairs(monkeypatch):
     """Pairs tried grow with the chart, not with its square."""
-    from pdmg import chart
-
     calls = [0]
     merge = chart._merge
 
@@ -256,3 +257,57 @@ def test_closure_tries_few_pairs(monkeypatch):
     forest = parse(lex, ["a"] * 299 + ["b"], CFG())
     assert forest.count == 1
     assert 0 < calls[0] <= len(forest.chart)
+
+
+class TestLazyDecode:
+    """Only a read of ``forest.chart`` decodes the chart."""
+
+    def test_train_score_and_parse_never_decode(self, monkeypatch, tmp_path):
+        def no_decode(*args):
+            raise AssertionError("chart decoded")
+
+        monkeypatch.setattr(chart, "_decode", no_decode)
+        runner = CliRunner()
+        for name, pairs in FIXTURE_SENTENCES.items():
+            lex = pdmg.load_lexicon(data_path(f"{name}.lex"))
+            for sentence, start in pairs:
+                for command in ("score", "parse"):
+                    r = runner.invoke(main, [command, data_path(f"{name}.lex"),
+                                             sentence, "--start", start])
+                    assert r.exit_code == 0, (command, sentence, r.output)
+                state = pdmg.train(lex, [sentence], pdmg.ones_alpha(lex),
+                                   pdmg.TrainConfig(start=start,
+                                                    skip_unparsed=True))
+                assert state.converged
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("what did you see\nwhat did see you\n")
+        r = runner.invoke(main, ["train", data_path("whq.lex"), str(corpus),
+                                 "--start", "c", "--out", str(tmp_path / "r.json")])
+        assert r.exit_code == 0, r.output
+
+    def test_chart_is_decoded_once_and_kept(self, monkeypatch, ambig):
+        calls = [0]
+        decode = chart._decode
+
+        def counted(*args):
+            calls[0] += 1
+            return decode(*args)
+
+        monkeypatch.setattr(chart, "_decode", counted)
+        forest = parse(ambig, ["saw", "kim"], CFG())
+        assert calls[0] == 0
+        first = forest.chart
+        assert forest.chart is first
+        assert calls[0] == 1
+        with pytest.raises(FrozenInstanceError):
+            forest.chart = {}
+        with pytest.raises(FrozenInstanceError):
+            del forest.chart
+        assert forest.chart is first
+
+    def test_equal_parses_are_equal_forests(self, whq):
+        a = parse(whq, "what did you see".split(), CFG())
+        b = parse(pdmg.load_lexicon(data_path("whq.lex")),
+                  "what did you see".split(), CFG())
+        assert a == b
+        assert a != parse(whq, "what did see you".split(), CFG())

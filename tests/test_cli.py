@@ -6,6 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+import pdmg.model
 from conftest import data_path
 from pdmg.cli import main
 
@@ -245,6 +246,22 @@ class TestSample:
         r = runner.invoke(main, ["sample", WHQ, "--start", "c", "--seed", "0",
                                  "--theta", str(p), "--max-rejections", "20"])
         assert r.exit_code == 4
+
+    def test_underivable_start_fails_fast(self, runner, monkeypatch):
+        checks = [0]
+        check = pdmg.model.is_wellformed
+
+        def counted(seq):
+            checks[0] += 1
+            return check(seq)
+
+        monkeypatch.setattr(pdmg.model, "is_wellformed", counted)
+        # chain.lex's only v item is su :: =d v -f; no root checks its -f.
+        r = runner.invoke(main, ["sample", data_path("chain.lex"),
+                                 "--start", "v", "--seed", "1"])
+        _assert_one_error_line(r, 2)
+        assert "'v'" in r.stderr
+        assert checks[0] == 0
 
 
 class TestTrain:

@@ -25,9 +25,9 @@ from pdmg import (
 from pdmg.inference import dict_to_flat, flat_to_dict
 
 
-def forests_for(lex, sentences, start="c"):
+def derivations_for(lex, sentences, start="c"):
     cfg = ParseConfig(start=start)
-    return [parse(lex, s.split(), cfg) for s in sentences]
+    return [parse(lex, s.split(), cfg).sequences for s in sentences]
 
 
 class TestFlatViews:
@@ -78,9 +78,10 @@ class TestPosteriorMean:
 class TestEncodeCorpus:
     def test_layout(self, whq):
         sentences = ["what did you see", "you"]
-        forests = [parse(whq, sentences[0].split(), ParseConfig(start="c")),
-                   parse(whq, sentences[1].split(), ParseConfig(start="d"))]
-        enc = encode_corpus(whq, sentences, forests)
+        derivations = [
+            parse(whq, sentences[0].split(), ParseConfig(start="c")).sequences,
+            parse(whq, sentences[1].split(), ParseConfig(start="d")).sequences]
+        enc = encode_corpus(whq, sentences, derivations)
         # one derivation of five items, then one of a single item
         assert enc.dstart.tolist() == [0, 5, 6]
         assert enc.sstart.tolist() == [0, 1, 2]
@@ -88,8 +89,7 @@ class TestEncodeCorpus:
         assert enc.sentences == tuple(sentences)
 
     def test_ambiguous_sentence_groups_derivations(self, ambig):
-        forests = forests_for(ambig, ["saw"])
-        enc = encode_corpus(ambig, ["saw"], forests)
+        enc = encode_corpus(ambig, ["saw"], derivations_for(ambig, ["saw"]))
         assert enc.sstart.tolist() == [0, 2]
         assert len(enc.dstart) == 3
 
@@ -103,7 +103,7 @@ class TestEncodeCorpus:
 class TestEStepAndBound:
     def test_unambiguous_posterior_is_one(self, whq):
         enc = encode_corpus(whq, ["what did you see"],
-                            forests_for(whq, ["what did you see"]))
+                            derivations_for(whq, ["what did you see"]))
         omega = dict_to_flat(whq, ones_alpha(whq))
         q, logz, counts = e_step(whq, enc, omega)
         assert q.tolist() == [1.0]
@@ -113,7 +113,7 @@ class TestEStepAndBound:
 
     def test_bound_at_prior_has_no_kl(self, whq):
         enc = encode_corpus(whq, ["what did you see"],
-                            forests_for(whq, ["what did you see"]))
+                            derivations_for(whq, ["what did you see"]))
         alpha = dict_to_flat(whq, ones_alpha(whq))
         _, logz, _ = e_step(whq, enc, alpha)
         assert elbo_surrogate(whq, logz, alpha, alpha) == pytest.approx(
@@ -121,7 +121,7 @@ class TestEStepAndBound:
 
     def test_ambiguous_weights_follow_item_count(self, ambig):
         # under omega = 1 the short derivation wins by e per extra item
-        enc = encode_corpus(ambig, ["saw"], forests_for(ambig, ["saw"]))
+        enc = encode_corpus(ambig, ["saw"], derivations_for(ambig, ["saw"]))
         omega = dict_to_flat(ambig, ones_alpha(ambig))
         q, _, _ = e_step(ambig, enc, omega)
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
@@ -212,6 +212,16 @@ class TestTrainBehavior:
         assert state.unparsed == [0, 2]
         assert state.converged
         assert len(state.posteriors) == 1
+
+    def test_every_sentence_unparsed(self, whq):
+        state = train(whq, ["see what", "you you"], ones_alpha(whq),
+                      TrainConfig(start="c", skip_unparsed=True))
+        assert state.unparsed == [0, 1]
+        assert state.iterations == 1
+        assert state.converged
+        assert state.elbo_trace == [0.0]
+        assert state.omega == ones_alpha(whq)
+        assert state.posteriors == []
 
     def test_invalid_alpha(self, whq):
         bad = ones_alpha(whq)
