@@ -16,8 +16,8 @@ from .errors import (ArityError, CapExceeded, EvalError, FeatureMismatch,
                      RuleError, SmcViolation, UnderivableCategory,
                      UnknownCategoryError, UnparsedSentence)
 from .inference import (EncodedCorpus, SentencePosterior, TrainConfig,
-                        TrainState, e_step, elbo_surrogate, encode_corpus,
-                        posterior_mean, theta_star, train)
+                        TrainState, encode_corpus, posterior_mean,
+                        theta_star, train)
 from .lexicon import (Feature, FeatureKind, LexicalItem, Lexicon,
                       build_lexicon, lexicon_to_text, load_lexicon,
                       parse_feature, parse_lexicon)
@@ -43,13 +43,12 @@ __all__ = [
     "SentencePosterior", "SmcViolation", "TraceStep", "TrainConfig",
     "TrainState", "UnderivableCategory", "UnknownCategoryError",
     "UnparsedSentence", "build_lexicon", "count_nodes", "derived_category",
-    "e_step", "elbo_surrogate", "encode_corpus", "eval_expression",
-    "eval_sequence", "eval_tree", "is_wellformed", "leaf_expression",
-    "lexicon_to_text", "load_alpha", "load_lexicon", "load_theta",
-    "log_joint", "log_prob_of_sequence", "merge_left", "merge_mover",
-    "merge_right", "move_again", "move_final", "ones_alpha", "parse",
-    "parse_feature", "parse_lexicon", "posterior_mean", "prob_of_sequence",
-    "render_tree", "sample_derivation", "sample_theta", "seq_to_tree",
-    "theta_star", "trace_wellformed", "train", "tree_to_seq", "uniform_theta",
-    "validate_alpha", "validate_theta",
+    "encode_corpus", "eval_expression", "eval_sequence", "eval_tree",
+    "is_wellformed", "leaf_expression", "lexicon_to_text", "load_alpha",
+    "load_lexicon", "load_theta", "log_joint", "log_prob_of_sequence",
+    "merge_left", "merge_mover", "merge_right", "move_again", "move_final",
+    "ones_alpha", "parse", "parse_feature", "parse_lexicon", "posterior_mean",
+    "prob_of_sequence", "render_tree", "sample_derivation", "sample_theta",
+    "seq_to_tree", "theta_star", "trace_wellformed", "train", "tree_to_seq",
+    "uniform_theta", "validate_alpha", "validate_theta",
 ]

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 a checked sequence was rejected; 2 bad input
 (lexicon, references, model vectors); 3 evaluation or coverage failure;
-4 a configured cap was exceeded.
+4 a configured cap was exceeded; 5 an unexpected internal error, reported
+as one ``error:`` line naming the exception type.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ REJECTED = 1
 BAD_INPUT = 2
 EVAL_FAILURE = 3
 CAP_EXCEEDED = 4
+INTERNAL_ERROR = 5
 
 
 def _run(body: Callable[[], int | None]) -> None:
@@ -47,6 +49,9 @@ def _run(body: Callable[[], int | None]) -> None:
     except UnicodeDecodeError as exc:
         click.echo(f"error: input is not UTF-8 text ({exc})", err=True)
         sys.exit(BAD_INPUT)
+    except Exception as exc:  # a bug, not a verdict: keep it apart from 1-4
+        click.echo(f"error: internal error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(INTERNAL_ERROR)
     sys.exit(code or 0)
 
 

@@ -6,8 +6,9 @@ by whitespace.
 
 ``canonical_json`` serializes the small result structures the command
 line emits.  Key order is the insertion order of the dicts passed in,
-floats render with ``%.17g`` (shortest form that still round-trips a
-double), so equal inputs always produce identical bytes.
+floats render in ``%g`` form with the fewest significant digits that
+still round-trip a double (at most 17), so equal inputs always produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -32,18 +33,20 @@ def _fmt_float(x: float) -> str:
         raise ValueError("cannot serialize NaN")
     if x in (float("inf"), float("-inf")):
         return '"Infinity"' if x > 0 else '"-Infinity"'
-    s = format(x, ".17g")
-    # Trim to the shortest representation that round-trips.
-    for prec in range(1, 17):
-        t = format(x, f".{prec}g")
-        if float(t) == x:
-            s = t
-            break
+    # repr holds the fewest significant digits that round-trip; %g with
+    # that many digits rounds correctly, which next to a power of two can
+    # miss the (asymmetric) round-trip interval, so then take one more.
+    digits = float.__repr__(x).partition("e")[0].lstrip("-").replace(".", "")
+    prec = len(digits.strip("0")) or 1
+    s = format(x, f".{prec}g")
+    while float(s) != x:
+        prec += 1
+        s = format(x, f".{prec}g")
     return s
 
 
 def canonical_json(value: Any) -> str:
-    """Deterministic JSON: insertion-ordered keys, %.17g floats, no spaces."""
+    """Deterministic JSON: insertion-ordered keys, shortest %g floats, no spaces."""
     if value is None:
         return "null"
     if value is True:

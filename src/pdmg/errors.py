@@ -3,6 +3,8 @@
 The CLI maps these onto exit codes: input problems (bad lexicon files,
 malformed references, invalid model vectors) exit 2, model/coverage failures
 (unparseable sentences, unevaluable sequences) exit 3, exceeded caps exit 4.
+Any other exception is a bug; the CLI reports it on one ``error:`` line
+naming its type and exits 5.
 """
 
 from __future__ import annotations

@@ -72,12 +72,10 @@ def theta_star(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> Theta:
 
 def posterior_mean(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> Theta:
     """Dirichlet mean omega_i / sum_cat omega, per category."""
-    out: Theta = {}
-    for cat in lexicon.categories:
-        row = [float(v) for v in omega[cat]]
-        s = math.fsum(row)
-        out[cat] = [v / s for v in row]
-    return out
+    offsets = _flat_offsets(lexicon)
+    flat = dict_to_flat(lexicon, omega)
+    sums = np.add.reduceat(flat, offsets[:-1])
+    return flat_to_dict(lexicon, flat / np.repeat(sums, np.diff(offsets)))
 
 
 @dataclass(frozen=True)
@@ -126,20 +124,6 @@ def encode_corpus(
         dstart=np.asarray(dstart, dtype=np.int64),
         sstart=np.asarray(sstart, dtype=np.int64),
     )
-
-
-def e_step(lexicon: Lexicon, encoded: EncodedCorpus,
-           omega_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Responsibilities, per-sentence log normalizers, expected counts."""
-    log_tstar = log_theta_star_flat(omega_flat, _flat_offsets(lexicon))
-    return estep_flat(log_tstar, encoded.item_ids, encoded.dstart,
-                      encoded.sstart, lexicon.n_items)
-
-
-def elbo_surrogate(lexicon: Lexicon, logz: np.ndarray, omega_flat: np.ndarray,
-                   alpha_flat: np.ndarray) -> float:
-    kl = dirichlet_kl_flat(omega_flat, alpha_flat, _flat_offsets(lexicon))
-    return float(np.sum(logz)) - kl
 
 
 @dataclass(frozen=True)
@@ -241,11 +225,10 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
             converged = True
             break
 
+    omega_rows = flat_to_dict(lexicon, omega)
     return TrainState(
-        omega=flat_to_dict(lexicon, omega),
-        theta_mean=flat_to_dict(
-            lexicon, omega / np.repeat(np.add.reduceat(omega, offsets[:-1]),
-                                       np.diff(offsets))),
+        omega=omega_rows,
+        theta_mean=posterior_mean(lexicon, omega_rows),
         elbo_trace=trace,
         iterations=iterations,
         converged=converged,

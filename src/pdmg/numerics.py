@@ -18,8 +18,8 @@ reciprocals accumulate with Neumaier compensation, and for x < 1e-3 the
 dominant 1/x term carries an exact-product residual correction (Veltkamp
 splitting) so the final subtraction is the only rounding at full scale.
 
-gammaln uses the 9-term g = 7 Lanczos approximation for x >= 0.5 and the
-sin reflection below; both functions are defined for positive reals only.
+gammaln applies the standard library's ``math.lgamma`` to each element.
+Both functions are defined for positive reals only.
 """
 
 from __future__ import annotations
@@ -35,19 +35,7 @@ _C12, _C120, _C252 = 1.0 / 12.0, 1.0 / 120.0, 1.0 / 252.0
 _C240, _C132 = 1.0 / 240.0, 1.0 / 132.0
 _C32760 = 691.0 / 32760.0
 
-_LANCZOS_G = 7.0
-_LANCZOS = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
 
 def _two_prod_err(a, b, p):
@@ -94,20 +82,8 @@ def _digamma_arr(x: np.ndarray) -> np.ndarray:
     return ((psi - small) - (comp + bigfix)) - big
 
 
-def _gammaln_arr(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    z = np.where(x < 0.5, 1.0 - x, x)
-    zz = z - 1.0
-    a = np.full_like(zz, _LANCZOS[0])
-    for i in range(1, 9):
-        a += _LANCZOS[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    out = _HALF_LOG_2PI + (zz + 0.5) * np.log(t) - t + np.log(a)
-    refl = x < 0.5
-    if np.any(refl):
-        xr = x[refl]
-        out[refl] = np.log(np.pi / np.sin(np.pi * xr)) - out[refl]
-    return out
+def _gammaln_arr(x) -> np.ndarray:
+    return np.asarray(_lgamma(x), dtype=np.float64)
 
 
 def log_theta_star_flat(omega: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -124,20 +100,14 @@ def gammaln_terms(x: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def dirichlet_kl_flat(omega: np.ndarray, alpha: np.ndarray, offsets: np.ndarray,
-                      log_tstar: np.ndarray | None = None,
-                      alpha_terms: tuple[np.ndarray, np.ndarray] | None = None,
-                      ) -> float:
+                      log_tstar: np.ndarray,
+                      alpha_terms: tuple[np.ndarray, np.ndarray]) -> float:
     """Sum over categories of KL(Dir(omega) || Dir(alpha)).
 
     ``log_tstar`` is ``log_theta_star_flat(omega, offsets)`` and
-    ``alpha_terms`` is ``gammaln_terms(alpha, offsets)``; a caller that
-    already holds them passes them in, and they are computed here when
-    omitted.
+    ``alpha_terms`` is ``gammaln_terms(alpha, offsets)``: a fit computes
+    the first once per iteration for the e-step too, and the second once.
     """
-    if log_tstar is None:
-        log_tstar = log_theta_star_flat(omega, offsets)
-    if alpha_terms is None:
-        alpha_terms = gammaln_terms(alpha, offsets)
     ga, gsa = alpha_terms
     go, gso = gammaln_terms(omega, offsets)
     per_item = ga - go + (omega - alpha) * log_tstar

@@ -287,11 +287,7 @@ def _completed(e: Expression) -> Expression:
 
 def derived_category(seq: Sequence[LexicalItem]) -> str:
     """Category of the completed derivation (eval_sequence must succeed)."""
-    e = eval_expression(seq)
-    if e.movers or len(e.head.suffix) != 1 \
-            or e.head.suffix[0].kind is not FeatureKind.CAT:
-        raise EvalError(f"sequence does not evaluate to a bare category: {e}")
-    return e.head.suffix[0].name
+    return _completed(eval_expression(seq)).head.suffix[0].name
 
 
 def render_tree(node: Node) -> str:

@@ -200,6 +200,15 @@ def dirichlet_kl_exact(omega: list[float], alpha: list[float],
     return acc
 
 
+def fmt_float(x: float) -> str:
+    """Finite ``x`` in %g with the fewest digits (1-16, else 17) that round-trip."""
+    for prec in range(1, 17):
+        t = format(x, f".{prec}g")
+        if float(t) == x:
+            return t
+    return format(x, ".17g")
+
+
 def estep_exact(log_tstar, item_ids, dstart, sstart, n_items):
     """(q, logz, counts) of the flat e-step, as lists, by ``math.fsum``.
 

@@ -311,3 +311,70 @@ class TestLazyDecode:
                   "what did you see".split(), CFG())
         assert a == b
         assert a != parse(whq, "what did see you".split(), CFG())
+
+
+# The FOUND lexicon for the checker's missing shortest-move rule: "knows"
+# embeds a clause that can hold two wh-movers at once.
+SMC = """\
+what :: d -wh
+who :: d -wh
+kim :: d
+lee :: d
+saw :: =d d= v
+met :: =d d= v
+knows :: =c d= v
+did :: =v t
+that :: =t c
+ε :: =v t
+ε :: =t +wh c
+"""
+
+
+def assert_sound(lex, sentence, start) -> int:
+    """Every parsed sequence checks, and evaluates back to ``sentence``."""
+    forest = parse(lex, sentence.split(), CFG(start))
+    for seq in forest.sequences:
+        assert pdmg.is_wellformed(seq), (sentence, start, seq)
+        assert pdmg.eval_sequence(seq) == " ".join(sentence.split()), seq
+        assert pdmg.derived_category(seq) == start
+    return len(forest.sequences)
+
+
+class TestChartSoundness:
+    @pytest.mark.parametrize("name", sorted(FIXTURE_SENTENCES))
+    def test_fixture_short_sentences_every_start(self, name, request):
+        lex = request.getfixturevalue(name)
+        vocab = sorted({it.phon for it in lex.items if it.phon})
+        found = sum(assert_sound(lex, sentence, start)
+                    for sentence in oracle.all_sentences(vocab, 4)
+                    for start in lex.categories)
+        assert found > 0
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_lexicons(self, seed):
+        lex = random_lexicon(random.Random(seed))
+        vocab = sorted({it.phon for it in lex.items if it.phon})
+        for sentence in oracle.all_sentences(vocab, 4):
+            for start in lex.categories:
+                assert_sound(lex, sentence, start)
+
+    @pytest.mark.parametrize("pps", range(6))
+    def test_pp_attachment(self, pps):
+        lex = pdmg.parse_lexicon(PP)
+        tail = " with the dog" * pps
+        assert assert_sound(lex, "kim saw the man" + tail, "c") > 0
+        assert assert_sound(lex, "what kim saw" + tail, "c") > 0
+
+    def test_shortest_move_lexicon(self):
+        lex = pdmg.parse_lexicon(SMC)
+        vocab = sorted({it.phon for it in lex.items if it.phon})
+        found = sum(assert_sound(lex, sentence, start)
+                    for sentence in oracle.all_sentences(vocab, 3)
+                    for start in lex.categories)
+        assert found > 0
+        for sentence in ("who did kim met", "what kim knows that lee saw",
+                         "what did kim knows that lee met",
+                         "what did lee knows that kim saw"):
+            assert assert_sound(lex, sentence, "c") == 1
+        # The checker accepts this sequence; the chart must not derive it.
+        assert parse(lex, "what did lee knows who saw".split(), CFG()).count == 0

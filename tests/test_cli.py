@@ -6,6 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+import pdmg.cli
 import pdmg.model
 from conftest import data_path
 from pdmg.cli import main
@@ -564,6 +565,19 @@ class TestValidate:
     def test_missing_file(self, runner):
         r = runner.invoke(main, ["validate", "/nonexistent.lex"])
         assert r.exit_code == 2
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_5(self, runner, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("chart exploded")
+
+        monkeypatch.setattr(pdmg.cli, "parse", broken)
+        r = runner.invoke(main, ["parse", WHQ, "you", "--start", "d"])
+        _assert_one_error_line(r, 5)
+        assert "RuntimeError" in r.stderr
+        assert "chart exploded" in r.stderr
+        assert "Traceback" not in r.stderr + r.stdout
 
 
 class TestHelp:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmg.corpus import canonical_json, load_corpus
+import oracle
+from pdmg.corpus import _fmt_float, canonical_json, load_corpus
 
 
 class TestLoadCorpus:
@@ -75,6 +76,27 @@ class TestCanonicalJson:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_deterministic(self, x):
         assert canonical_json(x) == canonical_json(x)
+
+    @settings(max_examples=2000, derandomize=True)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_digits_match_trimming_oracle(self, x):
+        assert _fmt_float(x) == oracle.fmt_float(x)
+
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+        1e15, 1e16, 1e17, 123456789012345678.0, 2.0 ** 53 + 2.0, 100.0,
+        1.0 / 3.0, 1.7976931348623157e308, 0.1, -2.5e-7])
+    def test_float_digits_edge_cases(self, x):
+        assert _fmt_float(x) == oracle.fmt_float(x)
+
+    def test_float_digits_next_to_powers_of_two(self):
+        # Below a power of two the round-trip interval is lopsided, and the
+        # correctly rounded shortest digit count can fail to round-trip
+        # (2**-1017 needs 17 digits where repr shows 16).
+        for e in range(-1074, 1024):
+            for x in (math.ldexp(1.0, e), math.nextafter(math.ldexp(1.0, e), 0.0)):
+                assert _fmt_float(x) == oracle.fmt_float(x)
+                assert _fmt_float(-x) == oracle.fmt_float(-x)
 
     def test_matches_json_loads_structure(self):
         payload = {"omega": {"d": [2.0, 2.0]}, "trace": [-2.0, -1.5],

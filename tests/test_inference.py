@@ -12,8 +12,6 @@ from pdmg import (
     ParseConfig,
     TrainConfig,
     UnparsedSentence,
-    e_step,
-    elbo_surrogate,
     encode_corpus,
     ones_alpha,
     parse,
@@ -23,6 +21,7 @@ from pdmg import (
     uniform_theta,
 )
 from pdmg.inference import dict_to_flat, flat_to_dict
+from pdmg.numerics import estep_flat, log_theta_star_flat
 
 
 def derivations_for(lex, sentences, start="c"):
@@ -74,6 +73,14 @@ class TestPosteriorMean:
         assert mean["d"] == [0.25, 0.75]
         assert mean["v"] == [1.0]
 
+    def test_is_trains_theta_mean(self, ambig):
+        state = train(ambig, ["saw", "saw kim"], ones_alpha(ambig),
+                      TrainConfig(start="c"))
+        assert state.theta_mean == posterior_mean(ambig, state.omega)
+        for cat, row in state.omega.items():
+            want = [v / math.fsum(row) for v in row]
+            assert state.theta_mean[cat] == pytest.approx(want, rel=1e-15)
+
 
 class TestEncodeCorpus:
     def test_layout(self, whq):
@@ -105,27 +112,33 @@ class TestEStepAndBound:
         enc = encode_corpus(whq, ["what did you see"],
                             derivations_for(whq, ["what did you see"]))
         omega = dict_to_flat(whq, ones_alpha(whq))
-        q, logz, counts = e_step(whq, enc, omega)
+        log_tstar = log_theta_star_flat(omega, np.asarray(whq.offsets))
+        q, logz, counts = estep_flat(log_tstar, enc.item_ids, enc.dstart,
+                                     enc.sstart, whq.n_items)
         assert q.tolist() == [1.0]
         # log t* is -1 for each d item, 0 for singletons
         assert logz[0] == pytest.approx(-2.0, abs=1e-12)
         assert counts.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_bound_at_prior_has_no_kl(self, whq):
-        enc = encode_corpus(whq, ["what did you see"],
-                            derivations_for(whq, ["what did you see"]))
-        alpha = dict_to_flat(whq, ones_alpha(whq))
-        _, logz, _ = e_step(whq, enc, alpha)
-        assert elbo_surrogate(whq, logz, alpha, alpha) == pytest.approx(
-            -2.0, abs=1e-12)
+        # One iteration runs at omega = alpha, so the bound is log Z alone.
+        state = train(whq, ["what did you see"], ones_alpha(whq),
+                      TrainConfig(start="c", max_iters=1))
+        assert state.iterations == 1
+        assert state.posteriors[0].weights == (1.0,)
+        assert state.elbo_trace[0] == pytest.approx(-2.0, abs=1e-12)
+        # omega = alpha + counts, one count per item of the derivation
+        assert state.omega == {
+            "d": [2.0, 2.0], "v": [2.0], "i": [2.0], "c": [2.0]}
 
     def test_ambiguous_weights_follow_item_count(self, ambig):
         # under omega = 1 the short derivation wins by e per extra item
-        enc = encode_corpus(ambig, ["saw"], derivations_for(ambig, ["saw"]))
-        omega = dict_to_flat(ambig, ones_alpha(ambig))
-        q, _, _ = e_step(ambig, enc, omega)
-        assert q.sum() == pytest.approx(1.0, abs=1e-12)
-        assert q[1] > q[0]
+        state = train(ambig, ["saw"], ones_alpha(ambig),
+                      TrainConfig(start="c", max_iters=1))
+        weights = state.posteriors[0].weights
+        assert len(weights) == 2
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+        assert weights[1] > weights[0]
 
 
 class TestTrainWhq:

@@ -279,7 +279,7 @@ class TestEvalSequence:
 
     def test_derived_category_rejects_incomplete(self, whq_items):
         what, _, _, _, _ = whq_items
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError, match="head features left unchecked"):
             derived_category((what,))
 
 
