@@ -14,6 +14,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 
@@ -45,6 +46,26 @@ def _fmt_float(x: float) -> str:
     return s
 
 
+# One C-level call renders a list of plain ints exactly as canonical_json does.
+_INT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _int_leaves(value: list | tuple) -> bool:
+    """Whether this nest of lists and tuples holds plain ints, all at one depth.
+
+    Each nesting level is tested in one pass over the concatenation of its
+    lists; ``type(v) is int`` keeps out bool and every other int subclass.
+    A nest that fails renders element by element, as it always could.
+    """
+    while True:
+        kinds = set(map(type, value))
+        if kinds <= {int}:
+            return True
+        if not kinds <= {list, tuple}:
+            return False
+        value = list(chain.from_iterable(value))
+
+
 def canonical_json(value: Any) -> str:
     """Deterministic JSON: insertion-ordered keys, shortest %g floats, no spaces."""
     if value is None:
@@ -64,5 +85,7 @@ def canonical_json(value: Any) -> str:
                  for k, v in value.items())
         return "{" + ",".join(parts) + "}"
     if isinstance(value, (list, tuple)):
+        if _int_leaves(value):
+            return _INT_JSON.encode(value)
         return "[" + ",".join(canonical_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -132,11 +132,11 @@ class LexicalItem:
     def item_id(self) -> tuple[int, int]:
         return (self.cat_index, self.item_index)
 
-    @property
+    @cached_property
     def selectors(self) -> tuple[Feature, ...]:
         return tuple(f for f in self.features if f.is_selector)
 
-    @property
+    @cached_property
     def licensees(self) -> tuple[Feature, ...]:
         return tuple(f for f in self.features if f.kind is FeatureKind.LICENSEE)
 

@@ -9,7 +9,12 @@ fail the well-formedness check carry probability zero.
 sequence from the start category by repeatedly spelling out a head and
 recursing into its selector slots (first selector first, so the emitted
 order is exactly the head-first flattening the checker expects), then
-keep the draw only if the checker accepts it.
+keep the draw only if the checker accepts it.  Each node's head is drawn
+by inverse-transform sampling: one ``rng.random()`` and a bisection of its
+category's cumulative table, built once per call.  That is the draw
+``Generator.choice`` makes from the same row, on the same double of the
+stream, without re-validating the row and rebuilding its cumulative sum
+at every node; the rows are instead checked once, up front.
 """
 
 from __future__ import annotations
@@ -17,7 +22,10 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,7 +72,10 @@ def _validate_rows(lexicon: Lexicon, rows: Mapping[str, Sequence[float]],
                 raise InvalidModel(
                     f"{name}[{cat!r}] entries must be finite and {bound}")
         if normalized:
-            s = math.fsum(row)
+            try:
+                s = math.fsum(row)
+            except OverflowError:  # finite entries, but their sum overflows
+                s = math.inf
             if abs(s - 1.0) > _NORM_TOL:
                 raise InvalidModel(
                     f"{name}[{cat!r}] sums to {s!r}, expected 1 within {_NORM_TOL}")
@@ -184,6 +195,49 @@ def sample_theta(lexicon: Lexicon, alpha: Mapping[str, Sequence[float]],
     return out
 
 
+# numpy's Generator.choice accepts p when |sum(p) - 1| <= sqrt(eps).
+_SAMPLE_TOL = math.sqrt(sys.float_info.epsilon)
+
+
+def _cumulative_tables(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
+                       ) -> dict[str, tuple[tuple[LexicalItem, ...], list[float]]]:
+    """Each category's items and the cumulative distribution of its row.
+
+    The table is built as ``Generator.choice`` builds it: running sums in
+    row order, each divided by the last.  So ``bisect_right(cdf, u)`` picks
+    the item that ``rng.choice(len(items), p=row)`` picks with the same
+    uniform ``u``.  A row choice would refuse (an entry that is negative or
+    NaN, or a sum more than ``_SAMPLE_TOL`` from 1) raises InvalidModel.
+    """
+    tables = {}
+    for cat in lexicon.categories:
+        items = lexicon.items_of_category(cat)
+        if cat not in theta:
+            raise InvalidModel(f"theta missing category {cat!r}")
+        try:
+            row = [float(v) for v in theta[cat]]
+        except (TypeError, ValueError):
+            raise InvalidModel(
+                f"theta[{cat!r}] must be a list of numbers") from None
+        if len(row) != len(items):
+            raise InvalidModel(f"theta[{cat!r}] has {len(row)} entries, "
+                               f"lexicon has {len(items)} items")
+        # Negated comparisons, so that NaN fails them.  No entry above the
+        # upper bound belongs to a row within tol, and the bound keeps fsum
+        # from overflowing.
+        for v in row:
+            if not 0.0 <= v <= 1.0 + _SAMPLE_TOL:
+                raise InvalidModel(
+                    f"theta[{cat!r}] has entry {v!r}, not a probability")
+        total = math.fsum(row)
+        if not abs(total - 1.0) <= _SAMPLE_TOL:
+            raise InvalidModel(f"theta[{cat!r}] sums to {total!r}, "
+                               f"expected 1 within {_SAMPLE_TOL:.3g}")
+        sums = list(accumulate(row))
+        tables[cat] = items, [c / sums[-1] for c in sums]
+    return tables
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     start: str
@@ -202,7 +256,8 @@ def sample_derivation(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
     ``max_depth`` during a proposal, or ``max_rejections`` overall,
     raises CapExceeded.  A start category whose every item has licensees
     raises UnderivableCategory up front: each proposal's root would keep
-    them unchecked.
+    them unchecked.  A theta row that is not a distribution within
+    ``_SAMPLE_TOL`` raises InvalidModel before any draw.
     """
     if not lexicon.has_category(config.start):
         raise UnknownCategoryError(f"unknown start category {config.start!r}")
@@ -213,8 +268,8 @@ def sample_derivation(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
             f"root can check")
     if rng is None:
         rng = np.random.default_rng()
-    probs = {cat: np.asarray(theta[cat], dtype=np.float64)
-             for cat in lexicon.categories}
+    tables = _cumulative_tables(lexicon, theta)
+    draw = rng.random
 
     def propose() -> tuple[LexicalItem, ...]:
         out: list[LexicalItem] = []
@@ -224,8 +279,11 @@ def sample_derivation(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
             if depth >= config.max_depth:
                 raise CapExceeded(
                     f"sampler exceeded max depth {config.max_depth}")
-            items = lexicon.items_of_category(cat)
-            head = items[int(rng.choice(len(items), p=probs[cat]))]
+            table = tables.get(cat)
+            if table is None:
+                raise UnknownCategoryError(f"no items of category {cat!r}")
+            items, cdf = table
+            head = items[bisect_right(cdf, draw())]
             out.append(head)
             # Push selectors reversed so the first selector is expanded
             # first, keeping the emitted order head-first.

@@ -7,7 +7,8 @@ posterior is computed by direct normalization, the flat e-step by loops
 over ``math.fsum``, and ``reference_parse`` closes the chart by trying
 every pair of finished items.  No code is shared with the package's
 linked-list cursor, expression algebra, indexed chart closure, or flat
-array kernels.
+array kernels.  ``sample_reference`` draws each node with numpy's
+``Generator.choice``; only its checker call is the package's.
 """
 
 from __future__ import annotations
@@ -16,9 +17,13 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from pdmg import (CapExceeded, ChartItem, Feature, FeatureKind, LexicalItem,
-                  Lexicon, ParseConfig)
+                  Lexicon, ParseConfig, SampleConfig, UnderivableCategory,
+                  UnknownCategoryError, is_wellformed)
 
 SEL_RIGHT = "sel_right"
 SEL_LEFT = "sel_left"
@@ -395,3 +400,67 @@ def reference_parse(lex: Lexicon, tokens, cfg: ParseConfig):
                         yield s_ids + t_ids, s_cost + t_cost
 
     return chart, goal, sorted({ids for ids, _ in expand(goal, cfg.max_covert)})
+
+
+# -- the sampler as first written ---------------------------------------------
+#
+# numpy's ``Generator.choice`` at every node, re-validating the row and
+# rebuilding its cumulative sum each time.  The package's sampler must make
+# exactly these draws; the checker call is the package's own.
+
+
+def sample_reference(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
+                     config: SampleConfig,
+                     rng: np.random.Generator | None = None,
+                     ) -> tuple[tuple[LexicalItem, ...], int]:
+    """Draw one well-formed sequence; returns (sequence, rejected_count).
+
+    Proposals come from the top-down expansion of the start category;
+    draws the checker rejects are discarded and retried.  Exceeding
+    ``max_depth`` during a proposal, or ``max_rejections`` overall,
+    raises CapExceeded.  A start category whose every item has licensees
+    raises UnderivableCategory up front: each proposal's root would keep
+    them unchecked.
+    """
+    if not lexicon.has_category(config.start):
+        raise UnknownCategoryError(f"unknown start category {config.start!r}")
+    if config.start not in lexicon.root_categories:
+        raise UnderivableCategory(
+            f"start category {config.start!r} derives nothing: every "
+            f"{config.start!r} item has licensees, which nothing above the "
+            f"root can check")
+    if rng is None:
+        rng = np.random.default_rng()
+    probs = {cat: np.asarray(theta[cat], dtype=np.float64)
+             for cat in lexicon.categories}
+
+    def propose() -> tuple[LexicalItem, ...]:
+        out: list[LexicalItem] = []
+        stack = [(config.start, 0)]
+        while stack:
+            cat, depth = stack.pop()
+            if depth >= config.max_depth:
+                raise CapExceeded(
+                    f"sampler exceeded max depth {config.max_depth}")
+            items = lexicon.items_of_category(cat)
+            head = items[int(rng.choice(len(items), p=probs[cat]))]
+            out.append(head)
+            # Push selectors reversed so the first selector is expanded
+            # first, keeping the emitted order head-first.
+            for f in reversed(head.selectors):
+                stack.append((f.name, depth + 1))
+        return tuple(out)
+
+    rejected = 0
+    while True:
+        try:
+            seq = propose()
+        except UnknownCategoryError:
+            # Head demanded a category no item provides: a dead proposal.
+            seq = None
+        if seq is not None and is_wellformed(seq):
+            return seq, rejected
+        rejected += 1
+        if rejected >= config.max_rejections:
+            raise CapExceeded(
+                f"sampler exceeded {config.max_rejections} rejected draws")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pdmg.corpus import _fmt_float, canonical_json, load_corpus
+from pdmg.corpus import _fmt_float, _int_leaves, canonical_json, load_corpus
 
 
 class TestLoadCorpus:
@@ -102,3 +102,46 @@ class TestCanonicalJson:
         payload = {"omega": {"d": [2.0, 2.0]}, "trace": [-2.0, -1.5],
                    "converged": True, "unparsed": []}
         assert json.loads(canonical_json(payload)) == payload
+
+
+def _elementwise(value) -> str:
+    """canonical_json with every list rendered one element at a time."""
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_elementwise, value)) + "]"
+    return canonical_json(value)
+
+
+def _nests(leaves):
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=5)
+                        | st.tuples(inner, inner), max_leaves=30)
+
+
+class TestIntLists:
+    """Lists of plain ints take one json encoder call; nothing else does."""
+
+    def test_which_lists_qualify(self):
+        assert _int_leaves([])
+        assert _int_leaves([[3, 0], (2, 0), [], [1]])
+        assert not _int_leaves([[3, 0], [[1]]])  # ints at two depths
+        assert not _int_leaves([1, True])
+        assert not _int_leaves([[1, 2], [False]])
+        assert not _int_leaves([1, 2.0])
+        assert not _int_leaves([[1], 2])
+        assert not _int_leaves([[1], "2"])
+
+    def test_derivation_ids(self):
+        ids = [[[3, 0], [2, 0], [1, 0], [0, 1], [0, 0]]]
+        assert canonical_json(ids) == "[[[3,0],[2,0],[1,0],[0,1],[0,0]]]"
+        assert canonical_json([[1, True], [0, 100.0]]) == "[[1,true],[0,1e+02]]"
+
+    @settings(max_examples=300, derandomize=True)
+    @given(_nests(st.integers()))
+    def test_int_nests_match_elementwise(self, value):
+        assert canonical_json(value) == _elementwise(value)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(_nests(st.one_of(st.integers(), st.booleans(),
+                            st.floats(allow_nan=False))))
+    def test_mixed_nests_match_elementwise(self, value):
+        assert canonical_json(value) == _elementwise(value)
+

@@ -57,6 +57,12 @@ class TestValidateTheta:
         with pytest.raises(InvalidModel, match="sums to"):
             validate_theta(whq, theta)
 
+    def test_sum_overflows(self, whq):
+        theta = uniform_theta(whq)
+        theta["d"] = [1e308, 1e308]
+        with pytest.raises(InvalidModel, match="sums to inf"):
+            validate_theta(whq, theta)
+
     def test_unknown_category(self, whq):
         theta = uniform_theta(whq)
         theta["zz"] = [1.0]

@@ -1,10 +1,14 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's examples run and print what the README says they print."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from pdmg.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,3 +64,58 @@ def test_prose_comments_hold(example):
     assert all(abs(sum(row) - 1.0) <= 1e-12 for row in state.theta_mean.values())
     trace = state.elbo_trace
     assert all(b >= a for a, b in zip(trace, trace[1:]))
+
+
+# -- command-line transcripts ---------------------------------------------------
+#
+# Every ``$ pdmg ...`` line of a ``text`` block runs through CliRunner, and
+# its output must equal the lines up to the next ``$`` line, byte for byte.
+# A ``...`` line stands for any run of lines.  A block whose first line is
+# ``# NAME``, for a NAME the repository does not hold, is an input file
+# (the train example's corpus); it is written where the commands run.
+
+
+def _text_blocks() -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```text\n(.*?)^```", text, flags=re.S | re.M)
+
+
+def _transcripts() -> list[tuple[str, list[str]]]:
+    out = []
+    for block in _text_blocks():
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M):
+            if chunk.startswith("$ pdmg "):
+                command, *expected = chunk.splitlines()
+                out.append((command[len("$ pdmg "):], expected))
+    return out
+
+
+def _input_files() -> dict[str, str]:
+    files = {}
+    for block in _text_blocks():
+        first, _, body = block.partition("\n")
+        name = first[2:]
+        if first.startswith("# ") and not (ROOT / name).exists() \
+                and "$ " not in block:
+            files[name] = body
+    return files
+
+
+def test_every_command_example_is_collected():
+    commands = [shlex.split(c)[0] for c, _ in _transcripts()]
+    assert commands == ["validate", "check-seq", "derive", "parse", "score",
+                        "sample", "train"]
+    assert set(_input_files()) == {"corpus.txt"}
+
+
+@pytest.mark.parametrize("command, expected", _transcripts(),
+                         ids=[c for c, _ in _transcripts()])
+def test_transcript(command, expected, tmp_path, monkeypatch):
+    (tmp_path / "tests").symlink_to(ROOT / "tests")
+    for name, body in _input_files().items():
+        (tmp_path / name).write_text(body, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(cli_main, shlex.split(command))
+    pattern = "".join(r"(?:.*\n)*" if line.strip() == "..."
+                      else re.escape(line) + r"\n" for line in expected)
+    assert re.fullmatch(pattern, result.output), result.output
