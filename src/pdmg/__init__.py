@@ -3,11 +3,11 @@
 Lexical items carry an ordered feature sequence (selectors, then
 licensors, one category, then licensees).  A derivation is named by the
 head-first flattening of its tree into a sequence of items; this package
-checks such sequences (`is_wellformed`), rebuilds and evaluates their
-trees (`seq_to_tree`, `eval_sequence`), enumerates all derivations of a
-sentence (`parse`), scores and samples them under per-item probabilities
-(`log_prob_of_sequence`, `sample_derivation`), and fits those
-probabilities to a corpus with variational Bayes (`train`).
+checks such sequences (`is_wellformed`), evaluates them in one pass
+(`eval_sequence`), rebuilds their trees (`seq_to_tree`), enumerates all
+derivations of a sentence (`parse`), scores and samples them under
+per-item probabilities (`log_prob_of_sequence`, `sample_derivation`), and
+fits those probabilities to a corpus with variational Bayes (`train`).
 """
 
 from .chart import ChartItem, DerivationForest, ParseConfig, parse

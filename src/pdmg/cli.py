@@ -22,9 +22,9 @@ from .errors import (CapExceeded, EvalError, LexiconError, PdmgError,
                      UnparsedSentence)
 from .inference import TrainConfig, train
 from .lexicon import LexicalItem, Lexicon, load_lexicon
-from .model import (SampleConfig, load_alpha, load_theta, log_prob_of_sequence,
-                    ones_alpha, sample_derivation, uniform_theta)
-from .structure import _completed, eval_tree, render_tree, seq_to_tree
+from .model import (SampleConfig, _draws, load_alpha, load_theta,
+                    log_prob_of_sequence, ones_alpha, uniform_theta)
+from .structure import _derive, render_tree, seq_to_tree
 from .wellformed import is_wellformed, trace_wellformed
 
 REJECTED = 1
@@ -162,11 +162,10 @@ def derive(lexicon_path: str, refs: tuple[str, ...]) -> None:
     def body() -> None:
         lex = load_lexicon(lexicon_path)
         seq = tuple(resolve_item(lex, r) for r in refs)
-        tree = seq_to_tree(seq)
-        click.echo(render_tree(tree))
-        head = _completed(eval_tree(tree)).head
-        click.echo(f"category: {head.suffix[0].name}")
-        click.echo(f"string: {head.text() or 'ε'}")
+        click.echo(render_tree(seq_to_tree(seq)))
+        category, text = _derive(seq)
+        click.echo(f"category: {category}")
+        click.echo(f"string: {text or 'ε'}")
     _run(body)
 
 
@@ -255,9 +254,9 @@ def sample(lexicon_path: str, start: str, count: int, seed: int | None,
                  else load_theta(theta_path, lex))
         cfg = SampleConfig(start=start, max_depth=max_depth,
                            max_rejections=max_rejections)
-        rng = np.random.default_rng(seed)
+        draws = _draws(lex, theta, cfg, np.random.default_rng(seed))
         for _ in range(count):
-            seq, _rejected = sample_derivation(lex, theta, cfg, rng)
+            seq, _rejected = next(draws)
             click.echo(" ".join(it.ref for it in seq))
     _run(body)
 

@@ -11,10 +11,12 @@ recursing into its selector slots (first selector first, so the emitted
 order is exactly the head-first flattening the checker expects), then
 keep the draw only if the checker accepts it.  Each node's head is drawn
 by inverse-transform sampling: one ``rng.random()`` and a bisection of its
-category's cumulative table, built once per call.  That is the draw
-``Generator.choice`` makes from the same row, on the same double of the
-stream, without re-validating the row and rebuilding its cumulative sum
-at every node; the rows are instead checked once, up front.
+category's cumulative table.  That is the draw ``Generator.choice`` makes
+from the same row, on the same double of the stream, without re-validating
+the row and rebuilding its cumulative sum at every node; the rows are
+instead checked once, up front.  ``sample_derivation`` builds the tables
+once per call; ``pdmg sample -n N`` takes its N draws from one ``_draws``
+stream, so it builds them once per run.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -259,6 +261,14 @@ def sample_derivation(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
     them unchecked.  A theta row that is not a distribution within
     ``_SAMPLE_TOL`` raises InvalidModel before any draw.
     """
+    return next(_draws(lexicon, theta, config, rng))
+
+
+def _draws(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
+           config: SampleConfig, rng: np.random.Generator | None,
+           ) -> Iterator[tuple[tuple[LexicalItem, ...], int]]:
+    """``sample_derivation``'s draws, one per ``next``, from one set of
+    tables.  Nothing is checked or built before the first ``next``."""
     if not lexicon.has_category(config.start):
         raise UnknownCategoryError(f"unknown start category {config.start!r}")
     if config.start not in lexicon.root_categories:
@@ -299,7 +309,9 @@ def sample_derivation(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
             # Head demanded a category no item provides: a dead proposal.
             seq = None
         if seq is not None and is_wellformed(seq):
-            return seq, rejected
+            yield seq, rejected
+            rejected = 0
+            continue
         rejected += 1
         if rejected >= config.max_rejections:
             raise CapExceeded(

@@ -1,4 +1,4 @@
-"""Expressions, merge/move rules, and derivation trees over item sequences.
+"""Expressions, the merge/move rules, and the evaluation of item sequences.
 
 An expression is a head chain plus a list of mover chains.  A chain carries
 the words accumulated so far (as a tuple, so covert material concatenates
@@ -19,10 +19,15 @@ The unary rules consume a licensor +y against the unique mover leading -y:
 Every expression obeys the shortest-move constraint: no two movers share a
 leading licensee.  Rule results that would violate it raise SmcViolation.
 
-``seq_to_tree`` reads a polish-order item sequence into the derivation tree
-it encodes (head first, then one argument subtree per selector, in feature
-order; one move node per licensor above the merges), and ``eval_sequence``
-folds the rules over that tree bottom-up.
+``eval_sequence`` evaluates a polish-order item sequence in one
+left-to-right pass, linear in its length: a stack of light states, each
+waiting for the argument of its head's next selector, on which the rules
+fire in the post-order of the derivation tree.  A count of selectors
+first raises ArityError for a sequence of the wrong length, before any
+rule runs.  The public rule functions run the same steps on Expressions.  ``seq_to_tree`` reads the sequence
+into that tree (head first, then one argument subtree per selector, in
+feature order; one move node per licensor above the merges), for
+rendering and counting.
 """
 
 from __future__ import annotations
@@ -53,18 +58,107 @@ class Expression:
     movers: tuple[Chain, ...] = ()
 
     def __post_init__(self):
-        seen = set()
-        for m in self.movers:
-            if not m.suffix or m.suffix[0].kind is not FeatureKind.LICENSEE:
-                raise FeatureMismatch(f"mover chain {m} must lead with a licensee")
-            name = m.suffix[0].name
-            if name in seen:
-                raise SmcViolation(f"two movers lead with -{name}")
-            seen.add(name)
+        _check_movers([(m.words, m.suffix, 0) for m in self.movers])
 
     def __str__(self) -> str:
         parts = [str(self.head)] + [str(m) for m in self.movers]
         return "[" + ", ".join(parts) + "]"
+
+
+# --- the rule steps -----------------------------------------------------
+#
+# The evaluator and the public rule functions below both run these steps on
+# a light expression state, the list [words, feats, i, movers]:
+#
+# - words is a rope: a word, or a tuple of ropes read left to right, so a
+#   concatenation is one pair and the words are joined once, at the end;
+# - feats[i:] is the head chain's unchecked suffix;
+# - movers is a tuple of (words, feats, i) chains in order.
+#
+# A step's caller has checked the rule's preconditions; the step updates
+# the state in place.  Each mover list a step makes passes _check_movers, as
+# every Expression's does, unless it is part of a list that already passed.
+
+
+def _chain(words, feats: tuple[Feature, ...], i: int) -> Chain:
+    return Chain(_words(words), feats[i:])
+
+
+def _words(rope) -> tuple[str, ...]:
+    """The words of a rope, left to right."""
+    out = []
+    stack = [rope]
+    while stack:
+        r = stack.pop()
+        while type(r) is tuple and r:  # descend leftmost, keep the rest
+            stack += r[:0:-1]
+            r = r[0]
+        if type(r) is str:
+            out.append(r)
+    return tuple(out)
+
+
+def _check_movers(movers):
+    """``movers``, if each leads with a licensee and no two lead with the
+    same one (the shortest-move constraint)."""
+    seen = set()
+    for words, feats, i in movers:
+        if i >= len(feats) or feats[i].kind is not FeatureKind.LICENSEE:
+            raise FeatureMismatch(
+                f"mover chain {_chain(words, feats, i)} must lead with a licensee")
+        name = feats[i].name
+        if name in seen:
+            raise SmcViolation(f"two movers lead with -{name}")
+        seen.add(name)
+    return movers
+
+
+def _merge_step(s: list, t: list, left: bool) -> None:
+    """Merge ``t``, complete up to its licensees, on the head's selector.
+    With licensees left, ``t`` becomes a mover after the head's movers;
+    else its words go left or right of the head's, and its movers too."""
+    words, feats, j, movers = t
+    s[2] += 1
+    if j + 1 < len(feats):
+        s[3] = _check_movers(s[3] + ((words, feats, j + 1),) + movers)
+        return
+    s[0] = (words, s[0]) if left else (s[0], words)
+    if movers:
+        s[3] = (_check_movers(movers + s[3] if left else s[3] + movers)
+                if s[3] else movers)
+
+
+def _move_step(s: list, i: int) -> None:
+    """Check the head's licensor against mover ``i``: its words land in
+    front of the head if it has no features left, else it moves on."""
+    movers = s[3]
+    words, feats, j = movers[i]
+    s[2] += 1
+    if j + 1 == len(feats):
+        s[0] = (words, s[0])
+        s[3] = movers[:i] + movers[i + 1:]
+    else:
+        s[3] = _check_movers(movers[:i] + ((words, feats, j + 1),) + movers[i + 1:])
+
+
+def _find_mover(movers, name: str) -> int:
+    for i, (_, feats, j) in enumerate(movers):
+        if feats[j].name == name:
+            return i
+    raise FeatureMismatch(f"no mover leads with -{name}")
+
+
+def _state(e: Expression) -> list:
+    return [e.head.words, e.head.suffix, 0,
+            tuple((m.words, m.suffix, 0) for m in e.movers)]
+
+
+def _expression(state: list) -> Expression:
+    words, feats, i, movers = state
+    return Expression(_chain(words, feats, i), tuple(_chain(*m) for m in movers))
+
+
+# --- the public rules, on Expressions -----------------------------------
 
 
 def _leading_selector(s: Expression) -> Feature:
@@ -85,8 +179,9 @@ def merge_left(s: Expression, t: Expression) -> Expression:
     if f.kind is not FeatureKind.SEL_LEFT:
         raise FeatureMismatch(f"merge_left needs a left selector, got {f}")
     _check_plain_argument(f, t)
-    head = Chain(t.head.words + s.head.words, s.head.suffix[1:])
-    return Expression(head, t.movers + s.movers)
+    state = _state(s)
+    _merge_step(state, _state(t), left=True)
+    return _expression(state)
 
 
 def merge_right(s: Expression, t: Expression) -> Expression:
@@ -95,8 +190,9 @@ def merge_right(s: Expression, t: Expression) -> Expression:
     if f.kind is not FeatureKind.SEL_RIGHT:
         raise FeatureMismatch(f"merge_right needs a right selector, got {f}")
     _check_plain_argument(f, t)
-    head = Chain(s.head.words + t.head.words, s.head.suffix[1:])
-    return Expression(head, s.movers + t.movers)
+    state = _state(s)
+    _merge_step(state, _state(t), left=False)
+    return _expression(state)
 
 
 def merge_mover(s: Expression, t: Expression) -> Expression:
@@ -107,9 +203,9 @@ def merge_mover(s: Expression, t: Expression) -> Expression:
         raise FeatureMismatch(
             f"merge_mover needs category {f.name} plus a licensee remainder, "
             f"got {t.head}")
-    head = Chain(s.head.words, s.head.suffix[1:])
-    new_mover = Chain(t.head.words, suf[1:])
-    return Expression(head, s.movers + (new_mover,) + t.movers)
+    state = _state(s)
+    _merge_step(state, _state(t), left=f.kind is FeatureKind.SEL_LEFT)
+    return _expression(state)
 
 
 def _leading_licensor(s: Expression) -> Feature:
@@ -118,36 +214,29 @@ def _leading_licensor(s: Expression) -> Feature:
     return s.head.suffix[0]
 
 
-def _find_mover(s: Expression, name: str) -> int:
-    for i, m in enumerate(s.movers):
-        if m.suffix[0].name == name:
-            return i
-    raise FeatureMismatch(f"no mover leads with -{name}")
+def _move(s: Expression, final: bool) -> Expression:
+    f = _leading_licensor(s)
+    state = _state(s)
+    i = _find_mover(state[3], f.name)
+    m = s.movers[i]
+    if final and len(m.suffix) != 1:
+        raise FeatureMismatch(
+            f"mover {m} keeps features after -{f.name}; use move_again")
+    if not final and len(m.suffix) == 1:
+        raise FeatureMismatch(
+            f"mover {m} has no remainder after -{f.name}; use move_final")
+    _move_step(state, i)
+    return _expression(state)
 
 
 def move_final(s: Expression) -> Expression:
     """+y against a mover that is exactly -y; the mover's words land left."""
-    f = _leading_licensor(s)
-    i = _find_mover(s, f.name)
-    m = s.movers[i]
-    if len(m.suffix) != 1:
-        raise FeatureMismatch(
-            f"mover {m} keeps features after -{f.name}; use move_again")
-    head = Chain(m.words + s.head.words, s.head.suffix[1:])
-    return Expression(head, s.movers[:i] + s.movers[i + 1:])
+    return _move(s, final=True)
 
 
 def move_again(s: Expression) -> Expression:
     """+y against a mover with a remainder after -y; the mover stays put."""
-    f = _leading_licensor(s)
-    i = _find_mover(s, f.name)
-    m = s.movers[i]
-    if len(m.suffix) == 1:
-        raise FeatureMismatch(
-            f"mover {m} has no remainder after -{f.name}; use move_final")
-    head = Chain(s.head.words, s.head.suffix[1:])
-    kept = Chain(m.words, m.suffix[1:])
-    return Expression(head, s.movers[:i] + (kept,) + s.movers[i + 1:])
+    return _move(s, final=False)
 
 
 # --- derivation trees ---------------------------------------------------
@@ -181,10 +270,9 @@ def seq_to_tree(seq: Sequence[LexicalItem]) -> Node:
     while its next selector's argument is read, and takes a MoveNode for
     each licensor it reaches.
     """
-    if not seq:
-        raise ArityError("empty item sequence")
+    _check_arity(seq)
     waiting: list[tuple[Node, Iterator[Feature]]] = []
-    for i, item in enumerate(seq):
+    for item in seq:
         node: Node = Leaf(item)
         feats = iter(item.features)
         while True:
@@ -196,13 +284,24 @@ def seq_to_tree(seq: Sequence[LexicalItem]) -> Node:
                 waiting.append((node, feats))
                 break
             if not waiting:
-                if i + 1 < len(seq):
-                    raise ArityError(f"{len(seq) - i - 1} items left over "
-                                     "after the root's arguments")
-                return node
+                break  # the root, at the last item
             head, feats = waiting.pop()
             node = MergeNode(head, node)
-    raise ArityError("ran out of items while expanding selectors")
+    return node
+
+
+def _check_arity(seq: Sequence[LexicalItem]) -> None:
+    """ArityError unless the root's arguments use up exactly ``seq``."""
+    if not seq:
+        raise ArityError("empty item sequence")
+    slots = 1  # argument positions opened and not yet filled
+    for i, item in enumerate(seq):
+        if not slots:
+            raise ArityError(f"{len(seq) - i} items left over "
+                             "after the root's arguments")
+        slots += item.stages[0] - 1
+    if slots:
+        raise ArityError("ran out of items while expanding selectors")
 
 
 def _postorder(root: Node) -> list[Node]:
@@ -235,34 +334,47 @@ def leaf_expression(item: LexicalItem) -> Expression:
     return Expression(Chain(words, item.features))
 
 
-def eval_tree(node: Node) -> Expression:
-    """Fold the rules over a derivation tree bottom-up."""
-    values: list[Expression] = []
-    for n in _postorder(node):
-        if isinstance(n, Leaf):
-            values.append(leaf_expression(n.item))
-        elif isinstance(n, MergeNode):
-            t = values.pop()
-            s = values.pop()
-            f = _leading_selector(s)
-            suf = t.head.suffix
-            if not suf or suf[0] != Feature(FeatureKind.CAT, f.name):
+def _evaluate(seq: Sequence[LexicalItem]) -> list:
+    """The state ``seq``'s derivation ends in, from one left-to-right pass.
+
+    An item's state waits on a stack while the argument of its next
+    selector is read.  When that argument reaches its category it is
+    merged in, and each licensor the head then reaches is one move.  The
+    rules so fire in the post-order of ``seq_to_tree``'s tree, and the
+    first rule error is the one a fold over that tree would raise.
+    """
+    _check_arity(seq)
+    waiting: list[tuple[list, int, int]] = []
+    for item in seq:
+        e = [item.phon or (), item.features, 0, ()]
+        s, c = item.stages
+        while True:
+            if e[2] < s:
+                waiting.append((e, s, c))
+                break
+            while e[2] < c:
+                _move_step(e, _find_mover(e[3], e[1][e[2]].name))
+            if not waiting:
+                break  # the root, at the last item
+            t = e
+            e, s, c = waiting.pop()
+            f = e[1][e[2]]
+            feats, j = t[1], t[2]
+            if feats[j].kind is not FeatureKind.CAT or feats[j].name != f.name:
                 raise FeatureMismatch(
-                    f"selector {f} against argument head {t.head}")
-            rule = (merge_mover if len(suf) > 1 else
-                    merge_left if f.kind is FeatureKind.SEL_LEFT else merge_right)
-            values.append(rule(s, t))
-        else:
-            s = values.pop()
-            i = _find_mover(s, _leading_licensor(s).name)
-            rule = move_final if len(s.movers[i].suffix) == 1 else move_again
-            values.append(rule(s))
-    return values[0]
+                    f"selector {f} against argument head {_chain(*t[:3])}")
+            _merge_step(e, t, left=f.kind is FeatureKind.SEL_LEFT)
+    return e
+
+
+def eval_tree(node: Node) -> Expression:
+    """Evaluate a derivation tree: the one pass over its leaves."""
+    return _expression(_evaluate(tree_to_seq(node)))
 
 
 def eval_expression(seq: Sequence[LexicalItem]) -> Expression:
-    """Build the tree and evaluate it, without the completeness check."""
-    return eval_tree(seq_to_tree(seq))
+    """Evaluate a sequence, without the completeness check."""
+    return _expression(_evaluate(seq))
 
 
 def eval_sequence(seq: Sequence[LexicalItem]) -> str:
@@ -270,24 +382,28 @@ def eval_sequence(seq: Sequence[LexicalItem]) -> str:
 
     Succeeds iff the result is a single chain whose suffix is exactly the
     derived category: no movers in flight and no unchecked features besides
-    it.  Raises ArityError/FeatureMismatch/SmcViolation from tree building
-    and rule application, and EvalError for an incomplete result.
+    it.  Raises ArityError for a sequence of the wrong length,
+    FeatureMismatch/SmcViolation from rule application, and EvalError for
+    an incomplete result.
     """
-    return _completed(eval_expression(seq)).head.text()
-
-
-def _completed(e: Expression) -> Expression:
-    """``e`` itself, if it is one chain whose suffix is exactly a category."""
-    if e.movers:
-        raise EvalError(f"movers never landed: {e}")
-    if len(e.head.suffix) != 1 or e.head.suffix[0].kind is not FeatureKind.CAT:
-        raise EvalError(f"head features left unchecked: {e}")
-    return e
+    return _derive(seq)[1]
 
 
 def derived_category(seq: Sequence[LexicalItem]) -> str:
     """Category of the completed derivation (eval_sequence must succeed)."""
-    return _completed(eval_expression(seq)).head.suffix[0].name
+    return _derive(seq)[0]
+
+
+def _derive(seq: Sequence[LexicalItem]) -> tuple[str, str]:
+    """(category, surface string) of ``seq``, if its result is one chain
+    whose suffix is exactly a category; EvalError otherwise."""
+    state = _evaluate(seq)
+    words, feats, i, movers = state
+    if movers:
+        raise EvalError(f"movers never landed: {_expression(state)}")
+    if len(feats) - i != 1 or feats[i].kind is not FeatureKind.CAT:
+        raise EvalError(f"head features left unchecked: {_expression(state)}")
+    return feats[i].name, " ".join(_words(words))
 
 
 def render_tree(node: Node) -> str:

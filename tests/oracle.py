@@ -9,6 +9,8 @@ every pair of finished items.  No code is shared with the package's
 linked-list cursor, expression algebra, indexed chart closure, or flat
 array kernels.  ``sample_reference`` draws each node with numpy's
 ``Generator.choice``; only its checker call is the package's.
+``eval_reference`` builds the derivation tree and folds frozen expression
+records over it; only the tree's node classes are the package's.
 """
 
 from __future__ import annotations
@@ -16,14 +18,17 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from pdmg import (CapExceeded, ChartItem, Feature, FeatureKind, LexicalItem,
-                  Lexicon, ParseConfig, SampleConfig, UnderivableCategory,
+from pdmg import (ArityError, CapExceeded, ChartItem, EvalError, Feature,
+                  FeatureKind, FeatureMismatch, LexicalItem, Lexicon,
+                  ParseConfig, SampleConfig, SmcViolation, UnderivableCategory,
                   UnknownCategoryError, is_wellformed)
+from pdmg.structure import Leaf, MergeNode, MoveNode, Node
 
 SEL_RIGHT = "sel_right"
 SEL_LEFT = "sel_left"
@@ -464,3 +469,226 @@ def sample_reference(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
         if rejected >= config.max_rejections:
             raise CapExceeded(
                 f"sampler exceeded {config.max_rejections} rejected draws")
+
+
+# -- the evaluator as first written -------------------------------------------
+#
+# Build the derivation tree (``seq_to_tree`` as first written, with its own
+# arity checks), list it in post-order, and fold the rules over it on frozen
+# ``Chain``/``Expression`` records that re-check the shortest-move
+# constraint as each is made.  The package's one-pass
+# evaluator must give the same words, category and final expression, or the
+# same exception type and message.
+
+
+@dataclass(frozen=True)
+class Chain:
+    words: tuple[str, ...]
+    suffix: tuple[Feature, ...]
+
+    def text(self) -> str:
+        return " ".join(self.words)
+
+    def __str__(self) -> str:
+        feats = " ".join(str(f) for f in self.suffix)
+        return f"{self.text() or 'ε'}:{feats}"
+
+
+@dataclass(frozen=True)
+class Expression:
+    head: Chain
+    movers: tuple[Chain, ...] = ()
+
+    def __post_init__(self):
+        seen = set()
+        for m in self.movers:
+            if not m.suffix or m.suffix[0].kind is not FeatureKind.LICENSEE:
+                raise FeatureMismatch(f"mover chain {m} must lead with a licensee")
+            name = m.suffix[0].name
+            if name in seen:
+                raise SmcViolation(f"two movers lead with -{name}")
+            seen.add(name)
+
+    def __str__(self) -> str:
+        parts = [str(self.head)] + [str(m) for m in self.movers]
+        return "[" + ", ".join(parts) + "]"
+
+
+def _leading_selector(s: Expression) -> Feature:
+    if not s.head.suffix or not s.head.suffix[0].is_selector:
+        raise FeatureMismatch(f"head of {s} does not lead with a selector")
+    return s.head.suffix[0]
+
+
+def _check_plain_argument(f: Feature, t: Expression) -> None:
+    if t.head.suffix != (Feature(FeatureKind.CAT, f.name),):
+        raise FeatureMismatch(
+            f"argument head must be exactly category {f.name}, got {t.head}")
+
+
+def merge_left(s: Expression, t: Expression) -> Expression:
+    """x= on s against a completed category-x argument t; t's words go left."""
+    f = _leading_selector(s)
+    if f.kind is not FeatureKind.SEL_LEFT:
+        raise FeatureMismatch(f"merge_left needs a left selector, got {f}")
+    _check_plain_argument(f, t)
+    head = Chain(t.head.words + s.head.words, s.head.suffix[1:])
+    return Expression(head, t.movers + s.movers)
+
+
+def merge_right(s: Expression, t: Expression) -> Expression:
+    """=x on s against a completed category-x argument t; t's words go right."""
+    f = _leading_selector(s)
+    if f.kind is not FeatureKind.SEL_RIGHT:
+        raise FeatureMismatch(f"merge_right needs a right selector, got {f}")
+    _check_plain_argument(f, t)
+    head = Chain(s.head.words + t.head.words, s.head.suffix[1:])
+    return Expression(head, s.movers + t.movers)
+
+
+def merge_mover(s: Expression, t: Expression) -> Expression:
+    """Selector on s against a t that still has licensees: t becomes a mover."""
+    f = _leading_selector(s)
+    suf = t.head.suffix
+    if len(suf) < 2 or suf[0] != Feature(FeatureKind.CAT, f.name):
+        raise FeatureMismatch(
+            f"merge_mover needs category {f.name} plus a licensee remainder, "
+            f"got {t.head}")
+    head = Chain(s.head.words, s.head.suffix[1:])
+    new_mover = Chain(t.head.words, suf[1:])
+    return Expression(head, s.movers + (new_mover,) + t.movers)
+
+
+def _leading_licensor(s: Expression) -> Feature:
+    if not s.head.suffix or s.head.suffix[0].kind is not FeatureKind.LICENSOR:
+        raise FeatureMismatch(f"head of {s} does not lead with a licensor")
+    return s.head.suffix[0]
+
+
+def _find_mover(s: Expression, name: str) -> int:
+    for i, m in enumerate(s.movers):
+        if m.suffix[0].name == name:
+            return i
+    raise FeatureMismatch(f"no mover leads with -{name}")
+
+
+def move_final(s: Expression) -> Expression:
+    """+y against a mover that is exactly -y; the mover's words land left."""
+    f = _leading_licensor(s)
+    i = _find_mover(s, f.name)
+    m = s.movers[i]
+    if len(m.suffix) != 1:
+        raise FeatureMismatch(
+            f"mover {m} keeps features after -{f.name}; use move_again")
+    head = Chain(m.words + s.head.words, s.head.suffix[1:])
+    return Expression(head, s.movers[:i] + s.movers[i + 1:])
+
+
+def move_again(s: Expression) -> Expression:
+    """+y against a mover with a remainder after -y; the mover stays put."""
+    f = _leading_licensor(s)
+    i = _find_mover(s, f.name)
+    m = s.movers[i]
+    if len(m.suffix) == 1:
+        raise FeatureMismatch(
+            f"mover {m} has no remainder after -{f.name}; use move_final")
+    head = Chain(s.head.words, s.head.suffix[1:])
+    kept = Chain(m.words, m.suffix[1:])
+    return Expression(head, s.movers[:i] + (kept,) + s.movers[i + 1:])
+
+
+def seq_to_tree(seq: Sequence[LexicalItem]) -> Node:
+    """Read a polish-order sequence into its derivation tree.
+
+    The tree shape is fully determined by the items' selector and licensor
+    counts; a sequence that runs out of items, or has items left over,
+    raises ArityError.  One left-to-right pass: an item waits on a stack
+    while its next selector's argument is read, and takes a MoveNode for
+    each licensor it reaches.
+    """
+    if not seq:
+        raise ArityError("empty item sequence")
+    waiting: list[tuple[Node, Iterator[Feature]]] = []
+    for i, item in enumerate(seq):
+        node: Node = Leaf(item)
+        feats = iter(item.features)
+        while True:
+            f = next(feats, None)
+            while f is not None and f.kind is FeatureKind.LICENSOR:
+                node = MoveNode(node)
+                f = next(feats, None)
+            if f is not None and f.is_selector:
+                waiting.append((node, feats))
+                break
+            if not waiting:
+                if i + 1 < len(seq):
+                    raise ArityError(f"{len(seq) - i - 1} items left over "
+                                     "after the root's arguments")
+                return node
+            head, feats = waiting.pop()
+            node = MergeNode(head, node)
+    raise ArityError("ran out of items while expanding selectors")
+
+
+def _postorder(root: Node) -> list[Node]:
+    """Every node after its children, the head's subtree before the arg's."""
+    out: list[Node] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, MergeNode):
+            stack += (node.head, node.arg)
+        elif isinstance(node, MoveNode):
+            stack.append(node.child)
+    return out[::-1]
+
+
+def leaf_expression(item: LexicalItem) -> Expression:
+    words = (item.phon,) if item.phon else ()
+    return Expression(Chain(words, item.features))
+
+
+def eval_tree(node: Node) -> Expression:
+    """Fold the rules over a derivation tree bottom-up."""
+    values: list[Expression] = []
+    for n in _postorder(node):
+        if isinstance(n, Leaf):
+            values.append(leaf_expression(n.item))
+        elif isinstance(n, MergeNode):
+            t = values.pop()
+            s = values.pop()
+            f = _leading_selector(s)
+            suf = t.head.suffix
+            if not suf or suf[0] != Feature(FeatureKind.CAT, f.name):
+                raise FeatureMismatch(
+                    f"selector {f} against argument head {t.head}")
+            rule = (merge_mover if len(suf) > 1 else
+                    merge_left if f.kind is FeatureKind.SEL_LEFT else merge_right)
+            values.append(rule(s, t))
+        else:
+            s = values.pop()
+            i = _find_mover(s, _leading_licensor(s).name)
+            rule = move_final if len(s.movers[i].suffix) == 1 else move_again
+            values.append(rule(s))
+    return values[0]
+
+
+def _completed(e: Expression) -> Expression:
+    """``e`` itself, if it is one chain whose suffix is exactly a category."""
+    if e.movers:
+        raise EvalError(f"movers never landed: {e}")
+    if len(e.head.suffix) != 1 or e.head.suffix[0].kind is not FeatureKind.CAT:
+        raise EvalError(f"head features left unchecked: {e}")
+    return e
+
+
+def eval_reference(seq) -> Expression:
+    """The final expression of ``seq``, as the tree fold computes it."""
+    return eval_tree(seq_to_tree(seq))
+
+
+def eval_reference_result(seq) -> tuple[str, str]:
+    """(derived category, surface string) of a completed ``seq``."""
+    head = _completed(eval_reference(seq)).head
+    return head.suffix[0].name, head.text()

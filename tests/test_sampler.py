@@ -137,18 +137,52 @@ def test_one_node_draws_replay_choice():
         assert fast.random() == slow.random()
 
 
-def test_cli_stream_is_the_reference_stream():
+def test_cli_stream_is_the_reference_stream(monkeypatch):
+    """``sample -n 200`` builds its tables once and draws what 200 separate
+    calls on one generator draw, with sample_derivation or the oracle."""
     lex = pdmg.load_lexicon(data_path("whq.lex"))
     theta, cfg = uniform_theta(lex), SampleConfig(start="c")
+    for sampler in (sample_derivation, oracle.sample_reference):
+        rng = np.random.default_rng(3)
+        want = "".join(
+            " ".join(it.ref for it in sampler(lex, theta, cfg, rng)[0]) + "\n"
+            for _ in range(200))
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return _cumulative_tables(*args)
+
+        monkeypatch.setattr(pdmg.model, "_cumulative_tables", counted)
+        result = CliRunner().invoke(cli_main, ["sample", data_path("whq.lex"),
+                                               "--start", "c", "-n", "200",
+                                               "--seed", "3"])
+        monkeypatch.undo()
+        assert result.exit_code == 0
+        assert result.stdout == want
+        assert len(builds) == 1
+
+
+@pytest.mark.parametrize("cap", [5, 8])
+def test_cli_caps_rejections_per_draw(cap):
+    """``--max-rejections`` bounds each draw of ``sample -n``, as each call.
+    On this stream a cap of 5 trips at the 15th draw and 8 never does."""
+    lex = pdmg.load_lexicon(data_path("whq.lex"))
+    theta = uniform_theta(lex)
+    cfg = SampleConfig(start="c", max_rejections=cap)
     rng = np.random.default_rng(3)
-    want = "".join(
-        " ".join(it.ref for it in oracle.sample_reference(lex, theta, cfg, rng)[0])
-        + "\n" for _ in range(200))
+    lines, code = [], 0
+    try:
+        for _ in range(200):
+            seq, _ = sample_derivation(lex, theta, cfg, rng)
+            lines.append(" ".join(it.ref for it in seq) + "\n")
+    except pdmg.CapExceeded:
+        code = 4
     result = CliRunner().invoke(cli_main, ["sample", data_path("whq.lex"),
                                            "--start", "c", "-n", "200",
-                                           "--seed", "3"])
-    assert result.exit_code == 0
-    assert result.stdout == want
+                                           "--seed", "3",
+                                           "--max-rejections", str(cap)])
+    assert (result.exit_code, result.stdout) == (code, "".join(lines))
 
 
 class TestRowsCheckedUpFront:

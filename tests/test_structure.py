@@ -1,8 +1,19 @@
-"""Unit tests for expressions, the merge/move rules, and derivation trees."""
+"""Unit tests for expressions, the merge/move rules, and derivation trees.
 
+The one-pass evaluator is also checked against ``oracle.eval_reference``,
+the fold over the derivation tree that it replaced.
+"""
+
+import itertools
+import random
+import time
+
+import numpy as np
 import pytest
 
+import oracle
 import pdmg
+from conftest import data_path, random_lexicon
 from pdmg import (
     ArityError,
     Chain,
@@ -14,9 +25,11 @@ from pdmg import (
     Leaf,
     MergeNode,
     MoveNode,
+    PdmgError,
     SmcViolation,
     count_nodes,
     derived_category,
+    eval_expression,
     eval_sequence,
     eval_tree,
     leaf_expression,
@@ -29,6 +42,7 @@ from pdmg import (
     seq_to_tree,
     tree_to_seq,
 )
+from pdmg.cli import resolve_item
 
 
 def F(text: str) -> Feature:
@@ -327,3 +341,198 @@ class TestRenderTree:
         tree = seq_to_tree(whq_seq)
         assert render_tree(tree) == (
             "[move [merge ε [merge did [merge [merge see you] what]]]]")
+
+
+# --- the one-pass evaluator against the tree fold it replaced --------------
+
+
+FIXTURES = ("ambig", "chain", "move2", "symmetric", "whq")
+
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg)
+    except PdmgError as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _plain(e):
+    """An Expression, the package's or the oracle's, as comparable data."""
+    if isinstance(e, tuple):  # an error outcome
+        return e
+    return (e.head.words, e.head.suffix,
+            tuple((m.words, m.suffix) for m in e.movers), str(e))
+
+
+def _assert_same_evaluation(seq):
+    want_expression = _plain(_outcome(oracle.eval_reference, seq))
+    assert _plain(_outcome(eval_expression, seq)) == want_expression, seq
+    want = _outcome(oracle.eval_reference_result, seq)
+    got = _outcome(lambda s: (derived_category(s), eval_sequence(s)), seq)
+    assert got == want, seq
+    tree = _outcome(seq_to_tree, seq)
+    if not isinstance(tree, tuple):
+        assert _plain(_outcome(eval_tree, tree)) == want_expression
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_census_matches_the_tree_fold(name):
+    """Every sequence of up to 5 items, arity errors included."""
+    lex = pdmg.load_lexicon(data_path(f"{name}.lex"))
+    for n in range(1, 6):
+        for seq in itertools.product(lex.items, repeat=n):
+            _assert_same_evaluation(seq)
+
+
+def _balanced(rng: random.Random, lex, guided: bool):
+    """A random sequence grown top-down from one slot, cut at 12 items: each
+    item of any category, or (``guided``) of the category its slot selects."""
+    seq, todo = [], [None]
+    while todo and len(seq) < 12:
+        cat = todo.pop()
+        pool = (lex.items_of_category(cat)
+                if guided and cat and lex.has_category(cat) else lex.items)
+        item = rng.choice(pool)
+        seq.append(item)
+        todo += [f.name for f in reversed(item.selectors)]
+    return tuple(seq)
+
+
+def test_random_lexicons_match_the_tree_fold():
+    for seed in range(400):
+        rng = random.Random(seed)
+        lex = random_lexicon(rng)
+        for _ in range(8):
+            _assert_same_evaluation(
+                tuple(rng.choice(lex.items) for _ in range(rng.randint(1, 6))))
+            _assert_same_evaluation(_balanced(rng, lex, guided=False))
+            _assert_same_evaluation(_balanced(rng, lex, guided=True))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_sampler_proposals_match_the_tree_fold(name, monkeypatch):
+    """Every proposal the sampler checks, accepted or rejected."""
+    lex = pdmg.load_lexicon(data_path(f"{name}.lex"))
+    proposals = []
+
+    def recording(seq):
+        proposals.append(seq)
+        return pdmg.is_wellformed(seq)
+
+    monkeypatch.setattr(pdmg.model, "is_wellformed", recording)
+    theta = pdmg.uniform_theta(lex)
+    for start in sorted(lex.root_categories):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for _ in range(25):
+                pdmg.sample_derivation(lex, theta, pdmg.SampleConfig(start), rng)
+    assert proposals
+    for seq in proposals:
+        _assert_same_evaluation(seq)
+
+
+# Movers with one licensee meet in a plain merge (x, y and z), a move_again
+# turns a mover's lead into another mover's (h under +f), and heads with
+# licensors left over show the order of the movers they keep.
+SMC_LEXICON = """\
+x :: =a =b c
+x :: =b a= c
+ε :: =a =b +f c
+ε :: =a +f +g c
+ε :: =a +f c
+y :: =d =d a
+z :: =d =d b
+e :: d -e
+f :: d -f
+g :: d -g
+h :: d -f -g
+k :: d
+"""
+
+
+def test_shortest_move_in_every_rule_matches_the_tree_fold():
+    """Every sequence that fills each selector with an item of its category."""
+    lex = pdmg.parse_lexicon(SMC_LEXICON)
+    smc = set()
+    todo = [((), ("c",))]
+    while todo:
+        seq, slots = todo.pop()
+        if slots:
+            for item in lex.items_of_category(slots[-1]):
+                todo.append((seq + (item,), slots[:-1] + tuple(
+                    f.name for f in reversed(item.selectors))))
+            continue
+        _assert_same_evaluation(seq)
+        got = _outcome(eval_sequence, seq)
+        if isinstance(got, tuple) and got[0] is SmcViolation:
+            smc.add(got[1])
+    assert smc == {f"two movers lead with -{y}" for y in "efg"}
+
+
+def test_two_wh_movers_in_flight_violate_the_smc():
+    """The sequence the cursor checker accepts (a known gap) stops at the SMC."""
+    lex = pdmg.parse_lexicon(
+        "what :: d -wh\nwho :: d -wh\nkim :: d\nlee :: d\nsaw :: =d d= v\n"
+        "knows :: =c d= v\ndid :: =v t\nε :: =v t\nε :: =t +wh c\n")
+    refs = "ε@3.0 did@2.0 knows@1.1 ε@3.0 ε@2.1 saw@1.0 who@0.1 what@0.0 lee@0.3"
+    seq = tuple(resolve_item(lex, r) for r in refs.split())
+    with pytest.raises(SmcViolation, match="^two movers lead with -wh$"):
+        eval_sequence(seq)
+    _assert_same_evaluation(seq)
+
+
+def test_public_rules_match_the_reference_rules():
+    """Each rule on pairs of expressions from the whq and move2 censuses,
+    movers included, and on hand-made expressions the pass never builds."""
+    pool = []
+    for name in ("whq", "move2"):
+        lex = pdmg.load_lexicon(data_path(f"{name}.lex"))
+        pool += [oracle.leaf_expression(it) for it in lex.items]
+        for n in range(2, 6):
+            for seq in itertools.product(lex.items, repeat=n):
+                e = _outcome(oracle.eval_reference, seq)
+                if not isinstance(e, tuple):
+                    pool.append(e)
+    pool += [
+        oracle.Expression(oracle.Chain(("x",), feats("=d +p +q c")),
+                          (oracle.Chain(("a",), feats("-q")),
+                           oracle.Chain(("b",), feats("-p -q")))),
+        oracle.Expression(oracle.Chain(("y", "z"), feats("d =v")),
+                          (oracle.Chain(("c",), feats("-q")),
+                           oracle.Chain((), feats("-p")))),
+        oracle.Expression(oracle.Chain(("", "w"), feats("d -q")),
+                          (oracle.Chain(("e",), feats("-p")),)),
+        oracle.Expression(oracle.Chain((), feats("d= c")),
+                          (oracle.Chain(("g",), feats("-q")),
+                           oracle.Chain(("f",), feats("-p")))),
+        oracle.Expression(oracle.Chain(("h",), feats("d")),
+                          (oracle.Chain(("c",), feats("-p")),
+                           oracle.Chain(("d",), feats("-q")))),
+    ]
+
+    def mine(e):
+        return Expression(Chain(e.head.words, e.head.suffix),
+                          tuple(Chain(m.words, m.suffix) for m in e.movers))
+
+    binary = ("merge_left", "merge_right", "merge_mover")
+    for s in pool:
+        for rule in ("move_final", "move_again"):
+            want = _plain(_outcome(getattr(oracle, rule), s))
+            assert _plain(_outcome(getattr(pdmg, rule), mine(s))) == want
+        for t in pool:
+            for rule in binary:
+                want = _plain(_outcome(lambda a: getattr(oracle, rule)(*a), (s, t)))
+                got = _outcome(lambda a: getattr(pdmg, rule)(*a), (mine(s), mine(t)))
+                assert _plain(got) == want, (rule, str(s), str(t))
+
+
+def test_evaluation_is_linear_in_length():
+    """ε a×N b at N = 200,000: seconds for one pass; a fold that copies the
+    head's words at every merge would take minutes."""
+    lex = pdmg.parse_lexicon("a :: =x x\nb :: x\nε :: =x c\n")
+    a, b, eps = lex.item(0, 0), lex.item(0, 1), lex.item(1, 0)
+    n = 200_000
+    start = time.perf_counter()
+    words = eval_sequence((eps,) + (a,) * n + (b,))
+    assert time.perf_counter() - start < 10.0
+    assert words == "a " * n + "b"
