@@ -33,22 +33,26 @@ suffix is a small int from ``Lexicon.codes`` (every suffix of every
 item's features, coded once per lexicon), so items hash tuples of ints, not
 Feature dataclasses and Enum members.  The forest keeps the coded chart and
 decodes it to ChartItems, once per item, only when ``forest.chart`` is first
-read; training, scoring and ``pdmg parse`` read only the sequences, so they
-never pay for it.
+read; training, scoring and ``pdmg parse`` never read it, so they never pay
+for it.
 
 The goal is the head (0, n) with suffix exactly the start category and no
 movers.  Extraction walks goal back-pointers depth-first and returns one
-polish-order item sequence per distinct derivation, deduplicated and
-sorted by item ids.  The walk is one loop over a stack of states (pending
-items, leaf ids, covert leaves used).  It pops a state, expands its first
-pending item by each of that item's back-pointers in chart order, and
-pushes the results; a state with nothing pending is a derivation.  Pending
-items and leaf ids are cons lists whose tails the states share, so a step
-costs the same at any depth.  Covert leaves per derivation are capped
-(max_covert), which also bounds the unwinding of covert recursion cycles;
-the number of distinct sequences is capped by max_derivations and the
-total closure plus extraction work by max_steps.  Exceeding a cap raises
-CapExceeded rather than silently truncating.
+polish-order tuple of global item ids per distinct derivation,
+deduplicated and sorted.  These id tuples are the forest's ``ids``;
+``forest.sequences`` decodes them to LexicalItems on first read, and
+training, scoring and ``pdmg parse`` use the ids alone.
+
+The walk is one loop over a stack of states (pending items, leaf ids,
+covert leaves used).  It pops a state, expands its first pending item by
+each of that item's back-pointers in chart order, and pushes the results;
+a state with nothing pending is a derivation.  Pending items and leaf ids
+are cons lists whose tails the states share, so a step costs the same at
+any depth.  Covert leaves per derivation are capped (max_covert), which
+also bounds the unwinding of covert recursion cycles; the number of
+distinct derivations is capped by max_derivations and the total closure
+plus extraction work by max_steps.  Exceeding a cap raises CapExceeded
+rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -99,24 +103,40 @@ class ParseConfig:
 class DerivationForest:
     """A sentence's closed chart, its goal item and its derivations.
 
-    The chart is held coded, with the lexicon's suffix table; ``chart``
-    decodes it on first read and keeps the result.  Equality compares the
-    coded chart and the suffix table, which fix the decoded chart.
+    ``ids`` holds each derivation as its polish-order tuple of global item
+    indices, sorted; ``sequences`` decodes them through the lexicon's items
+    on first read.  The chart is held coded, with the lexicon's suffix
+    table; ``chart`` decodes it on first read.  Both keep the result.
+    Equality compares the ids, the coded chart and the tables that fix
+    their decoded forms.
     """
     tokens: tuple[str, ...]
     goal: ChartItem | None
-    sequences: tuple[tuple[LexicalItem, ...], ...]
+    ids: tuple[tuple[int, ...], ...]
     _coded: dict[Coded, list[BackPointer]] = field(repr=False)
     _suffixes: list[tuple[Feature, ...]] = field(repr=False)
+    _items: tuple[LexicalItem, ...] = field(repr=False)
 
     @property
     def count(self) -> int:
-        return len(self.sequences)
+        return len(self.ids)
+
+    @cached_property
+    def sequences(self) -> tuple[tuple[LexicalItem, ...], ...]:
+        """Every derivation as its item sequence."""
+        return decode_ids(self._items, self.ids)
 
     @cached_property
     def chart(self) -> dict[ChartItem, tuple[BackPointer, ...]]:
         """Every derived item and its back-pointers, as ChartItems."""
         return _decode(self._coded, self._suffixes)
+
+
+def decode_ids(
+    items: tuple[LexicalItem, ...], ids: Sequence[tuple[int, ...]],
+) -> tuple[tuple[LexicalItem, ...], ...]:
+    """Derivations given as global item ids, as item sequences."""
+    return tuple([tuple([items[g] for g in d]) for d in ids])
 
 
 _CAT = KIND_CODE[FeatureKind.CAT]
@@ -191,7 +211,7 @@ def _move(s: Coded, codes: FeatureCodes) -> tuple[Coded, BackPointer] | None:
 
 
 def parse(lex: Lexicon, tokens: Sequence[str], cfg: ParseConfig) -> DerivationForest:
-    """Close the chart over ``tokens`` and extract the goal's sequences.
+    """Close the chart over ``tokens`` and extract the goal's derivations.
 
     Unknown tokens and uncovered sentences yield an empty forest, not an
     error.  An unknown start category is an error; cap overruns raise
@@ -206,10 +226,10 @@ def parse(lex: Lexicon, tokens: Sequence[str], cfg: ParseConfig) -> DerivationFo
     goal_suffix = (Feature(FeatureKind.CAT, cfg.start),)
     goal_code = (0, n, codes.code.get(goal_suffix), ())
     if goal_code not in chart:
-        return DerivationForest(tokens, None, (), chart, codes.suffixes)
-    sequences = _extract(chart, goal_code, lex, cfg, steps)
-    return DerivationForest(tokens, ChartItem(0, n, goal_suffix, ()), sequences,
-                            chart, codes.suffixes)
+        return DerivationForest(tokens, None, (), chart, codes.suffixes, lex.items)
+    ids = _extract(chart, goal_code, lex, cfg, steps)
+    return DerivationForest(tokens, ChartItem(0, n, goal_suffix, ()), ids,
+                            chart, codes.suffixes, lex.items)
 
 
 def _close(
@@ -318,7 +338,7 @@ def _extract(
     lex: Lexicon,
     cfg: ParseConfig,
     steps_used: int,
-) -> tuple[tuple[LexicalItem, ...], ...]:
+) -> tuple[tuple[int, ...], ...]:
     budget = cfg.max_steps - steps_used
     covert = {lex.global_index(it) for it in lex.covert_items()}
     found: set[tuple[int, ...]] = set()
@@ -353,6 +373,4 @@ def _extract(
                 stack.append(((bp[1], rest), ids, used))
             else:
                 stack.append(((bp[1], (bp[2], rest)), ids, used))
-    return tuple(
-        tuple(lex.item_at(g) for g in ids) for ids in sorted(found)
-    )
+    return tuple(sorted(found))

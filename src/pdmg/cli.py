@@ -22,8 +22,8 @@ from .errors import (CapExceeded, EvalError, LexiconError, PdmgError,
                      UnparsedSentence)
 from .inference import TrainConfig, train
 from .lexicon import LexicalItem, Lexicon, load_lexicon
-from .model import (SampleConfig, _draws, load_alpha, load_theta,
-                    log_prob_of_sequence, ones_alpha, uniform_theta)
+from .model import (SampleConfig, Theta, _draws, load_alpha, load_theta,
+                    ones_alpha, uniform_theta)
 from .structure import _derive, render_tree, seq_to_tree
 from .wellformed import is_wellformed, trace_wellformed
 
@@ -102,8 +102,29 @@ def resolve_item(lexicon: Lexicon, ref: str) -> LexicalItem:
     return matches[0]
 
 
-def _ids(seq: Sequence[LexicalItem]) -> list[list[int]]:
-    return [[it.cat_index, it.item_index] for it in seq]
+def _item_pairs(lex: Lexicon) -> list[list[int]]:
+    """Each item's ``[category, item]`` pair, indexed by global item id."""
+    return [[it.cat_index, it.item_index] for it in lex.items]
+
+
+def _log_probs(lex: Lexicon, theta: Theta,
+               ids: Sequence[tuple[int, ...]]) -> list[float]:
+    """log P of each chart derivation, given as global item ids.
+
+    The chart derives only well-formed sequences, so no checker runs.  The
+    terms are added in item order from 0.0, as ``log_prob_of_sequence``
+    adds them, so each result equals its value bit for bit; a zero
+    probability makes the sum -inf.
+    """
+    log_theta = [math.log(p) if p > 0.0 else -math.inf
+                 for cat in lex.categories for p in theta[cat]]
+    out = []
+    for d in ids:
+        total = 0.0
+        for g in d:
+            total += log_theta[g]
+        out.append(total)
+    return out
 
 
 @click.group()
@@ -185,12 +206,13 @@ def parse_cmd(lexicon_path: str, sentences: tuple[str, ...], start: str,
         if corpus_path is not None:
             todo.extend(load_corpus(corpus_path))
         cfg = ParseConfig(start=start, **caps)
+        pairs = _item_pairs(lex)
         for sentence in todo:
             forest = parse(lex, sentence.split(), cfg)
             payload = {
                 "sentence": sentence,
                 "count": forest.count,
-                "derivations": [_ids(seq) for seq in forest.sequences],
+                "derivations": [[pairs[g] for g in d] for d in forest.ids],
             }
             click.echo(canonical_json(payload))
     _run(body)
@@ -211,17 +233,19 @@ def score(lexicon_path: str, sentence: str, start: str, theta_path: str | None,
         theta = (uniform_theta(lex) if theta_path is None
                  else load_theta(theta_path, lex))
         forest = parse(lex, sentence.split(), ParseConfig(start=start, **caps))
-        logs = [log_prob_of_sequence(seq, theta) for seq in forest.sequences]
+        logs = _log_probs(lex, theta, forest.ids)
         finite = [lp for lp in logs if lp != -math.inf]
-        total = (math.exp(_logsumexp(finite)) if finite else 0.0)
+        total = _logsumexp(finite) if finite else -math.inf
+        pairs = _item_pairs(lex)
         payload = {
             "sentence": sentence,
             "count": forest.count,
-            "prob": total,
+            "prob": math.exp(total),
+            "log_prob": total,
             "derivations": [
-                {"items": _ids(seq),
-                 "prob": 0.0 if lp == -math.inf else math.exp(lp)}
-                for seq, lp in zip(forest.sequences, logs)
+                {"items": [pairs[g] for g in d],
+                 "prob": math.exp(lp), "log_prob": lp}
+                for d, lp in zip(forest.ids, logs)
             ],
         }
         click.echo(canonical_json(payload))

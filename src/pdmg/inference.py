@@ -20,11 +20,13 @@ lower bound at the current ``omega``, so the recorded trace never
 decreases.  Training stops when consecutive bound values agree within
 ``tol``, when ``omega`` repeats bitwise, or after ``max_iters`` rounds.
 
-Derivation candidates come from the chart parser once, up front; the
-loop itself runs on flat arrays via the kernels in ``numerics``.  An
-iteration computes ``log t*`` once and uses it both to weigh derivations
-and in the KL's ``(omega - alpha) * log t*`` term; the prior's log-gamma
-terms are computed once per fit.
+Derivation candidates come from the chart parser once, up front, as each
+forest's tuples of global item ids (``forest.ids``); training never builds
+their LexicalItem sequences except to report the final posteriors.  The
+loop itself runs on flat arrays of those ids via the kernels in
+``numerics``.  An iteration computes ``log t*`` once and uses it both to
+weigh derivations and in the KL's ``(omega - alpha) * log t*`` term; the
+prior's log-gamma terms are computed once per fit.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chart import ParseConfig, parse
+from .chart import ParseConfig, decode_ids, parse
 from .errors import InvalidModel, UnparsedSentence
 from .lexicon import LexicalItem, Lexicon
-from .model import Alpha, Theta, validate_alpha
+from .model import Theta, validate_alpha
 from .numerics import (dirichlet_kl_flat, estep_flat, gammaln_terms,
                        log_theta_star_flat)
 
@@ -91,30 +93,31 @@ class SentencePosterior:
 class EncodedCorpus:
     """Parsed corpus flattened for the array kernels.
 
-    ``derivations[n]`` is sentence n's candidate item sequences.
+    ``derivations[n]`` is sentence n's candidate derivations, each a tuple
+    of global item indices (a forest's ``ids``).
     ``item_ids`` concatenates every derivation's global item indices;
     ``dstart`` marks derivation boundaries within it, and ``sstart``
     marks sentence boundaries within the derivation list.  No chart is
     kept: training holds only these through the VB loop.
     """
     sentences: tuple[str, ...]
-    derivations: tuple[tuple[tuple[LexicalItem, ...], ...], ...]
+    derivations: tuple[tuple[tuple[int, ...], ...], ...]
     item_ids: np.ndarray
     dstart: np.ndarray
     sstart: np.ndarray
 
 
 def encode_corpus(
-    lexicon: Lexicon, sentences: Sequence[str],
-    derivations: Sequence[tuple[tuple[LexicalItem, ...], ...]],
+    sentences: Sequence[str],
+    derivations: Sequence[tuple[tuple[int, ...], ...]],
 ) -> EncodedCorpus:
-    """Flatten each sentence's derivations (a forest's ``sequences``)."""
+    """Flatten each sentence's derivations (a forest's ``ids``)."""
     ids: list[int] = []
     dstart = [0]
     sstart = [0]
-    for seqs in derivations:
-        for seq in seqs:
-            ids.extend(lexicon.global_index(it) for it in seq)
+    for forest_ids in derivations:
+        for d in forest_ids:
+            ids.extend(d)
             dstart.append(len(ids))
         sstart.append(len(dstart) - 1)
     return EncodedCorpus(
@@ -127,14 +130,11 @@ def encode_corpus(
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    start: str
+class TrainConfig(ParseConfig):
+    """A ParseConfig, for parsing the corpus, plus the VB loop's settings."""
     tol: float = 1.0e-6
     max_iters: int = 100
     skip_unparsed: bool = False
-    max_derivations: int = ParseConfig.max_derivations
-    max_covert: int = ParseConfig.max_covert
-    max_steps: int = ParseConfig.max_steps
 
 
 @dataclass
@@ -149,14 +149,14 @@ class TrainState:
     posteriors: list[SentencePosterior] = field(default_factory=list)
 
 
-def _posteriors_from(encoded: EncodedCorpus, q: np.ndarray,
+def _posteriors_from(lexicon: Lexicon, encoded: EncodedCorpus, q: np.ndarray,
                      logz: np.ndarray) -> list[SentencePosterior]:
     out = []
-    for n, seqs in enumerate(encoded.derivations):
+    for n, forest_ids in enumerate(encoded.derivations):
         j0, j1 = int(encoded.sstart[n]), int(encoded.sstart[n + 1])
         out.append(SentencePosterior(
             sentence=encoded.sentences[n],
-            sequences=seqs,
+            sequences=decode_ids(lexicon.items, forest_ids),
             weights=tuple(float(v) for v in q[j0:j1]),
             log_z=float(logz[n]),
         ))
@@ -176,22 +176,20 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
     if not (math.isfinite(config.tol) and config.tol >= 0.0):
         raise InvalidModel("tol must be finite and >= 0")
 
-    pc = ParseConfig(start=config.start, max_derivations=config.max_derivations,
-                     max_covert=config.max_covert, max_steps=config.max_steps)
-    # Only the sequences are kept, so each chart is freed once parsed.
+    # Only the id tuples are kept, so each chart is freed once parsed.
     kept_sentences: list[str] = []
-    kept_derivations: list[tuple[tuple[LexicalItem, ...], ...]] = []
+    kept_derivations: list[tuple[tuple[int, ...], ...]] = []
     unparsed: list[int] = []
     for n, sentence in enumerate(sentences):
-        sequences = parse(lexicon, sentence.split(), pc).sequences
-        if not sequences:
+        ids = parse(lexicon, sentence.split(), config).ids
+        if not ids:
             if not config.skip_unparsed:
                 raise UnparsedSentence(n, sentence)
             unparsed.append(n)
             continue
         kept_sentences.append(sentence)
-        kept_derivations.append(sequences)
-    encoded = encode_corpus(lexicon, kept_sentences, kept_derivations)
+        kept_derivations.append(ids)
+    encoded = encode_corpus(kept_sentences, kept_derivations)
 
     offsets = _flat_offsets(lexicon)
     alpha_flat = dict_to_flat(lexicon, alpha)
@@ -233,5 +231,5 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
         iterations=iterations,
         converged=converged,
         unparsed=unparsed,
-        posteriors=_posteriors_from(encoded, q, logz) if iterations else [],
+        posteriors=_posteriors_from(lexicon, encoded, q, logz) if iterations else [],
     )

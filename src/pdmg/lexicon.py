@@ -109,13 +109,18 @@ class LexicalItem:
 
     ``cat_index``/``item_index`` is the item's id (k, m): k indexes the
     item's category in first-appearance order, m its position within that
-    category's block.
+    category's block.  The features must have the shape
+    ``validate_features`` checks; an item is built only when a lexicon is,
+    so the check costs nothing after load.
     """
 
     phon: str
     features: tuple[Feature, ...]
     cat_index: int
     item_index: int
+
+    def __post_init__(self) -> None:
+        validate_features(self.features)
 
     @property
     def category(self) -> str:

@@ -260,13 +260,30 @@ def test_closure_tries_few_pairs(monkeypatch):
 
 
 class TestLazyDecode:
-    """Only a read of ``forest.chart`` decodes the chart."""
+    """Only a read of ``forest.chart`` or ``forest.sequences`` decodes it."""
 
     def test_train_score_and_parse_never_decode(self, monkeypatch, tmp_path):
+        """Nor do they read ``forest.sequences`` or run the checker."""
+        from pdmg import cli, model, wellformed
+
         def no_decode(*args):
             raise AssertionError("chart decoded")
 
+        reads, checks = [0], [0]
+        decode = chart.DerivationForest.sequences
+
+        def read(forest):
+            reads[0] += 1
+            return decode.__get__(forest, type(forest))
+
+        def check(seq):
+            checks[0] += 1
+            return wellformed.is_wellformed(seq)
+
         monkeypatch.setattr(chart, "_decode", no_decode)
+        monkeypatch.setattr(chart.DerivationForest, "sequences", property(read))
+        for module in (model, cli):
+            monkeypatch.setattr(module, "is_wellformed", check)
         runner = CliRunner()
         for name, pairs in FIXTURE_SENTENCES.items():
             lex = pdmg.load_lexicon(data_path(f"{name}.lex"))
@@ -284,6 +301,12 @@ class TestLazyDecode:
         r = runner.invoke(main, ["train", data_path("whq.lex"), str(corpus),
                                  "--start", "c", "--out", str(tmp_path / "r.json")])
         assert r.exit_code == 0, r.output
+        assert reads[0] == 0 and checks[0] == 0
+        # The counters see the calls they are meant to see.
+        whq = pdmg.load_lexicon(data_path("whq.lex"))
+        forest = parse(whq, "what did you see".split(), CFG())
+        pdmg.log_prob_of_sequence(forest.sequences[0], pdmg.uniform_theta(whq))
+        assert reads[0] == 1 and checks[0] == 1
 
     def test_chart_is_decoded_once_and_kept(self, monkeypatch, ambig):
         calls = [0]
@@ -311,6 +334,19 @@ class TestLazyDecode:
                   "what did you see".split(), CFG())
         assert a == b
         assert a != parse(whq, "what did see you".split(), CFG())
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_SENTENCES))
+    def test_sequences_decode_ids(self, name, request):
+        lex = request.getfixturevalue(name)
+        vocab = sorted({it.phon for it in lex.items if it.phon})
+        for sentence in oracle.all_sentences(vocab, 3):
+            for start in lex.categories:
+                forest = parse(lex, sentence.split(), CFG(start))
+                assert forest.count == len(forest.ids)
+                assert forest.sequences == tuple(
+                    tuple(lex.items[g] for g in d) for d in forest.ids)
+                assert forest.sequences is forest.sequences
+                assert list(forest.ids) == sorted(set(forest.ids))
 
 
 # The FOUND lexicon for the checker's missing shortest-move rule: "knows"

@@ -2,13 +2,15 @@
 
 import json
 import math
+import random
 
 import pytest
 from click.testing import CliRunner
 
+import oracle
 import pdmg.cli
 import pdmg.model
-from conftest import data_path
+from conftest import data_path, random_lexicon
 from pdmg.cli import main
 
 WHQ = data_path("whq.lex")
@@ -176,8 +178,9 @@ class TestScore:
         assert r.exit_code == 0
         assert r.output == (
             '{"sentence":"what did you see","count":1,"prob":0.25,'
+            '"log_prob":-1.3862943611198906,'
             '"derivations":[{"items":[[3,0],[2,0],[1,0],[0,1],[0,0]],'
-            '"prob":0.25}]}\n')
+            '"prob":0.25,"log_prob":-1.3862943611198906}]}\n')
 
     def test_ambiguous_sums_readings(self, runner):
         r = runner.invoke(main, ["score", AMBIG, "saw", "--start", "c"])
@@ -198,6 +201,9 @@ class TestScore:
         payload = json.loads(r.output)
         # the derivation uses both d items, one of which has weight zero
         assert payload["prob"] == 0.0
+        assert payload["log_prob"] == "-Infinity"
+        assert [(d["prob"], d["log_prob"]) for d in payload["derivations"]] \
+            == [(0.0, "-Infinity")]
 
     def test_invalid_theta(self, runner, tmp_path):
         p = tmp_path / "theta.json"
@@ -205,6 +211,48 @@ class TestScore:
         r = runner.invoke(main, ["score", WHQ, "you", "--start", "d",
                                  "--theta", str(p)])
         assert r.exit_code == 2
+
+
+def assert_log_probs_agree(lex, theta, sentence, start) -> int:
+    """score's sums over ids equal log_prob_of_sequence bit for bit."""
+    forest = pdmg.parse(lex, sentence.split(), pdmg.ParseConfig(start=start))
+    got = pdmg.cli._log_probs(lex, theta, forest.ids)
+    want = [pdmg.log_prob_of_sequence(seq, theta) for seq in forest.sequences]
+    assert [lp.hex() for lp in got] == [lp.hex() for lp in want], (sentence, start)
+    return forest.count
+
+
+def thetas(lex, seed):
+    """A Dirichlet draw, and the same draw with its first entry set to 0."""
+    theta = pdmg.sample_theta(lex, pdmg.ones_alpha(lex), seed=seed)
+    zeroed = {cat: list(row) for cat, row in theta.items()}
+    zeroed[lex.categories[0]][0] = 0.0
+    return theta, zeroed
+
+
+class TestScoreSumsIds:
+    """score adds each derivation's log θ by id, without the checker."""
+
+    @pytest.mark.parametrize("name", ["ambig", "chain", "move2", "symmetric",
+                                      "whq"])
+    def test_fixture_short_sentences(self, name):
+        lex = pdmg.load_lexicon(data_path(f"{name}.lex"))
+        vocab = sorted({it.phon for it in lex.items if it.phon})
+        found = 0
+        for theta in thetas(lex, 0):
+            for sentence in oracle.all_sentences(vocab, 4):
+                for start in sorted(lex.root_categories):
+                    found += assert_log_probs_agree(lex, theta, sentence, start)
+        assert found > 0
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_lexicons(self, seed):
+        lex = random_lexicon(random.Random(seed))
+        vocab = sorted({it.phon for it in lex.items if it.phon})
+        for theta in thetas(lex, seed):
+            for sentence in oracle.all_sentences(vocab, 4):
+                for start in sorted(lex.root_categories):
+                    assert_log_probs_agree(lex, theta, sentence, start)
 
 
 class TestSample:
@@ -520,6 +568,15 @@ class TestDeepDerivations:
         payload = json.loads(r.output)
         assert payload["count"] == 1
         assert [d["items"] for d in payload["derivations"]] == [self.IDS]
+        # Uniform θ: ε has probability 1, and a and b 1/2 each.  The
+        # probability underflows to 0; its log, about -6931, does not.
+        log_prob = 0.0
+        for p in [1.0] + [0.5] * (self.N - 1) + [0.5]:
+            log_prob += math.log(p)
+        assert math.isfinite(log_prob) and log_prob < -6900
+        assert payload["prob"] == 0.0
+        assert payload["log_prob"] == log_prob
+        assert [d["log_prob"] for d in payload["derivations"]] == [log_prob]
 
     def test_library(self, chain):
         import pdmg

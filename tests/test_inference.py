@@ -26,7 +26,7 @@ from pdmg.numerics import estep_flat, log_theta_star_flat
 
 def derivations_for(lex, sentences, start="c"):
     cfg = ParseConfig(start=start)
-    return [parse(lex, s.split(), cfg).sequences for s in sentences]
+    return [parse(lex, s.split(), cfg).ids for s in sentences]
 
 
 class TestFlatViews:
@@ -86,9 +86,9 @@ class TestEncodeCorpus:
     def test_layout(self, whq):
         sentences = ["what did you see", "you"]
         derivations = [
-            parse(whq, sentences[0].split(), ParseConfig(start="c")).sequences,
-            parse(whq, sentences[1].split(), ParseConfig(start="d")).sequences]
-        enc = encode_corpus(whq, sentences, derivations)
+            parse(whq, sentences[0].split(), ParseConfig(start="c")).ids,
+            parse(whq, sentences[1].split(), ParseConfig(start="d")).ids]
+        enc = encode_corpus(sentences, derivations)
         # one derivation of five items, then one of a single item
         assert enc.dstart.tolist() == [0, 5, 6]
         assert enc.sstart.tolist() == [0, 1, 2]
@@ -96,12 +96,12 @@ class TestEncodeCorpus:
         assert enc.sentences == tuple(sentences)
 
     def test_ambiguous_sentence_groups_derivations(self, ambig):
-        enc = encode_corpus(ambig, ["saw"], derivations_for(ambig, ["saw"]))
+        enc = encode_corpus(["saw"], derivations_for(ambig, ["saw"]))
         assert enc.sstart.tolist() == [0, 2]
         assert len(enc.dstart) == 3
 
     def test_empty_corpus(self, whq):
-        enc = encode_corpus(whq, [], [])
+        enc = encode_corpus([], [])
         assert enc.item_ids.size == 0
         assert enc.dstart.tolist() == [0]
         assert enc.sstart.tolist() == [0]
@@ -109,7 +109,7 @@ class TestEncodeCorpus:
 
 class TestEStepAndBound:
     def test_unambiguous_posterior_is_one(self, whq):
-        enc = encode_corpus(whq, ["what did you see"],
+        enc = encode_corpus(["what did you see"],
                             derivations_for(whq, ["what did you see"]))
         omega = dict_to_flat(whq, ones_alpha(whq))
         log_tstar = log_theta_star_flat(omega, np.asarray(whq.offsets))

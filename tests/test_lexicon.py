@@ -51,6 +51,17 @@ class TestFeatureOrder:
         with pytest.raises(FeatureOrderError):
             parse_lexicon(f"x :: {feats}\n")
 
+    @pytest.mark.parametrize("feats", ["c =d", "=d", "c c", "-g c"])
+    def test_hand_built_item_is_checked(self, feats):
+        features = tuple(parse_feature(t) for t in feats.split())
+        with pytest.raises(FeatureOrderError):
+            pdmg.LexicalItem("x", features, 0, 0)
+
+    def test_hand_built_item_in_order(self):
+        features = tuple(parse_feature(t) for t in "=d +f c -g".split())
+        item = pdmg.LexicalItem("x", features, 0, 0)
+        assert item.category == "c" and item.stages == (1, 2)
+
 
 class TestParseLexicon:
     def test_whq_layout(self, whq):

@@ -48,6 +48,7 @@ def test_stated_values_hold(example):
     assert stated == {
         "pdmg.is_wellformed(seq)": True,
         "pdmg.eval_sequence(seq)": "what did you see",
+        "forest.ids": ((4, 3, 2, 1, 0),),
         "pdmg.prob_of_sequence(seq, theta)": 0.25,
         "state.omega": {"d": [2.0, 2.0], "v": [2.0], "i": [2.0], "c": [2.0]},
     }
