@@ -8,16 +8,17 @@ checks such sequences (`is_wellformed`), evaluates them in one pass
 derivations of a sentence (`parse`), scores and samples them under
 per-item probabilities (`log_prob_of_sequence`, `sample_derivation`), and
 fits those probabilities to a corpus with variational Bayes (`train`).
+
+Only training, sampling and the Dirichlet helpers compute with numpy, so
+importing the package does not load it: the names taken from
+`pdmg.inference` import that module, and numpy, on first access.
 """
 
-from .chart import ChartItem, DerivationForest, ParseConfig, parse
+from .chart import ChartItem, DerivationForest, ParseConfig, TrainConfig, parse
 from .errors import (ArityError, CapExceeded, EvalError, FeatureMismatch,
                      FeatureOrderError, InvalidModel, LexiconError, PdmgError,
                      RuleError, SmcViolation, UnderivableCategory,
                      UnknownCategoryError, UnparsedSentence)
-from .inference import (EncodedCorpus, SentencePosterior, TrainConfig,
-                        TrainState, encode_corpus, posterior_mean,
-                        theta_star, train)
 from .lexicon import (Feature, FeatureKind, LexicalItem, Lexicon,
                       build_lexicon, lexicon_to_text, load_lexicon,
                       parse_feature, parse_lexicon)
@@ -33,6 +34,23 @@ from .structure import (Chain, Expression, Leaf, MergeNode, MoveNode,
 from .wellformed import CursorTrace, TraceStep, is_wellformed, trace_wellformed
 
 __version__ = "0.1.0"
+
+_FROM_INFERENCE = frozenset({
+    "EncodedCorpus", "SentencePosterior", "TrainState", "encode_corpus",
+    "posterior_mean", "theta_star", "train",
+})
+
+
+def __getattr__(name: str):
+    if name in _FROM_INFERENCE:
+        from . import inference
+        return getattr(inference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _FROM_INFERENCE)
+
 
 __all__ = [
     "ArityError", "CapExceeded", "Chain", "ChartItem", "CursorTrace",

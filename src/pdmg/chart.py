@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .errors import CapExceeded, UnknownCategoryError
+from .errors import CapExceeded, InvalidModel, UnknownCategoryError
 from .lexicon import (KIND_CODE, Feature, FeatureCodes, FeatureKind, LexicalItem,
                       Lexicon)
 
@@ -97,6 +97,20 @@ class ParseConfig:
     max_derivations: int = 10_000
     max_covert: int = 3
     max_steps: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        for name in ("max_derivations", "max_covert", "max_steps"):
+            value = getattr(self, name)
+            if value < 0:
+                raise InvalidModel(f"{name} must be >= 0, got {value}")
+
+
+@dataclass(frozen=True)
+class TrainConfig(ParseConfig):
+    """A ParseConfig, for parsing the corpus, plus the VB loop's settings."""
+    tol: float = 1.0e-6
+    max_iters: int = 100
+    skip_unparsed: bool = False
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,12 @@ import sys
 from typing import Callable, Sequence
 
 import click
-import numpy as np
 
 from . import __version__
-from .chart import ParseConfig, parse
+from .chart import ParseConfig, TrainConfig, parse
 from .corpus import canonical_json, load_corpus
 from .errors import (CapExceeded, EvalError, LexiconError, PdmgError,
                      UnparsedSentence)
-from .inference import TrainConfig, train
 from .lexicon import LexicalItem, Lexicon, load_lexicon
 from .model import (SampleConfig, Theta, _draws, load_alpha, load_theta,
                     ones_alpha, uniform_theta)
@@ -272,6 +270,8 @@ def _logsumexp(values: list[float]) -> float:
 def sample(lexicon_path: str, start: str, count: int, seed: int | None,
            theta_path: str | None, max_depth: int, max_rejections: int) -> None:
     """Draw well-formed sequences; one line of item references each."""
+    import numpy as np
+
     def body() -> None:
         lex = load_lexicon(lexicon_path)
         theta = (uniform_theta(lex) if theta_path is None
@@ -303,6 +303,8 @@ def train_cmd(lexicon_path: str, corpus_path: str, start: str,
               alpha_path: str | None, tol: float, max_iters: int,
               skip_unparsed: bool, out_path: str, **caps: int) -> None:
     """Fit per-item probabilities to CORPUS and write a JSON result."""
+    from .inference import train
+
     def body() -> None:
         lex = load_lexicon(lexicon_path)
         alpha = (ones_alpha(lex) if alpha_path is None

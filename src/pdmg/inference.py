@@ -22,7 +22,7 @@ decreases.  Training stops when consecutive bound values agree within
 
 Derivation candidates come from the chart parser once, up front, as each
 forest's tuples of global item ids (``forest.ids``); training never builds
-their LexicalItem sequences except to report the final posteriors.  The
+their LexicalItem sequences unless ``TrainState.posteriors`` is read.  The
 loop itself runs on flat arrays of those ids via the kernels in
 ``numerics``.  An iteration computes ``log t*`` once and uses it both to
 weigh derivations and in the KL's ``(omega - alpha) * log t*`` term; the
@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chart import ParseConfig, decode_ids, parse
+from .chart import TrainConfig, decode_ids, parse
 from .errors import InvalidModel, UnparsedSentence
 from .lexicon import LexicalItem, Lexicon
 from .model import Theta, validate_alpha
@@ -129,38 +130,42 @@ def encode_corpus(
     )
 
 
-@dataclass(frozen=True)
-class TrainConfig(ParseConfig):
-    """A ParseConfig, for parsing the corpus, plus the VB loop's settings."""
-    tol: float = 1.0e-6
-    max_iters: int = 100
-    skip_unparsed: bool = False
-
-
 @dataclass
 class TrainState:
-    """Result of a training run."""
+    """Result of a training run.
+
+    ``posteriors`` is built from the last iteration's weights on first
+    read; a fit that nobody asks for them never decodes a derivation.
+    """
     omega: dict[str, list[float]]
     theta_mean: Theta
     elbo_trace: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
     unparsed: list[int] = field(default_factory=list)
-    posteriors: list[SentencePosterior] = field(default_factory=list)
+    _sentences: tuple[str, ...] = field(default=(), repr=False, compare=False)
+    _ids: tuple[tuple[tuple[int, ...], ...], ...] = field(
+        default=(), repr=False, compare=False)
+    _q: Sequence[float] = field(default=(), repr=False, compare=False)
+    _logz: Sequence[float] = field(default=(), repr=False, compare=False)
+    _items: tuple[LexicalItem, ...] = field(default=(), repr=False, compare=False)
 
-
-def _posteriors_from(lexicon: Lexicon, encoded: EncodedCorpus, q: np.ndarray,
-                     logz: np.ndarray) -> list[SentencePosterior]:
-    out = []
-    for n, forest_ids in enumerate(encoded.derivations):
-        j0, j1 = int(encoded.sstart[n]), int(encoded.sstart[n + 1])
-        out.append(SentencePosterior(
-            sentence=encoded.sentences[n],
-            sequences=decode_ids(lexicon.items, forest_ids),
-            weights=tuple(float(v) for v in q[j0:j1]),
-            log_z=float(logz[n]),
-        ))
-    return out
+    @cached_property
+    def posteriors(self) -> list[SentencePosterior]:
+        """Each kept sentence's derivations and their final weights; empty
+        when no iteration ran."""
+        out = []
+        j0 = 0
+        for sentence, forest_ids, log_z in zip(self._sentences, self._ids, self._logz):
+            j1 = j0 + len(forest_ids)
+            out.append(SentencePosterior(
+                sentence=sentence,
+                sequences=decode_ids(self._items, forest_ids),
+                weights=tuple(float(v) for v in self._q[j0:j1]),
+                log_z=float(log_z),
+            ))
+            j0 = j1
+        return out
 
 
 def train(lexicon: Lexicon, sentences: Sequence[str],
@@ -231,5 +236,9 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
         iterations=iterations,
         converged=converged,
         unparsed=unparsed,
-        posteriors=_posteriors_from(lexicon, encoded, q, logz) if iterations else [],
+        _sentences=encoded.sentences,
+        _ids=encoded.derivations,
+        _q=q,
+        _logz=logz,
+        _items=lexicon.items,
     )

@@ -28,15 +28,15 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import (ArityError, CapExceeded, InvalidModel, UnderivableCategory,
                      UnknownCategoryError)
 from .lexicon import LexicalItem, Lexicon
-from .numerics import gammaln
 from .wellformed import is_wellformed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _NORM_TOL = 1.0e-12
 
@@ -163,6 +163,10 @@ def prob_of_sequence(seq: Sequence[LexicalItem],
 
 def log_dirichlet_density(row: Sequence[float], alpha_row: Sequence[float]) -> float:
     """log Dir(row | alpha_row) for one category's parameter vector."""
+    import numpy as np
+
+    from .numerics import gammaln
+
     a = np.asarray(alpha_row, dtype=np.float64)
     x = np.asarray(row, dtype=np.float64)
     if np.any(x <= 0.0):
@@ -190,6 +194,7 @@ def log_joint(seq: Sequence[LexicalItem], theta: Mapping[str, Sequence[float]],
 def sample_theta(lexicon: Lexicon, alpha: Mapping[str, Sequence[float]],
                  seed: int | None = None) -> Theta:
     """Draw theta ~ Dir(alpha), one draw per category in lexicon order."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     out: Theta = {}
     for cat in lexicon.categories:
@@ -277,6 +282,7 @@ def _draws(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
             f"{config.start!r} item has licensees, which nothing above the "
             f"root can check")
     if rng is None:
+        import numpy as np
         rng = np.random.default_rng()
     tables = _cumulative_tables(lexicon, theta)
     draw = rng.random

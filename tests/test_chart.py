@@ -9,7 +9,8 @@ from click.testing import CliRunner
 import oracle
 import pdmg
 from conftest import data_path, random_lexicon
-from pdmg import CapExceeded, ParseConfig, UnknownCategoryError, chart, parse
+from pdmg import (CapExceeded, InvalidModel, ParseConfig, TrainConfig,
+                  UnknownCategoryError, chart, parse)
 from pdmg.cli import main
 
 
@@ -127,6 +128,17 @@ class TestCaps:
     def test_max_steps_exceeded(self, whq):
         with pytest.raises(CapExceeded):
             parse(whq, "what did you see".split(), CFG(max_steps=5))
+
+    @pytest.mark.parametrize("name", ["max_derivations", "max_covert", "max_steps"])
+    @pytest.mark.parametrize("config", [ParseConfig, TrainConfig])
+    def test_negative_cap_is_bad_input(self, config, name):
+        with pytest.raises(InvalidModel, match=f"^{name} must be >= 0, got -1$"):
+            config(start="c", **{name: -1})
+
+    def test_zero_caps_are_valid(self, ambig):
+        cfg = CFG(max_derivations=0, max_covert=0, max_steps=0)
+        assert (cfg.max_derivations, cfg.max_covert, cfg.max_steps) == (0, 0, 0)
+        assert parse(ambig, ["saw"], CFG(max_covert=0)).count == 0
 
     def test_covert_recursion_bounded(self):
         lex = pdmg.parse_lexicon("a :: c\nε :: =c c\n")

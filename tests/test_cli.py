@@ -396,6 +396,33 @@ def _assert_one_error_line(r, code):
     assert "Traceback" not in r.output
 
 
+class TestNegativeCaps:
+    """A negative cap is bad input, not an empty forest."""
+
+    @pytest.mark.parametrize("flag", ["--max-derivations", "--max-covert",
+                                      "--max-steps"])
+    @pytest.mark.parametrize("command", ["parse", "score", "train"])
+    def test_exits_2(self, runner, tmp_path, command, flag):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("you\n")
+        out = tmp_path / "result.json"
+        args = {"parse": ["parse", WHQ, "you"],
+                "score": ["score", WHQ, "you"],
+                "train": ["train", WHQ, str(corpus), "--out", str(out)]}[command]
+        r = runner.invoke(main, args + ["--start", "d", flag, "-1"])
+        _assert_one_error_line(r, 2)
+        name = flag[2:].replace("-", "_")
+        assert r.stderr == f"error: {name} must be >= 0, got -1\n"
+        assert r.stdout == ""
+        assert not out.exists()
+
+    def test_zero_covert_is_valid(self, runner):
+        r = runner.invoke(main, ["parse", WHQ, "you", "--start", "d",
+                                 "--max-covert", "0"])
+        assert r.exit_code == 0
+        assert json.loads(r.output)["count"] == 1
+
+
 class TestBadModelRows:
     """Rows that are not lists of numbers exit 2 with one error line."""
 

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import oracle
 import pdmg
+from conftest import data_path
 from pdmg import (
     InvalidModel,
     ParseConfig,
@@ -20,6 +22,7 @@ from pdmg import (
     train,
     uniform_theta,
 )
+from pdmg.cli import main
 from pdmg.inference import dict_to_flat, flat_to_dict
 from pdmg.numerics import estep_flat, log_theta_star_flat
 
@@ -194,6 +197,36 @@ class TestTrainWhq:
         assert post.sentence == self.SENTENCE
         assert post.weights == (1.0,)
         assert len(post.sequences) == 1
+
+
+class TestPosteriorsOnDemand:
+    """A fit decodes no derivation until ``posteriors`` is read."""
+
+    SENTENCE = "what did you see"
+
+    def test_train_builds_no_posterior(self, whq, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a posterior was built")
+
+        monkeypatch.setattr(pdmg.inference, "SentencePosterior", refuse)
+        monkeypatch.setattr(pdmg.inference, "decode_ids", refuse)
+        state = train(whq, [self.SENTENCE], ones_alpha(whq),
+                      TrainConfig(start="c"))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(self.SENTENCE + "\n")
+        r = CliRunner().invoke(main, ["train", data_path("whq.lex"), str(corpus),
+                                      "--start", "c",
+                                      "--out", str(tmp_path / "result.json")])
+        assert r.exit_code == 0, r.output
+        monkeypatch.undo()
+        assert [p.weights for p in state.posteriors] == [(1.0,)]
+
+    def test_built_once(self, whq):
+        state = train(whq, [self.SENTENCE, "what did see you"], ones_alpha(whq),
+                      TrainConfig(start="c"))
+        assert state.posteriors is state.posteriors
+        assert [p.sentence for p in state.posteriors] == [
+            self.SENTENCE, "what did see you"]
 
 
 class TestTrainBehavior:
