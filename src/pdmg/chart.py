@@ -57,6 +57,7 @@ rather than silently truncating.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -107,10 +108,18 @@ class ParseConfig:
 
 @dataclass(frozen=True)
 class TrainConfig(ParseConfig):
-    """A ParseConfig, for parsing the corpus, plus the VB loop's settings."""
+    """A ParseConfig, for parsing the corpus, plus the VB loop's settings,
+    checked when built as ParseConfig's caps are."""
     tol: float = 1.0e-6
     max_iters: int = 100
     skip_unparsed: bool = False
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.max_iters < 0:
+            raise InvalidModel("max_iters must be >= 0")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise InvalidModel("tol must be finite and >= 0")
 
 
 @dataclass(frozen=True)

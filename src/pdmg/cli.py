@@ -258,8 +258,8 @@ def _logsumexp(values: list[float]) -> float:
 @main.command()
 @click.argument("lexicon_path", metavar="LEXICON")
 @click.option("--start", required=True, help="Category to expand from.")
-@click.option("-n", "count", default=1, show_default=True,
-              help="Number of sequences to draw.")
+@click.option("-n", "count", type=click.IntRange(min=0), default=1,
+              show_default=True, help="Number of sequences to draw.")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="RNG seed.")
 @click.option("--theta", "theta_path", default=None,

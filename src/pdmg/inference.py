@@ -41,13 +41,18 @@ import numpy as np
 from .chart import TrainConfig, decode_ids, parse
 from .errors import InvalidModel, UnparsedSentence
 from .lexicon import LexicalItem, Lexicon
-from .model import Theta, validate_alpha
+from .model import Theta, _validate_rows, validate_alpha
 from .numerics import (dirichlet_kl_flat, estep_flat, gammaln_terms,
                        log_theta_star_flat)
 
 
 def _flat_offsets(lexicon: Lexicon) -> np.ndarray:
     return np.asarray(lexicon.offsets, dtype=np.int64)
+
+
+def _omega_flat(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> np.ndarray:
+    return dict_to_flat(lexicon, _validate_rows(lexicon, omega, "omega",
+                                                positive=True, tol=None))
 
 
 def dict_to_flat(lexicon: Lexicon, rows: Mapping[str, Sequence[float]]) -> np.ndarray:
@@ -66,9 +71,7 @@ def flat_to_dict(lexicon: Lexicon, flat: np.ndarray) -> dict[str, list[float]]:
 
 def theta_star(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> Theta:
     """exp(psi(omega_i) - psi(sum_cat omega)): the geometric-mean point."""
-    flat = dict_to_flat(lexicon, omega)
-    if not np.all(flat > 0.0):
-        raise InvalidModel("omega entries must be > 0")
+    flat = _omega_flat(lexicon, omega)
     logs = log_theta_star_flat(flat, _flat_offsets(lexicon))
     return flat_to_dict(lexicon, np.exp(logs))
 
@@ -76,7 +79,7 @@ def theta_star(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> Theta:
 def posterior_mean(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> Theta:
     """Dirichlet mean omega_i / sum_cat omega, per category."""
     offsets = _flat_offsets(lexicon)
-    flat = dict_to_flat(lexicon, omega)
+    flat = _omega_flat(lexicon, omega)
     sums = np.add.reduceat(flat, offsets[:-1])
     return flat_to_dict(lexicon, flat / np.repeat(sums, np.diff(offsets)))
 
@@ -176,10 +179,6 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
     recorded and dropped when ``config.skip_unparsed`` is set.
     """
     alpha = validate_alpha(lexicon, alpha)
-    if config.max_iters < 0:
-        raise InvalidModel("max_iters must be >= 0")
-    if not (math.isfinite(config.tol) and config.tol >= 0.0):
-        raise InvalidModel("tol must be finite and >= 0")
 
     # Only the id tuples are kept, so each chart is freed once parsed.
     kept_sentences: list[str] = []

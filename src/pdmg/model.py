@@ -39,29 +39,43 @@ if TYPE_CHECKING:
     import numpy as np
 
 _NORM_TOL = 1.0e-12
+# The least positive double: for a float v, v >= _LEAST_POSITIVE iff v > 0.
+_LEAST_POSITIVE = math.ulp(0.0)
 
 Theta = dict[str, list[float]]
 Alpha = dict[str, list[float]]
 
 
+def _number(v: object) -> float:
+    """float(v), but TypeError for a bool, str or bytes; a huge int is inf."""
+    if isinstance(v, (bool, str, bytes)):
+        raise TypeError
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _validate_rows(lexicon: Lexicon, rows: Mapping[str, Sequence[float]],
-                   name: str, *, positive: bool, normalized: bool,
+                   name: str, *, positive: bool, tol: float | None,
                    ) -> dict[str, list[float]]:
-    """One finite row per category, entries > 0 (``positive``) or >= 0,
-    summing to 1 within ``_NORM_TOL`` when ``normalized``."""
-    bound = "> 0" if positive else ">= 0"
+    """The one check of a theta, alpha or omega: each category's row as a
+    list of floats, one per item, each finite and > 0 (``positive``) or >= 0,
+    summing to 1 within ``tol`` unless it is None.  InvalidModel otherwise,
+    with one message per defect, checked in that order, then unknown
+    categories."""
+    bound, least = ("> 0", _LEAST_POSITIVE) if positive else (">= 0", 0.0)
+    inf = math.inf
     out: dict[str, list[float]] = {}
     for cat in lexicon.categories:
-        if cat not in rows:
-            raise InvalidModel(f"{name} missing category {cat!r}")
-        raw = rows[cat]
-        if isinstance(raw, (str, bytes, Mapping)):
-            raw = None  # iterable, but not a row of numbers
         try:
-            # float() takes booleans and numeric strings; they are not numbers.
-            if any(isinstance(v, (bool, str)) for v in raw):
-                raise TypeError
-            row = [float(v) for v in raw]
+            raw = rows[cat]
+        except KeyError:
+            raise InvalidModel(f"{name} missing category {cat!r}") from None
+        try:
+            if type(raw) is not list and isinstance(raw, (str, bytes, Mapping)):
+                raise TypeError  # iterable, but not a row of numbers
+            row = [v if type(v) is float else _number(v) for v in raw]
         except (TypeError, ValueError):
             raise InvalidModel(
                 f"{name}[{cat!r}] must be a list of numbers") from None
@@ -70,32 +84,32 @@ def _validate_rows(lexicon: Lexicon, rows: Mapping[str, Sequence[float]],
             raise InvalidModel(
                 f"{name}[{cat!r}] has {len(row)} entries, lexicon has {n} items")
         for v in row:
-            if not math.isfinite(v) or v < 0.0 or (positive and v == 0.0):
-                raise InvalidModel(
-                    f"{name}[{cat!r}] entries must be finite and {bound}")
-        if normalized:
+            if not least <= v < inf:  # negated, so that NaN fails it
+                raise InvalidModel(f"{name}[{cat!r}] entries must be finite and "
+                                   f"{bound}; entry {v!r} is not")
+        if tol is not None:
             try:
                 s = math.fsum(row)
             except OverflowError:  # finite entries, but their sum overflows
-                s = math.inf
-            if abs(s - 1.0) > _NORM_TOL:
+                s = inf
+            if not abs(s - 1.0) <= tol:
                 raise InvalidModel(
-                    f"{name}[{cat!r}] sums to {s!r}, expected 1 within {_NORM_TOL}")
+                    f"{name}[{cat!r}] sums to {s!r}, expected 1 within {tol:.3g}")
         out[cat] = row
-    extra = set(rows) - set(lexicon.categories)
-    if extra:
+    if len(rows) != len(out):
+        extra = set(rows) - set(lexicon.categories)
         raise InvalidModel(f"{name} has unknown categories: {sorted(extra)}")
     return out
 
 
 def validate_theta(lexicon: Lexicon, theta: Mapping[str, Sequence[float]]) -> Theta:
-    """Check shape, positivity, and per-category normalization of theta."""
-    return _validate_rows(lexicon, theta, "theta", positive=False, normalized=True)
+    """theta's rows as floats: finite, >= 0, summing to 1 within _NORM_TOL."""
+    return _validate_rows(lexicon, theta, "theta", positive=False, tol=_NORM_TOL)
 
 
 def validate_alpha(lexicon: Lexicon, alpha: Mapping[str, Sequence[float]]) -> Alpha:
     """Check shape and strict positivity of Dirichlet pseudo-counts."""
-    return _validate_rows(lexicon, alpha, "alpha", positive=True, normalized=False)
+    return _validate_rows(lexicon, alpha, "alpha", positive=True, tol=None)
 
 
 def uniform_theta(lexicon: Lexicon) -> Theta:
@@ -179,9 +193,11 @@ def log_joint(seq: Sequence[LexicalItem], theta: Mapping[str, Sequence[float]],
               alpha: Mapping[str, Sequence[float]], lexicon: Lexicon) -> float:
     """log [ Dir(theta | alpha) * P(sequence | theta) ].
 
-    Raises when the sequence is rejected by the checker: an impossible
-    derivation has no joint density to report.
+    Raises InvalidModel for a bad theta or alpha, and when the checker
+    rejects the sequence: an impossible derivation has no joint density.
     """
+    theta = validate_theta(lexicon, theta)
+    alpha = validate_alpha(lexicon, alpha)
     lp = log_prob_of_sequence(seq, theta)
     if lp == -math.inf:
         raise InvalidModel("sequence is not well-formed; log joint undefined")
@@ -195,6 +211,7 @@ def sample_theta(lexicon: Lexicon, alpha: Mapping[str, Sequence[float]],
                  seed: int | None = None) -> Theta:
     """Draw theta ~ Dir(alpha), one draw per category in lexicon order."""
     import numpy as np
+    alpha = validate_alpha(lexicon, alpha)
     rng = np.random.default_rng(seed)
     out: Theta = {}
     for cat in lexicon.categories:
@@ -210,38 +227,19 @@ def _cumulative_tables(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
                        ) -> dict[str, tuple[tuple[LexicalItem, ...], list[float]]]:
     """Each category's items and the cumulative distribution of its row.
 
-    The table is built as ``Generator.choice`` builds it: running sums in
-    row order, each divided by the last.  So ``bisect_right(cdf, u)`` picks
-    the item that ``rng.choice(len(items), p=row)`` picks with the same
-    uniform ``u``.  A row choice would refuse (an entry that is negative or
-    NaN, or a sum more than ``_SAMPLE_TOL`` from 1) raises InvalidModel.
+    theta is checked as by ``validate_theta``, but with the sum tolerance of
+    ``Generator.choice``, and the table is built as that builds it: running
+    sums in row order, each divided by the last.  So ``bisect_right(cdf, u)``
+    picks the item ``rng.choice(len(items), p=row)`` picks with the same ``u``.
     """
     tables = {}
-    for cat in lexicon.categories:
-        items = lexicon.items_of_category(cat)
-        if cat not in theta:
-            raise InvalidModel(f"theta missing category {cat!r}")
-        try:
-            row = [float(v) for v in theta[cat]]
-        except (TypeError, ValueError):
-            raise InvalidModel(
-                f"theta[{cat!r}] must be a list of numbers") from None
-        if len(row) != len(items):
-            raise InvalidModel(f"theta[{cat!r}] has {len(row)} entries, "
-                               f"lexicon has {len(items)} items")
-        # Negated comparisons, so that NaN fails them.  No entry above the
-        # upper bound belongs to a row within tol, and the bound keeps fsum
-        # from overflowing.
-        for v in row:
-            if not 0.0 <= v <= 1.0 + _SAMPLE_TOL:
-                raise InvalidModel(
-                    f"theta[{cat!r}] has entry {v!r}, not a probability")
-        total = math.fsum(row)
-        if not abs(total - 1.0) <= _SAMPLE_TOL:
-            raise InvalidModel(f"theta[{cat!r}] sums to {total!r}, "
-                               f"expected 1 within {_SAMPLE_TOL:.3g}")
-        sums = list(accumulate(row))
-        tables[cat] = items, [c / sums[-1] for c in sums]
+    rows = _validate_rows(lexicon, theta, "theta", positive=False, tol=_SAMPLE_TOL)
+    for cat, row in rows.items():
+        cdf = list(accumulate(row))
+        total = cdf[-1]
+        for i, c in enumerate(cdf):
+            cdf[i] = c / total
+        tables[cat] = lexicon.items_of_category(cat), cdf
     return tables
 
 
@@ -250,6 +248,12 @@ class SampleConfig:
     start: str
     max_depth: int = 64
     max_rejections: int = 10_000
+
+    def __post_init__(self) -> None:
+        for name in ("max_depth", "max_rejections"):
+            value = getattr(self, name)
+            if value < 0:
+                raise InvalidModel(f"{name} must be >= 0, got {value}")
 
 
 def sample_derivation(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
@@ -263,8 +267,8 @@ def sample_derivation(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
     ``max_depth`` during a proposal, or ``max_rejections`` overall,
     raises CapExceeded.  A start category whose every item has licensees
     raises UnderivableCategory up front: each proposal's root would keep
-    them unchecked.  A theta row that is not a distribution within
-    ``_SAMPLE_TOL`` raises InvalidModel before any draw.
+    them unchecked.  A theta that ``_cumulative_tables`` refuses raises
+    InvalidModel before any draw.
     """
     return next(_draws(lexicon, theta, config, rng))
 

@@ -18,8 +18,9 @@ reciprocals accumulate with Neumaier compensation, and for x < 1e-3 the
 dominant 1/x term carries an exact-product residual correction (Veltkamp
 splitting) so the final subtraction is the only rounding at full scale.
 
-gammaln applies the standard library's ``math.lgamma`` to each element.
-Both functions are defined for positive reals only.
+gammaln applies the standard library's ``math.lgamma`` to each element,
+and is inf where log Gamma(x) exceeds the largest double.  Both functions
+are defined for positive reals only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,15 @@ _C12, _C120, _C252 = 1.0 / 12.0, 1.0 / 120.0, 1.0 / 252.0
 _C240, _C132 = 1.0 / 240.0, 1.0 / 132.0
 _C32760 = 691.0 / 32760.0
 
-_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+def _lgamma_or_inf(x: float) -> float:
+    try:
+        return math.lgamma(x)
+    except OverflowError:  # x above about 2.6e305: log Gamma(x) is not a double
+        return math.inf
+
+
+_lgamma = np.frompyfunc(_lgamma_or_inf, 1, 1)
 
 
 def _two_prod_err(a, b, p):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -421,6 +422,50 @@ class TestNegativeCaps:
                                  "--max-covert", "0"])
         assert r.exit_code == 0
         assert json.loads(r.output)["count"] == 1
+
+
+class TestNegativeSampleCounts:
+    """``pdmg sample`` refuses a negative count or cap (exit 2); zero is valid."""
+
+    @pytest.mark.parametrize("flag", ["--max-depth", "--max-rejections"])
+    def test_negative_cap_exits_2(self, runner, flag):
+        r = runner.invoke(main, ["sample", WHQ, "--start", "c", "--seed", "1",
+                                 flag, "-1"])
+        _assert_one_error_line(r, 2)
+        name = flag[2:].replace("-", "_")
+        assert r.stderr == f"error: {name} must be >= 0, got -1\n"
+        assert r.stdout == ""
+
+    def test_negative_count_exits_2(self, runner):
+        r = runner.invoke(main, ["sample", WHQ, "--start", "c", "--seed", "1",
+                                 "-n", "-1"])
+        assert r.exit_code == 2
+        assert "Invalid value for '-n'" in r.stderr
+        assert "Traceback" not in r.output
+        assert r.stdout == ""
+
+    def test_zero_count_prints_nothing(self, runner):
+        r = runner.invoke(main, ["sample", WHQ, "--start", "c", "--seed", "1",
+                                 "-n", "0"])
+        assert (r.exit_code, r.output) == (0, "")
+
+    def test_zero_depth_is_a_cap_not_bad_input(self, runner):
+        r = runner.invoke(main, ["sample", WHQ, "--start", "c", "--seed", "1",
+                                 "--max-depth", "0"])
+        _assert_one_error_line(r, 4)
+        assert r.stderr == "error: sampler exceeded max depth 0\n"
+
+    def test_zero_rejections_is_valid(self, runner):
+        # seed 1's first proposal is accepted, so no rejection trips the cap
+        lex = pdmg.load_lexicon(WHQ)
+        seq, rejected = pdmg.model.sample_derivation(
+            lex, pdmg.model.uniform_theta(lex),
+            pdmg.model.SampleConfig(start="c", max_rejections=0),
+            np.random.default_rng(1))
+        r = runner.invoke(main, ["sample", WHQ, "--start", "c", "--seed", "1",
+                                 "--max-rejections", "0"])
+        assert rejected == 0
+        assert (r.exit_code, r.output) == (0, " ".join(it.ref for it in seq) + "\n")
 
 
 class TestBadModelRows:

@@ -1,6 +1,7 @@
 """Unit tests for corpus encoding, the bound, and the training loop."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -300,6 +301,21 @@ class TestTrainBehavior:
                       TrainConfig(start="c"))
         assert state.omega["a"] == state.omega["b"]
         assert state.omega["c"][0] == state.omega["c"][1]
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"max_iters": -1}, "max_iters must be >= 0"),
+        ({"tol": -1e-9}, "tol must be finite and >= 0"),
+        ({"tol": math.nan}, "tol must be finite and >= 0"),
+        ({"tol": math.inf}, "tol must be finite and >= 0"),
+        ({"max_covert": -1}, "max_covert must be >= 0, got -1"),
+    ])
+    def test_config_checked_when_built(self, fields, message):
+        with pytest.raises(InvalidModel, match=f"^{re.escape(message)}$"):
+            TrainConfig(start="c", **fields)
+
+    def test_zero_iters_and_tol_valid(self):
+        cfg = TrainConfig(start="c", max_iters=0, tol=0.0)
+        assert (cfg.max_iters, cfg.tol) == (0, 0.0)
 
     def test_tol_zero_runs_to_fixed_point(self, whq):
         state = train(whq, ["what did you see"], ones_alpha(whq),

@@ -25,7 +25,7 @@ from pdmg import (
     validate_alpha,
     validate_theta,
 )
-from pdmg.model import log_dirichlet_density
+from pdmg.model import _cumulative_tables, log_dirichlet_density
 
 
 class TestValidateTheta:
@@ -293,3 +293,146 @@ class TestSampler:
             assert pdmg.eval_sequence(seq) == "a"
             lengths.add(len(seq))
         assert 1 in lengths and len(lengths) > 1
+
+
+# One table of bad rows, put in place of category 'd' (two items) of whq.lex,
+# or DELETE to drop that category.  Each entry gives the message for a theta
+# (entries >= 0, summing to 1) and for an alpha or omega (entries > 0, no sum),
+# or None where that kind of row is valid.  {name} is "theta", "alpha" or
+# "omega", {bound} is ">= 0" or "> 0", and {tol} the theta check's tolerance.
+DELETE = object()
+NUMBERS = "{name}['d'] must be a list of numbers"
+ENTRY = "{name}['d'] entries must be finite and {bound}; entry %s is not"
+SHORT = "{name}['d'] has 1 entries, lexicon has 2 items"
+BAD_ROWS = [
+    ("numeric-string", {"d": ["0.5", "0.5"]}, NUMBERS, NUMBERS),
+    ("boolean", {"d": [True, False]}, NUMBERS, NUMBERS),
+    ("none", {"d": None}, NUMBERS, NUMBERS),
+    ("nested", {"d": [[0.5], [0.5]]}, NUMBERS, NUMBERS),
+    ("bare-number", {"d": 0.5}, NUMBERS, NUMBERS),
+    ("nan", {"d": [math.nan, 1.0]}, ENTRY % "nan", ENTRY % "nan"),
+    ("inf", {"d": [math.inf, 0.0]}, ENTRY % "inf", ENTRY % "inf"),
+    ("minus-inf", {"d": [-math.inf, 1.0]}, ENTRY % "-inf", ENTRY % "-inf"),
+    ("negative", {"d": [-0.25, 1.25]}, ENTRY % "-0.25", ENTRY % "-0.25"),
+    ("zero", {"d": [1.0, 0.0]}, None, ENTRY % "0.0"),
+    ("short", {"d": [1.0]}, SHORT, SHORT),
+    ("missing", {"d": DELETE}, "{name} missing category 'd'",
+     "{name} missing category 'd'"),
+    ("unknown", {"zz": [1.0]}, "{name} has unknown categories: ['zz']",
+     "{name} has unknown categories: ['zz']"),
+    ("overflow", {"d": [1e308, 1e308]},
+     "theta['d'] sums to inf, expected 1 within {tol}", None),
+    ("off-1e-7", {"d": [0.5, 0.5 + 1e-7]},
+     "theta['d'] sums to 1.0000000999999998, expected 1 within {tol}", None),
+]
+
+
+def _with(rows, change):
+    out = dict(rows)
+    for cat, row in change.items():
+        if row is DELETE:
+            del out[cat]
+        else:
+            out[cat] = row
+    return out
+
+
+def _message(call):
+    with pytest.raises(InvalidModel) as info:
+        call()
+    return str(info.value)
+
+
+class TestOneRowOneVerdict:
+    """Every entry point that takes a theta, alpha or omega row refuses a bad
+    row with the same message; only the sampler's sum tolerance differs."""
+
+    @pytest.mark.parametrize("change, theta_msg",
+                             [(c, t) for _, c, t, _ in BAD_ROWS],
+                             ids=[i for i, *_ in BAD_ROWS])
+    def test_theta(self, whq, whq_seq, tmp_path, change, theta_msg):
+        theta = _with(uniform_theta(whq), change)
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(theta))
+        if theta_msg is None:  # a valid row: the checks pass it
+            assert validate_theta(whq, theta) == load_theta(str(path), whq)
+            _cumulative_tables(whq, theta)
+            return
+        checks = {  # each entry point, and the sum tolerance it names
+            "validate_theta": (lambda: validate_theta(whq, theta), "1e-12"),
+            "load_theta": (lambda: load_theta(str(path), whq), "1e-12"),
+            "log_joint": (lambda: log_joint(whq_seq, theta, ones_alpha(whq), whq),
+                          "1e-12"),
+            "sample_derivation": (lambda: sample_derivation(
+                whq, theta, SampleConfig(start="c"), np.random.default_rng(0)),
+                "1.49e-08"),
+        }
+        for entry, (call, tol) in checks.items():
+            assert (entry, _message(call)) == (
+                entry, theta_msg.format(name="theta", bound=">= 0", tol=tol))
+
+    @pytest.mark.parametrize("change, positive_msg",
+                             [(c, p) for _, c, _, p in BAD_ROWS],
+                             ids=[i for i, *_ in BAD_ROWS])
+    def test_alpha_and_omega(self, whq, whq_seq, tmp_path, change, positive_msg):
+        rows = _with(ones_alpha(whq), change)
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(rows))
+        checks = {
+            "alpha": {
+                "validate_alpha": lambda: validate_alpha(whq, rows),
+                "load_alpha": lambda: load_alpha(str(path), whq),
+                "sample_theta": lambda: sample_theta(whq, rows, seed=0),
+                "train": lambda: pdmg.train(whq, ["what did you see"], rows,
+                                            pdmg.TrainConfig(start="c")),
+                "log_joint": lambda: log_joint(whq_seq, uniform_theta(whq),
+                                               rows, whq),
+            },
+            "omega": {
+                "theta_star": lambda: pdmg.theta_star(whq, rows),
+                "posterior_mean": lambda: pdmg.posterior_mean(whq, rows),
+            },
+        }
+        if positive_msg is None:  # a valid row: the checks pass it
+            assert validate_alpha(whq, rows) == load_alpha(str(path), whq)
+            return
+        for name, calls in checks.items():
+            for entry, call in calls.items():
+                assert (entry, _message(call)) == (
+                    entry, positive_msg.format(name=name, bound="> 0"))
+
+    def test_sampler_allows_numpys_tolerance(self, whq):
+        theta = uniform_theta(whq)
+        theta["d"] = [0.5, 0.5 + 1e-9]
+        with pytest.raises(InvalidModel, match="sums to"):
+            validate_theta(whq, theta)
+        sample_derivation(whq, theta, SampleConfig(start="c"),
+                          np.random.default_rng(0))
+
+    def test_integers_are_numbers(self, whq):
+        rows = {"d": [1, 3], "v": [2], "i": [1], "c": [1]}
+        assert validate_alpha(whq, rows) == {
+            "d": [1.0, 3.0], "v": [2.0], "i": [1.0], "c": [1.0]}
+        assert validate_theta(whq, {"d": [0, 1], "v": [1], "i": [1],
+                                    "c": [1]})["d"] == [0.0, 1.0]
+
+    def test_huge_integer_is_an_infinite_entry(self, whq):
+        alpha = ones_alpha(whq)
+        alpha["d"] = [10**400, 1.0]
+        with pytest.raises(InvalidModel, match="entry inf is not"):
+            validate_alpha(whq, alpha)
+
+
+class TestSampleConfig:
+    """SampleConfig checks its caps when built, as ParseConfig does."""
+
+    @pytest.mark.parametrize("name", ["max_depth", "max_rejections"])
+    def test_negative_cap(self, name):
+        with pytest.raises(InvalidModel, match=f"^{name} must be >= 0, got -1$"):
+            SampleConfig(start="c", **{name: -1})
+
+    def test_zero_caps_valid(self, whq):
+        cfg = SampleConfig(start="c", max_depth=0, max_rejections=0)
+        with pytest.raises(CapExceeded):
+            sample_derivation(whq, uniform_theta(whq), cfg,
+                              np.random.default_rng(0))
