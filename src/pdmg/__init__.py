@@ -9,9 +9,10 @@ derivations of a sentence (`parse`), scores and samples them under
 per-item probabilities (`log_prob_of_sequence`, `sample_derivation`), and
 fits those probabilities to a corpus with variational Bayes (`train`).
 
-Only training, sampling and the Dirichlet helpers compute with numpy, so
-importing the package does not load it: the names taken from
-`pdmg.inference` import that module, and numpy, on first access.
+Only training, sampling, `sample_theta`, `theta_star` and
+`posterior_mean` compute with numpy, so importing the package does not
+load it: the names taken from `pdmg.inference` import that module, and
+numpy, on first access.
 """
 
 from .chart import ChartItem, DerivationForest, ParseConfig, TrainConfig, parse

@@ -48,11 +48,15 @@ covert leaves used).  It pops a state, expands its first pending item by
 each of that item's back-pointers in chart order, and pushes the results;
 a state with nothing pending is a derivation.  Pending items and leaf ids
 are cons lists whose tails the states share, so a step costs the same at
-any depth.  Covert leaves per derivation are capped (max_covert), which
-also bounds the unwinding of covert recursion cycles; the number of
-distinct derivations is capped by max_derivations and the total closure
-plus extraction work by max_steps.  Exceeding a cap raises CapExceeded
-rather than silently truncating.
+any depth.  A derivation may use at most max_covert covert leaves, which
+also bounds the unwinding of covert recursion cycles.  This cap is a
+filter, not an error: extraction drops a derivation that needs more
+covert leaves and says nothing, so a sentence whose every derivation
+needs more parses to an empty forest.  The number of distinct
+derivations is capped by max_derivations and the total closure plus
+extraction work by max_steps; exceeding either raises CapExceeded rather
+than silently truncating.  The closure itself always ends, as each item
+is queued once and there are finitely many spans.
 """
 
 from __future__ import annotations
@@ -300,9 +304,7 @@ def _close(
         x = agenda.popleft()
         steps += 1
         if steps > max_steps:
-            raise CapExceeded(
-                f"chart closure exceeded {max_steps} steps "
-                f"(covert-recursion cycle?)")
+            raise CapExceeded(f"chart closure exceeded {max_steps} steps")
         start, end, c, _ = x
         k, f = kind[c], name[c]
         if k == _CAT:

@@ -60,7 +60,8 @@ def _cap_options(command: Callable) -> Callable:
                      show_default=True),
         click.option("--max-covert", default=ParseConfig.max_covert,
                      show_default=True,
-                     help="Unpronounced leaves allowed per derivation."),
+                     help="Unpronounced leaves allowed per derivation; a "
+                     "derivation that needs more is dropped, not an error."),
         click.option("--max-steps", default=ParseConfig.max_steps,
                      show_default=True),
     )):
@@ -73,10 +74,13 @@ def resolve_item(lexicon: Lexicon, ref: str) -> LexicalItem:
     if "@" in ref:
         phon, _, pos = ref.rpartition("@")
         parts = pos.split(".")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        try:  # int() refuses, too, a number past its digit limit
+            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+                raise ValueError
+            k, m = int(parts[0]), int(parts[1])
+        except ValueError:
             raise LexiconError(f"bad item reference {ref!r}: "
-                               "expected phon@<cat>.<item> with integers")
-        k, m = int(parts[0]), int(parts[1])
+                               "expected phon@<cat>.<item> with integers") from None
         if k >= len(lexicon.categories):
             raise LexiconError(f"bad item reference {ref!r}: "
                                f"no category index {k}")

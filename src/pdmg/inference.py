@@ -52,7 +52,7 @@ def _flat_offsets(lexicon: Lexicon) -> np.ndarray:
 
 def _omega_flat(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> np.ndarray:
     return dict_to_flat(lexicon, _validate_rows(lexicon, omega, "omega",
-                                                positive=True, tol=None))
+                                                positive=True))
 
 
 def dict_to_flat(lexicon: Lexicon, rows: Mapping[str, Sequence[float]]) -> np.ndarray:

@@ -9,14 +9,16 @@ fail the well-formedness check carry probability zero.
 sequence from the start category by repeatedly spelling out a head and
 recursing into its selector slots (first selector first, so the emitted
 order is exactly the head-first flattening the checker expects), then
-keep the draw only if the checker accepts it.  Each node's head is drawn
-by inverse-transform sampling: one ``rng.random()`` and a bisection of its
-category's cumulative table.  That is the draw ``Generator.choice`` makes
-from the same row, on the same double of the stream, without re-validating
-the row and rebuilding its cumulative sum at every node; the rows are
-instead checked once, up front.  ``sample_derivation`` builds the tables
-once per call; ``pdmg sample -n N`` takes its N draws from one ``_draws``
-stream, so it builds them once per run.
+keep the draw only if the checker accepts it.  A head that selects a
+category with no items ends its proposal, which is rejected the same way.
+Each node's head is drawn by inverse-transform sampling: one
+``rng.random()`` and a bisection of its category's cumulative table.  That
+is the draw ``Generator.choice`` makes from the same row, on the same
+double of the stream, without re-validating the row and rebuilding its
+cumulative sum at every node; ``validate_theta`` checks the rows once, up
+front.  ``sample_derivation`` builds the tables once per call; ``pdmg
+sample -n N`` takes its N draws from one ``_draws`` stream, so it builds
+them once per run.
 """
 
 from __future__ import annotations
@@ -24,15 +26,15 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .errors import (ArityError, CapExceeded, InvalidModel, UnderivableCategory,
+from .errors import (CapExceeded, InvalidModel, UnderivableCategory,
                      UnknownCategoryError)
 from .lexicon import LexicalItem, Lexicon
+from .special import lgamma
 from .wellformed import is_wellformed
 
 if TYPE_CHECKING:
@@ -57,13 +59,12 @@ def _number(v: object) -> float:
 
 
 def _validate_rows(lexicon: Lexicon, rows: Mapping[str, Sequence[float]],
-                   name: str, *, positive: bool, tol: float | None,
-                   ) -> dict[str, list[float]]:
+                   name: str, *, positive: bool) -> dict[str, list[float]]:
     """The one check of a theta, alpha or omega: each category's row as a
-    list of floats, one per item, each finite and > 0 (``positive``) or >= 0,
-    summing to 1 within ``tol`` unless it is None.  InvalidModel otherwise,
-    with one message per defect, checked in that order, then unknown
-    categories."""
+    list of floats, one per item.  A theta row's entries are finite and >= 0
+    and sum to 1 within _NORM_TOL; an alpha or omega row's (``positive``)
+    are finite and > 0, with a finite sum.  InvalidModel otherwise, with one
+    message per defect, checked in that order, then unknown categories."""
     bound, least = ("> 0", _LEAST_POSITIVE) if positive else (">= 0", 0.0)
     inf = math.inf
     out: dict[str, list[float]] = {}
@@ -87,14 +88,17 @@ def _validate_rows(lexicon: Lexicon, rows: Mapping[str, Sequence[float]],
             if not least <= v < inf:  # negated, so that NaN fails it
                 raise InvalidModel(f"{name}[{cat!r}] entries must be finite and "
                                    f"{bound}; entry {v!r} is not")
-        if tol is not None:
-            try:
-                s = math.fsum(row)
-            except OverflowError:  # finite entries, but their sum overflows
-                s = inf
-            if not abs(s - 1.0) <= tol:
+        try:
+            s = math.fsum(row)
+        except OverflowError:  # finite entries, but their sum overflows
+            s = inf
+        if positive:
+            if s == inf:
                 raise InvalidModel(
-                    f"{name}[{cat!r}] sums to {s!r}, expected 1 within {tol:.3g}")
+                    f"{name}[{cat!r}] sums to inf, expected a finite sum")
+        elif not abs(s - 1.0) <= _NORM_TOL:
+            raise InvalidModel(f"{name}[{cat!r}] sums to {s!r}, "
+                               f"expected 1 within {_NORM_TOL:.3g}")
         out[cat] = row
     if len(rows) != len(out):
         extra = set(rows) - set(lexicon.categories)
@@ -104,12 +108,12 @@ def _validate_rows(lexicon: Lexicon, rows: Mapping[str, Sequence[float]],
 
 def validate_theta(lexicon: Lexicon, theta: Mapping[str, Sequence[float]]) -> Theta:
     """theta's rows as floats: finite, >= 0, summing to 1 within _NORM_TOL."""
-    return _validate_rows(lexicon, theta, "theta", positive=False, tol=_NORM_TOL)
+    return _validate_rows(lexicon, theta, "theta", positive=False)
 
 
 def validate_alpha(lexicon: Lexicon, alpha: Mapping[str, Sequence[float]]) -> Alpha:
-    """Check shape and strict positivity of Dirichlet pseudo-counts."""
-    return _validate_rows(lexicon, alpha, "alpha", positive=True, tol=None)
+    """alpha's rows as floats: finite, > 0, with a finite sum."""
+    return _validate_rows(lexicon, alpha, "alpha", positive=True)
 
 
 def uniform_theta(lexicon: Lexicon) -> Theta:
@@ -156,8 +160,6 @@ def load_alpha(path: str, lexicon: Lexicon) -> Alpha:
 def log_prob_of_sequence(seq: Sequence[LexicalItem],
                          theta: Mapping[str, Sequence[float]]) -> float:
     """log P(sequence | theta); -inf when the checker rejects it."""
-    if not seq:
-        raise ArityError("cannot score an empty sequence")
     if not is_wellformed(seq):
         return -math.inf
     total = 0.0
@@ -176,17 +178,13 @@ def prob_of_sequence(seq: Sequence[LexicalItem],
 
 
 def log_dirichlet_density(row: Sequence[float], alpha_row: Sequence[float]) -> float:
-    """log Dir(row | alpha_row) for one category's parameter vector."""
-    import numpy as np
-
-    from .numerics import gammaln
-
-    a = np.asarray(alpha_row, dtype=np.float64)
-    x = np.asarray(row, dtype=np.float64)
-    if np.any(x <= 0.0):
+    """log Dir(row | alpha_row) for one category's parameter vector; -inf
+    when an entry of ``row`` is 0."""
+    if any(v <= 0.0 for v in row):
         return -math.inf
-    lognorm = float(gammaln(np.array([a.sum()]))[0] - np.sum(gammaln(a)))
-    return lognorm + float(np.sum((a - 1.0) * np.log(x)))
+    lognorm = lgamma(math.fsum(alpha_row)) - math.fsum(map(lgamma, alpha_row))
+    return lognorm + math.fsum((a - 1.0) * math.log(x)
+                               for a, x in zip(alpha_row, row))
 
 
 def log_joint(seq: Sequence[LexicalItem], theta: Mapping[str, Sequence[float]],
@@ -195,11 +193,12 @@ def log_joint(seq: Sequence[LexicalItem], theta: Mapping[str, Sequence[float]],
 
     Raises InvalidModel for a bad theta or alpha, and when the checker
     rejects the sequence: an impossible derivation has no joint density.
+    A well-formed sequence that theta gives probability 0 has log joint -inf.
     """
     theta = validate_theta(lexicon, theta)
     alpha = validate_alpha(lexicon, alpha)
     lp = log_prob_of_sequence(seq, theta)
-    if lp == -math.inf:
+    if lp == -math.inf and not is_wellformed(seq):
         raise InvalidModel("sequence is not well-formed; log joint undefined")
     prior = 0.0
     for cat in lexicon.categories:
@@ -219,22 +218,17 @@ def sample_theta(lexicon: Lexicon, alpha: Mapping[str, Sequence[float]],
     return out
 
 
-# numpy's Generator.choice accepts p when |sum(p) - 1| <= sqrt(eps).
-_SAMPLE_TOL = math.sqrt(sys.float_info.epsilon)
-
-
 def _cumulative_tables(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
                        ) -> dict[str, tuple[tuple[LexicalItem, ...], list[float]]]:
     """Each category's items and the cumulative distribution of its row.
 
-    theta is checked as by ``validate_theta``, but with the sum tolerance of
-    ``Generator.choice``, and the table is built as that builds it: running
-    sums in row order, each divided by the last.  So ``bisect_right(cdf, u)``
-    picks the item ``rng.choice(len(items), p=row)`` picks with the same ``u``.
+    theta is checked by ``validate_theta``, and the table is built as
+    ``Generator.choice`` builds it: running sums in row order, each divided
+    by the last.  So ``bisect_right(cdf, u)`` picks the item
+    ``rng.choice(len(items), p=row)`` picks with the same ``u``.
     """
     tables = {}
-    rows = _validate_rows(lexicon, theta, "theta", positive=False, tol=_SAMPLE_TOL)
-    for cat, row in rows.items():
+    for cat, row in validate_theta(lexicon, theta).items():
         cdf = list(accumulate(row))
         total = cdf[-1]
         for i, c in enumerate(cdf):
@@ -267,7 +261,7 @@ def sample_derivation(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
     ``max_depth`` during a proposal, or ``max_rejections`` overall,
     raises CapExceeded.  A start category whose every item has licensees
     raises UnderivableCategory up front: each proposal's root would keep
-    them unchecked.  A theta that ``_cumulative_tables`` refuses raises
+    them unchecked.  A theta that ``validate_theta`` refuses raises
     InvalidModel before any draw.
     """
     return next(_draws(lexicon, theta, config, rng))
@@ -291,7 +285,7 @@ def _draws(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
     tables = _cumulative_tables(lexicon, theta)
     draw = rng.random
 
-    def propose() -> tuple[LexicalItem, ...]:
+    def propose() -> tuple[LexicalItem, ...] | None:
         out: list[LexicalItem] = []
         stack = [(config.start, 0)]
         while stack:
@@ -300,8 +294,8 @@ def _draws(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
                 raise CapExceeded(
                     f"sampler exceeded max depth {config.max_depth}")
             table = tables.get(cat)
-            if table is None:
-                raise UnknownCategoryError(f"no items of category {cat!r}")
+            if table is None:  # no item has this category: a dead proposal
+                return None
             items, cdf = table
             head = items[bisect_right(cdf, draw())]
             out.append(head)
@@ -313,11 +307,7 @@ def _draws(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
 
     rejected = 0
     while True:
-        try:
-            seq = propose()
-        except UnknownCategoryError:
-            # Head demanded a category no item provides: a dead proposal.
-            seq = None
+        seq = propose()
         if seq is not None and is_wellformed(seq):
             yield seq, rejected
             rejected = 0

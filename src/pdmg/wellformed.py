@@ -51,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import ArityError
 from .lexicon import LexicalItem
 
 # Action tags recorded in traces.
@@ -84,7 +85,9 @@ class CursorTrace:
 
 
 def is_wellformed(seq: Sequence[LexicalItem]) -> bool:
-    """True iff ``seq`` is the polish traversal of a convergent derivation."""
+    """True iff ``seq`` is the polish traversal of a convergent derivation.
+
+    An empty ``seq`` raises ArityError, as ``eval_sequence`` does."""
     return _run(seq, None)
 
 
@@ -103,7 +106,7 @@ def trace_wellformed(seq: Sequence[LexicalItem]) -> CursorTrace:
 def _run(seq: Sequence[LexicalItem], steps: list[TraceStep] | None) -> bool:
     """The verdict; records each action in ``steps`` unless it is None."""
     if not seq:
-        raise ValueError("empty item sequence")
+        raise ArityError("empty item sequence")
     n = len(seq)
     feats = [it.features for it in seq]
     sel, cat = zip(*[it.stages for it in seq])

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ class TestCheckSeq:
     def test_out_of_range_reference(self, runner):
         r = runner.invoke(main, ["check-seq", WHQ, "you@9.0"])
         assert r.exit_code == 2
+
+    # A superscript is a digit to str.isdigit but not to int(), and int()
+    # refuses a number past its digit limit.
+    @pytest.mark.parametrize("ref", ["what@\u00b2.0", "what@" + "9" * 5000 + ".0"])
+    @pytest.mark.parametrize("command", ["check-seq", "derive"])
+    def test_index_int_cannot_read(self, runner, command, ref):
+        r = runner.invoke(main, [command, WHQ, ref])
+        _assert_one_error_line(r, 2)
+        assert r.stderr.endswith(
+            ": expected phon@<cat>.<item> with integers\n")
 
 
 class TestDerive:
@@ -424,6 +435,21 @@ class TestNegativeCaps:
         assert json.loads(r.output)["count"] == 1
 
 
+class TestCovertCap:
+    """``--max-covert`` drops derivations that need more covert leaves; it is
+    a filter, so it trips no error."""
+
+    LEX = "x :: a\nε :: =a b\nε :: =b c\nε :: =c d\nε :: =d e\n"
+
+    @pytest.mark.parametrize("command", ["parse", "score"])
+    @pytest.mark.parametrize("cap, count", [([], 0), (["--max-covert", "4"], 1)])
+    def test_four_covert_leaves(self, runner, tmp_path, command, cap, count):
+        lex = tmp_path / "covert.lex"
+        lex.write_text(self.LEX, encoding="utf-8")
+        r = runner.invoke(main, [command, str(lex), "x", "--start", "e", *cap])
+        assert (r.exit_code, json.loads(r.output)["count"]) == (0, count)
+
+
 class TestNegativeSampleCounts:
     """``pdmg sample`` refuses a negative count or cap (exit 2); zero is valid."""
 
@@ -532,6 +558,24 @@ class TestBadModelRows:
                                  "--start", "c", "--theta", str(p)])
         _assert_one_error_line(r, 2)
         assert "theta has unknown categories" in r.stderr
+
+    @pytest.mark.parametrize("max_iters", ["0", "1", "100"])
+    def test_alpha_sum_overflows(self, runner, tmp_path, max_iters):
+        # Each entry is finite, but the row's sum is not: the posterior mean
+        # would divide by inf.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("what did you see\n")
+        p = tmp_path / "alpha.json"
+        p.write_text('{"d": [1e308, 1e308], "v": [1], "i": [1], "c": [1]}')
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails it
+            r = runner.invoke(main, ["train", WHQ, str(corpus), "--start", "c",
+                                     "--alpha", str(p), "--out", str(out),
+                                     "--max-iters", max_iters])
+        _assert_one_error_line(r, 2)
+        assert r.stderr == "error: alpha['d'] sums to inf, expected a finite sum\n"
+        assert not out.exists()
 
     def test_alpha_nested_too_deeply(self, runner, tmp_path):
         corpus = tmp_path / "corpus.txt"

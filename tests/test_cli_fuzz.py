@@ -1,12 +1,14 @@
 """Fuzz ``pdmg score``, ``sample`` and ``train`` on mutated theta/alpha files
-and on extreme or negative counts, caps and tolerances.
+and on extreme or negative counts, caps and tolerances, and ``parse``,
+``derive``, ``check-seq`` and ``validate`` on mutated lexicon text,
+malformed item references and unknown tokens.
 
-Every run must end in a documented exit code other than 1 (0, 2 bad input,
-3 coverage failure, 4 cap) and never print a traceback.  The CLI maps
-unexpected exceptions to exit 5, and CliRunner reports an exception that
-escapes ``main`` as exit 1, so either is a failure here.  Examples are
-derandomized, and positive counts and rejection caps stay small so that
-every run ends quickly.
+Every run must end in a documented exit code (0, 2 bad input, 3 coverage
+failure, 4 cap, or 1 when ``check-seq`` rejects a sequence) and never print
+a traceback.  The CLI maps unexpected exceptions to exit 5, and CliRunner
+reports an exception that escapes ``main`` as exit 1, so either is a
+failure here.  Examples are derandomized, and positive counts and
+rejection caps stay small so that every run ends quickly.
 """
 
 import json
@@ -16,7 +18,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import data_path
+from conftest import DATA, data_path
 from pdmg.cli import main
 
 WHQ = data_path("whq.lex")
@@ -89,7 +91,10 @@ def workdir(tmp_path_factory):
 def _invoke(args):
     r = CliRunner().invoke(main, args)
     assert "Traceback" not in r.output, r.output
-    assert r.exit_code in DOCUMENTED, (args, r.exit_code, r.output, r.exception)
+    rejected = (args[0] == "check-seq" and r.exit_code == 1
+                and r.stdout.endswith("ill-formed\n"))
+    assert rejected or r.exit_code in DOCUMENTED, (
+        args, r.exit_code, r.output, r.exception)
     return r
 
 
@@ -140,3 +145,112 @@ def test_train(workdir, alpha, tol, max_iters, max_covert, max_steps):
                              "--max-iters": max_iters,
                              "--max-covert": max_covert,
                              "--max-steps": max_steps}))
+
+
+# -- lexicons, item references and tokens ---------------------------------------
+
+LEXICONS = sorted(p.read_text(encoding="utf-8") for p in DATA.glob("*.lex"))
+FEATURE = st.one_of(
+    st.sampled_from(["d", "=d", "d=", "=v", "v", "=i", "i", "c", "+wh", "-wh",
+                     "-k", "=c", "=", "+", "-", "==d", "d==", "=+wh", "D", "1x",
+                     "::", "ε"]),
+    st.text(max_size=3))
+# The items of whq.lex, by bare phon and by reference, and references that
+# are malformed or out of range.  int() reads the Arabic-Indic "٣" but not
+# the superscript "²", though str.isdigit takes both.
+REF = st.one_of(
+    st.sampled_from(["what", "you", "see", "did", "ε", "eps", "what@0.0",
+                     "you@0.1", "see@1.0", "did@2.0", "ε@3.0", "eps@3.0"]),
+    st.sampled_from(["@", "x@", "@0.0", "what@0", "what@0.0.0", "what@-1.0",
+                     "what@a.b", "what@9.0", "what@0.9", "what@ 0.0",
+                     "what@1.0", "what@\u00b2.0", "what@\u0663.0", "what@0x1.0",
+                     "what@" + "9" * 5000 + ".0", "x@y@0.0", "nobody"]),
+    st.text(max_size=6))
+WALKTHROUGH = ["ε", "did", "see", "you", "what"]
+
+
+@st.composite
+def item_refs(draw):
+    """whq.lex's walkthrough sequence, or a permutation of some of its items,
+    with up to two references replaced."""
+    refs = draw(st.one_of(st.just(WALKTHROUGH), st.permutations(WALKTHROUGH)))
+    refs = refs[:draw(st.integers(1, len(refs)))]
+    for _ in range(draw(st.integers(0, 2))):
+        refs[draw(st.integers(0, len(refs) - 1))] = draw(REF)
+    return refs
+
+
+TOKEN = st.one_of(st.sampled_from(["what", "did", "you", "see", "saw", "kim",
+                                   "a", "b", "ε", "::", "#"]),
+                  st.text(max_size=4))
+
+
+@st.composite
+def lexicon_bytes(draw):
+    """A fixture's text after a few line edits (new features, a duplicated
+    or dropped line, a missing ``::``, a random line) and, sometimes, a BOM,
+    CRLF line ends, or a cut or spliced byte."""
+    lines = draw(st.sampled_from(LEXICONS)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["features", "duplicate", "drop",
+                                     "no-separator", "line"]))
+        phon = lines[at].partition("::")[0].strip()
+        if edit == "features":
+            lines[at] = f"{phon} :: " + " ".join(
+                draw(st.lists(FEATURE, min_size=0, max_size=4)))
+        elif edit == "duplicate":
+            lines.insert(at, lines[at])
+        elif edit == "drop" and len(lines) > 1:
+            del lines[at]
+        elif edit == "no-separator":
+            lines[at] = lines[at].replace("::", " ", 1)
+        elif edit == "line":
+            lines.insert(at, draw(st.text(max_size=12)))
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = (ending.join(lines) + ending).encode("utf-8")
+    if draw(st.booleans()):
+        text = b"\xef\xbb\xbf" + text
+    damage = draw(st.sampled_from(["none", "none", "none", "cut", "splice"]))
+    if damage != "none":
+        at = draw(st.integers(0, len(text)))
+        tail = text[at + 1:] if damage == "splice" else b""
+        text = text[:at] + draw(st.binary(max_size=2)) + tail
+    return text
+
+
+LEXICON = st.one_of(st.none(), st.none(), lexicon_bytes())  # None: whq.lex
+
+
+def _lexicon_path(workdir, text):
+    if text is None:
+        return WHQ
+    (workdir / "fuzz.lex").write_bytes(text)
+    return str(workdir / "fuzz.lex")
+
+
+@FUZZ
+@given(lexicon=lexicon_bytes())
+def test_validate(workdir, lexicon):
+    _invoke(["validate", _lexicon_path(workdir, lexicon)])
+
+
+@FUZZ
+@given(lexicon=LEXICON, refs=item_refs(), trace=st.booleans())
+def test_check_seq(workdir, lexicon, refs, trace):
+    _invoke(["check-seq", _lexicon_path(workdir, lexicon), *refs,
+             "--trace" if trace else "--no-trace"])
+
+
+@FUZZ
+@given(lexicon=LEXICON, refs=item_refs())
+def test_derive(workdir, lexicon, refs):
+    _invoke(["derive", _lexicon_path(workdir, lexicon), *refs])
+
+
+@FUZZ
+@given(lexicon=LEXICON, tokens=st.lists(TOKEN, max_size=5),
+       start=st.sampled_from(["c", "d", "v", "zz", "", "=c"]))
+def test_parse(workdir, lexicon, tokens, start):
+    _invoke(["parse", _lexicon_path(workdir, lexicon), " ".join(tokens),
+             "--start", start])

@@ -182,8 +182,15 @@ class TestPrior:
 
     def test_log_joint_rejects_illformed(self, whq, whq_items):
         what, you, see, did, eps = whq_items
-        with pytest.raises(InvalidModel):
+        with pytest.raises(InvalidModel, match="not well-formed"):
             log_joint((did, you), uniform_theta(whq), ones_alpha(whq), whq)
+
+    def test_log_joint_zero_probability(self, whq, whq_seq):
+        # well-formed, but theta gives one of its items probability 0
+        theta = uniform_theta(whq)
+        theta["d"] = [1.0, 0.0]
+        assert pdmg.is_wellformed(whq_seq)
+        assert log_joint(whq_seq, theta, ones_alpha(whq), whq) == -math.inf
 
 
 class TestSampleTheta:
@@ -297,9 +304,9 @@ class TestSampler:
 
 # One table of bad rows, put in place of category 'd' (two items) of whq.lex,
 # or DELETE to drop that category.  Each entry gives the message for a theta
-# (entries >= 0, summing to 1) and for an alpha or omega (entries > 0, no sum),
-# or None where that kind of row is valid.  {name} is "theta", "alpha" or
-# "omega", {bound} is ">= 0" or "> 0", and {tol} the theta check's tolerance.
+# (entries >= 0, summing to 1) and for an alpha or omega (entries > 0, with a
+# finite sum), or None where that kind of row is valid.  {name} is "theta",
+# "alpha" or "omega", and {bound} is ">= 0" or "> 0".
 DELETE = object()
 NUMBERS = "{name}['d'] must be a list of numbers"
 ENTRY = "{name}['d'] entries must be finite and {bound}; entry %s is not"
@@ -321,9 +328,10 @@ BAD_ROWS = [
     ("unknown", {"zz": [1.0]}, "{name} has unknown categories: ['zz']",
      "{name} has unknown categories: ['zz']"),
     ("overflow", {"d": [1e308, 1e308]},
-     "theta['d'] sums to inf, expected 1 within {tol}", None),
+     "theta['d'] sums to inf, expected 1 within 1e-12",
+     "{name}['d'] sums to inf, expected a finite sum"),
     ("off-1e-7", {"d": [0.5, 0.5 + 1e-7]},
-     "theta['d'] sums to 1.0000000999999998, expected 1 within {tol}", None),
+     "theta['d'] sums to 1.0000000999999998, expected 1 within 1e-12", None),
 ]
 
 
@@ -345,7 +353,7 @@ def _message(call):
 
 class TestOneRowOneVerdict:
     """Every entry point that takes a theta, alpha or omega row refuses a bad
-    row with the same message; only the sampler's sum tolerance differs."""
+    row with the same message."""
 
     @pytest.mark.parametrize("change, theta_msg",
                              [(c, t) for _, c, t, _ in BAD_ROWS],
@@ -358,18 +366,16 @@ class TestOneRowOneVerdict:
             assert validate_theta(whq, theta) == load_theta(str(path), whq)
             _cumulative_tables(whq, theta)
             return
-        checks = {  # each entry point, and the sum tolerance it names
-            "validate_theta": (lambda: validate_theta(whq, theta), "1e-12"),
-            "load_theta": (lambda: load_theta(str(path), whq), "1e-12"),
-            "log_joint": (lambda: log_joint(whq_seq, theta, ones_alpha(whq), whq),
-                          "1e-12"),
-            "sample_derivation": (lambda: sample_derivation(
+        checks = {
+            "validate_theta": lambda: validate_theta(whq, theta),
+            "load_theta": lambda: load_theta(str(path), whq),
+            "log_joint": lambda: log_joint(whq_seq, theta, ones_alpha(whq), whq),
+            "sample_derivation": lambda: sample_derivation(
                 whq, theta, SampleConfig(start="c"), np.random.default_rng(0)),
-                "1.49e-08"),
         }
-        for entry, (call, tol) in checks.items():
+        for entry, call in checks.items():
             assert (entry, _message(call)) == (
-                entry, theta_msg.format(name="theta", bound=">= 0", tol=tol))
+                entry, theta_msg.format(name="theta", bound=">= 0"))
 
     @pytest.mark.parametrize("change, positive_msg",
                              [(c, p) for _, c, _, p in BAD_ROWS],
@@ -401,13 +407,14 @@ class TestOneRowOneVerdict:
                 assert (entry, _message(call)) == (
                     entry, positive_msg.format(name=name, bound="> 0"))
 
-    def test_sampler_allows_numpys_tolerance(self, whq):
+    def test_sampler_refuses_numpys_tolerance(self, whq):
+        # Generator.choice would take this row (|sum - 1| <= sqrt(eps)).
         theta = uniform_theta(whq)
         theta["d"] = [0.5, 0.5 + 1e-9]
-        with pytest.raises(InvalidModel, match="sums to"):
-            validate_theta(whq, theta)
-        sample_derivation(whq, theta, SampleConfig(start="c"),
-                          np.random.default_rng(0))
+        want = _message(lambda: validate_theta(whq, theta))
+        assert want == "theta['d'] sums to 1.000000001, expected 1 within 1e-12"
+        assert _message(lambda: sample_derivation(
+            whq, theta, SampleConfig(start="c"), np.random.default_rng(0))) == want
 
     def test_integers_are_numbers(self, whq):
         rows = {"d": [1, 3], "v": [2], "i": [1], "c": [1]}

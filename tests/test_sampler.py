@@ -19,7 +19,7 @@ import oracle
 import pdmg
 from conftest import DATA, data_path, random_lexicon
 from pdmg import (InvalidModel, SampleConfig, ones_alpha, sample_derivation,
-                  sample_theta, uniform_theta)
+                  sample_theta, uniform_theta, validate_theta)
 from pdmg.cli import main as cli_main
 from pdmg.model import _cumulative_tables
 
@@ -82,8 +82,8 @@ def test_fixture_draws_replay_choice(name, theta_kind):
     # a head selecting a category that has no items
     ("b :: =x c\nd :: c\n", {"c": [0.5, 0.5]},
      SampleConfig(start="c", max_rejections=20)),
-    # a row off by less than numpy's tolerance still samples
-    ("p :: c\nq :: c\nr :: c\n", {"c": [0.2, 0.3, 0.5 + 1e-10]},
+    # a row off by less than 1e-12 samples, through the table's division
+    ("p :: c\nq :: c\nr :: c\n", {"c": [0.2, 0.3, 0.5 + 1e-13]},
      SampleConfig(start="c")),
 ])
 def test_caps_and_dead_categories_replay_choice(text, theta, cfg):
@@ -113,9 +113,15 @@ def _random_row(rng: random.Random) -> list[float]:
     row[rng.randrange(n)] += 0.1  # keep the sum positive
     total = math.fsum(row)
     row = [v / total for v in row]
-    if kind == "off":  # within numpy's tolerance, so the table's division shows
-        row[-1] += rng.choice((-1, 1)) * 1e-9
+    if kind == "off":  # within 1e-12, so the table's division shows
+        row[-1] += rng.choice((-1, 1)) * 1e-13
     return row
+
+
+def _refused(call):
+    with pytest.raises(InvalidModel) as info:
+        call()
+    return str(info.value)
 
 
 def test_one_node_draws_replay_choice():
@@ -135,6 +141,10 @@ def test_one_node_draws_replay_choice():
                for _ in range(100)]
         assert got == [int(slow.choice(len(row), p=row)) for _ in range(100)]
         assert fast.random() == slow.random()
+        # Generator.choice takes a row off by 1e-9; the sampler does not.
+        off = {"c": row[:-1] + [row[-1] + 1e-9]}
+        assert _refused(lambda: sample_derivation(lex, off, cfg, fast)) == \
+            _refused(lambda: validate_theta(lex, off))
 
 
 def test_cli_stream_is_the_reference_stream(monkeypatch):
@@ -220,10 +230,14 @@ class TestRowsCheckedUpFront:
 
     def test_within_tolerance_samples(self, whq):
         theta = uniform_theta(whq)
-        theta["d"] = [0.5, 0.5 + 1e-9]
+        theta["d"] = [0.5, 0.5 + 1e-13]
         seq, _ = sample_derivation(whq, theta, SampleConfig(start="c"),
                                    np.random.default_rng(0))
         assert pdmg.is_wellformed(seq)
+        theta["d"] = [0.5, 0.5 + 1e-9]  # within numpy's tolerance, not 1e-12
+        assert _refused(lambda: sample_derivation(
+            whq, theta, SampleConfig(start="c"), np.random.default_rng(0))) == \
+            "theta['d'] sums to 1.000000001, expected 1 within 1e-12"
 
 
 def _merged_bins(observed, expected, floor=5.0):

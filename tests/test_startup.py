@@ -1,8 +1,9 @@
 """Start-up: parsing, scoring and checking load neither numpy nor the trainer.
 
-Only training, sampling and the Dirichlet helpers compute with numpy.  The
-behavioural tests run a fresh interpreter, because this process already
-holds numpy; the ``ast`` guard names the module whose import would load it.
+Only training, sampling, ``sample_theta``, ``theta_star`` and
+``posterior_mean`` compute with numpy.  The behavioural tests run a fresh
+interpreter, because this process already holds numpy; the ``ast`` guard
+names the module whose import would load it.
 """
 
 import ast
@@ -74,6 +75,18 @@ step("cli")
     assert out["steps"] == {"import": [], "load": [], "library": [], "cli": []}
     assert out["codes"] == {"--help": 0, "parse": 0, "score": 0, "derive": 0,
                             "check-seq": 0, "validate": 0}
+
+
+def test_log_joint_loads_no_numpy():
+    out = _child(f"""
+import pdmg, pdmg.model
+lex = pdmg.load_lexicon({WHQ!r})
+seq = tuple(lex.item(k, m) for k, m in [(3, 0), (2, 0), (1, 0), (0, 1), (0, 0)])
+assert pdmg.log_joint(seq, pdmg.uniform_theta(lex), pdmg.ones_alpha(lex), lex) < 0.0
+assert pdmg.model.log_dirichlet_density([0.5, 0.5], [2.0, 2.0]) > 0.0
+step("library")
+""")
+    assert out["steps"] == {"library": []}
 
 
 def test_train_loads_numpy(tmp_path):

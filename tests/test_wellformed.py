@@ -118,8 +118,11 @@ class TestRejections:
         assert "rule 3" in t.steps[-1].detail
 
     def test_empty_sequence_raises(self):
-        with pytest.raises(ValueError):
-            is_wellformed(())
+        # The PdmgError eval_sequence and seq_to_tree raise, so the CLI maps it.
+        for check in (is_wellformed, trace_wellformed, pdmg.eval_sequence,
+                      pdmg.seq_to_tree):
+            with pytest.raises(pdmg.ArityError, match="^empty item sequence$"):
+                check(())
 
 
 class TestAgainstOracle:
