@@ -96,6 +96,15 @@ MOVE_2 = "move-2"
 BackPointer = tuple  # (LEX, global_item_index) | (tag, s) | (tag, s, t)
 
 
+def _nonnegative(config: object, *names: str) -> None:
+    """The one range check of a config's counts and caps: InvalidModel for
+    the first of ``names`` whose value is negative."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 0:
+            raise InvalidModel(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class ParseConfig:
     start: str
@@ -104,10 +113,7 @@ class ParseConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
-        for name in ("max_derivations", "max_covert", "max_steps"):
-            value = getattr(self, name)
-            if value < 0:
-                raise InvalidModel(f"{name} must be >= 0, got {value}")
+        _nonnegative(self, "max_derivations", "max_covert", "max_steps")
 
 
 @dataclass(frozen=True)
@@ -120,8 +126,7 @@ class TrainConfig(ParseConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.max_iters < 0:
-            raise InvalidModel("max_iters must be >= 0")
+        _nonnegative(self, "max_iters")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise InvalidModel("tol must be finite and >= 0")
 

@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success; 1 a checked sequence was rejected; 2 bad input
-(lexicon, references, model vectors); 3 evaluation or coverage failure;
-4 a configured cap was exceeded; 5 an unexpected internal error, reported
-as one ``error:`` line naming the exception type.
+(lexicon, references, model vectors, or a sequence ``derive`` cannot
+build: ArityError, FeatureMismatch, SmcViolation); 3 a sequence that
+builds but does not evaluate to a complete expression (EvalError), or a
+corpus sentence with no derivation; 4 a configured cap was exceeded; 5 an
+unexpected internal error, reported as one ``error:`` line naming the
+exception type.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from . import __version__
 from .chart import ParseConfig, TrainConfig, parse
 from .corpus import canonical_json, load_corpus
 from .errors import (CapExceeded, EvalError, LexiconError, PdmgError,
-                     UnparsedSentence)
+                     UnknownCategoryError, UnparsedSentence)
 from .lexicon import LexicalItem, Lexicon, load_lexicon
 from .model import (SampleConfig, Theta, _draws, load_alpha, load_theta,
                     ones_alpha, uniform_theta)
@@ -81,14 +84,10 @@ def resolve_item(lexicon: Lexicon, ref: str) -> LexicalItem:
         except ValueError:
             raise LexiconError(f"bad item reference {ref!r}: "
                                "expected phon@<cat>.<item> with integers") from None
-        if k >= len(lexicon.categories):
-            raise LexiconError(f"bad item reference {ref!r}: "
-                               f"no category index {k}")
-        items = lexicon.items_of_category(lexicon.categories[k])
-        if m >= len(items):
-            raise LexiconError(f"bad item reference {ref!r}: category "
-                               f"{lexicon.categories[k]!r} has {len(items)} items")
-        item = items[m]
+        try:
+            item = lexicon.item(k, m)
+        except (LexiconError, UnknownCategoryError) as exc:
+            raise LexiconError(f"bad item reference {ref!r}: {exc}") from None
         want = "" if phon in ("ε", "eps") else phon
         if item.phon != want:
             raise LexiconError(f"bad item reference {ref!r}: item at "

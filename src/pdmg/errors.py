@@ -1,10 +1,12 @@
 """Exception hierarchy.
 
-The CLI maps these onto exit codes: input problems (bad lexicon files,
-malformed references, invalid model vectors) exit 2, model/coverage failures
-(unparseable sentences, unevaluable sequences) exit 3, exceeded caps exit 4.
-Any other exception is a bug; the CLI reports it on one ``error:`` line
-naming its type and exits 5.
+The CLI maps these onto exit codes.  Input problems exit 2: bad lexicon
+files, malformed references, invalid model vectors, and item sequences
+that no rule can build (ArityError, and the RuleErrors FeatureMismatch and
+SmcViolation).  EvalError, a sequence that builds but does not evaluate to
+a complete expression, and UnparsedSentence exit 3.  Exceeded caps exit
+4.  Any other exception is a bug; the CLI reports it on one ``error:``
+line naming its type and exits 5.
 """
 
 from __future__ import annotations

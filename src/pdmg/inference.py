@@ -78,8 +78,11 @@ def theta_star(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> Theta:
 
 def posterior_mean(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> Theta:
     """Dirichlet mean omega_i / sum_cat omega, per category."""
+    return _mean(lexicon, _omega_flat(lexicon, omega))
+
+
+def _mean(lexicon: Lexicon, flat: np.ndarray) -> Theta:
     offsets = _flat_offsets(lexicon)
-    flat = _omega_flat(lexicon, omega)
     sums = np.add.reduceat(flat, offsets[:-1])
     return flat_to_dict(lexicon, flat / np.repeat(sums, np.diff(offsets)))
 
@@ -227,10 +230,9 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
             converged = True
             break
 
-    omega_rows = flat_to_dict(lexicon, omega)
     return TrainState(
-        omega=omega_rows,
-        theta_mean=posterior_mean(lexicon, omega_rows),
+        omega=flat_to_dict(lexicon, omega),
+        theta_mean=_mean(lexicon, omega),
         elbo_trace=trace,
         iterations=iterations,
         converged=converged,

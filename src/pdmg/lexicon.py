@@ -73,34 +73,24 @@ def parse_feature(text: str) -> Feature:
     return Feature(kind, name)
 
 
-# Legal kind orders within one item: (selector)* (licensor)* category (licensee)*
-_STAGE = {
-    FeatureKind.SEL_RIGHT: 0,
-    FeatureKind.SEL_LEFT: 0,
-    FeatureKind.LICENSOR: 1,
-    FeatureKind.CAT: 2,
-    FeatureKind.LICENSEE: 3,
-}
-
-
-def validate_features(features: tuple[Feature, ...]) -> None:
-    """Check the selectors-licensors-category-licensees shape, one category."""
-    stage = 0
-    n_cat = 0
-    for f in features:
-        s = _STAGE[f.kind]
-        if s < stage or (s == 2 and n_cat):
-            raise FeatureOrderError(
-                "features must be (selector)* (licensor)* category (licensee)*, "
-                f"got {' '.join(str(g) for g in features)!r}"
-            )
-        stage = max(stage, s if s != 2 else 3)
-        if f.kind is FeatureKind.CAT:
-            n_cat += 1
-    if n_cat != 1:
+def feature_stages(features: tuple[Feature, ...]) -> tuple[int, int]:
+    """Check the shape (selector)* (licensor)* category (licensee)* and
+    return (s, c): ``features[:s]`` are the selectors, ``features[s:c]``
+    the licensors, ``features[c]`` the category and the rest licensees."""
+    n = len(features)
+    s = 0
+    while s < n and features[s].is_selector:
+        s += 1
+    c = s
+    while c < n and features[c].kind is FeatureKind.LICENSOR:
+        c += 1
+    if c == n or features[c].kind is not FeatureKind.CAT or any(
+            f.kind is not FeatureKind.LICENSEE for f in features[c + 1:]):
         raise FeatureOrderError(
-            f"item needs exactly one category feature, got {n_cat}"
+            "features must be (selector)* (licensor)* category (licensee)*, "
+            f"got {' '.join(str(g) for g in features)!r}"
         )
+    return s, c
 
 
 @dataclass(frozen=True)
@@ -109,29 +99,22 @@ class LexicalItem:
 
     ``cat_index``/``item_index`` is the item's id (k, m): k indexes the
     item's category in first-appearance order, m its position within that
-    category's block.  The features must have the shape
-    ``validate_features`` checks; an item is built only when a lexicon is,
-    so the check costs nothing after load.
+    category's block.  ``stages`` is ``feature_stages(features)``, which
+    also checks the features' shape when the item is built.
     """
 
     phon: str
     features: tuple[Feature, ...]
     cat_index: int
     item_index: int
+    stages: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        validate_features(self.features)
+        object.__setattr__(self, "stages", feature_stages(self.features))
 
     @property
     def category(self) -> str:
         return self.features[self.stages[1]].name
-
-    @cached_property
-    def stages(self) -> tuple[int, int]:
-        """(s, c): ``features[:s]`` are the selectors, ``features[s:c]`` the
-        licensors, ``features[c]`` the category and the rest licensees."""
-        kinds = [f.kind for f in self.features]
-        return len(self.selectors), kinds.index(FeatureKind.CAT)
 
     @property
     def item_id(self) -> tuple[int, int]:
@@ -139,11 +122,11 @@ class LexicalItem:
 
     @cached_property
     def selectors(self) -> tuple[Feature, ...]:
-        return tuple(f for f in self.features if f.is_selector)
+        return self.features[:self.stages[0]]
 
     @cached_property
     def licensees(self) -> tuple[Feature, ...]:
-        return tuple(f for f in self.features if f.kind is FeatureKind.LICENSEE)
+        return self.features[self.stages[1] + 1:]
 
     @property
     def phon_display(self) -> str:
@@ -279,17 +262,23 @@ class Lexicon:
 
 def build_lexicon(entries: list[tuple[str, tuple[Feature, ...]]]) -> Lexicon:
     """Assemble a lexicon from (phon, features) pairs in file order."""
+    return _assemble([(phon, feats, feature_stages(feats)[1])
+                      for phon, feats in entries])
+
+
+def _assemble(entries: list[tuple[str, tuple[Feature, ...], int]]) -> Lexicon:
+    """``build_lexicon``, given each entry's checked category position ``c``
+    from ``feature_stages``, as ``parse_lexicon`` has it from its line."""
     categories: list[str] = []
     blocks: dict[str, list[tuple[str, tuple[Feature, ...]]]] = {}
     seen: set[tuple[str, tuple[Feature, ...]]] = set()
-    for phon, feats in entries:
-        validate_features(feats)
+    for phon, feats, c in entries:
+        cat = feats[c].name
         key = (phon, feats)
         if key in seen:
             raise LexiconError(f"duplicate item {phon or EPSILON_GLYPH!r} :: "
                                f"{' '.join(str(f) for f in feats)}")
         seen.add(key)
-        cat = next(f.name for f in feats if f.kind is FeatureKind.CAT)
         if cat not in blocks:
             categories.append(cat)
             blocks[cat] = []
@@ -322,7 +311,7 @@ def build_lexicon(entries: list[tuple[str, tuple[Feature, ...]]]) -> Lexicon:
 
 def parse_lexicon(text: str) -> Lexicon:
     """Parse lexicon text (see the module docstring for the format)."""
-    entries: list[tuple[str, tuple[Feature, ...]]] = []
+    entries: list[tuple[str, tuple[Feature, ...], int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -340,15 +329,14 @@ def parse_lexicon(text: str) -> Lexicon:
             raise LexiconError("item has no features", line=lineno)
         try:
             feats = tuple(parse_feature(t) for t in tokens)
-            validate_features(feats)
+            entries.append((phon, feats, feature_stages(feats)[1]))
         except LexiconError as e:
             if e.line is None:
                 raise type(e)(str(e), line=lineno) from None
             raise
-        entries.append((phon, feats))
     if not entries:
         raise LexiconError("lexicon has no items")
-    return build_lexicon(entries)
+    return _assemble(entries)
 
 
 def load_lexicon(path: str) -> Lexicon:

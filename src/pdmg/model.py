@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
+from .chart import _nonnegative
 from .errors import (CapExceeded, InvalidModel, UnderivableCategory,
                      UnknownCategoryError)
 from .lexicon import LexicalItem, Lexicon
@@ -63,8 +64,10 @@ def _validate_rows(lexicon: Lexicon, rows: Mapping[str, Sequence[float]],
     """The one check of a theta, alpha or omega: each category's row as a
     list of floats, one per item.  A theta row's entries are finite and >= 0
     and sum to 1 within _NORM_TOL; an alpha or omega row's (``positive``)
-    are finite and > 0, with a finite sum.  InvalidModel otherwise, with one
-    message per defect, checked in that order, then unknown categories."""
+    are finite and > 0, with a finite sum whose log Gamma is finite.  No
+    entry exceeds the sum, so every entry's log Gamma is finite too.
+    InvalidModel otherwise, with one message per defect, checked in that
+    order, then unknown categories."""
     bound, least = ("> 0", _LEAST_POSITIVE) if positive else (">= 0", 0.0)
     inf = math.inf
     out: dict[str, list[float]] = {}
@@ -96,6 +99,10 @@ def _validate_rows(lexicon: Lexicon, rows: Mapping[str, Sequence[float]],
             if s == inf:
                 raise InvalidModel(
                     f"{name}[{cat!r}] sums to inf, expected a finite sum")
+            if lgamma(s) == inf:
+                raise InvalidModel(
+                    f"{name}[{cat!r}] sums to {s!r}, expected a sum whose log "
+                    f"Gamma is finite (below about 2.56e+305)")
         elif not abs(s - 1.0) <= _NORM_TOL:
             raise InvalidModel(f"{name}[{cat!r}] sums to {s!r}, "
                                f"expected 1 within {_NORM_TOL:.3g}")
@@ -112,7 +119,8 @@ def validate_theta(lexicon: Lexicon, theta: Mapping[str, Sequence[float]]) -> Th
 
 
 def validate_alpha(lexicon: Lexicon, alpha: Mapping[str, Sequence[float]]) -> Alpha:
-    """alpha's rows as floats: finite, > 0, with a finite sum."""
+    """alpha's rows as floats: finite, > 0, with a sum whose log Gamma is
+    finite."""
     return _validate_rows(lexicon, alpha, "alpha", positive=True)
 
 
@@ -244,10 +252,7 @@ class SampleConfig:
     max_rejections: int = 10_000
 
     def __post_init__(self) -> None:
-        for name in ("max_depth", "max_rejections"):
-            value = getattr(self, name)
-            if value < 0:
-                raise InvalidModel(f"{name} must be >= 0, got {value}")
+        _nonnegative(self, "max_depth", "max_rejections")
 
 
 def sample_derivation(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],

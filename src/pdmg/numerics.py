@@ -1,4 +1,4 @@
-"""Numeric kernels: digamma, log-gamma, and the training inner loops.
+"""Numeric kernels: the training inner loops over digamma and log-gamma.
 
 Every kernel is vectorized numpy over flat arrays.  Categories are
 contiguous blocks of items delimited by an ``offsets`` array, and in the
@@ -10,9 +10,11 @@ Python.  ``reduceat`` adds a block's values in sequence where ``np.sum``
 adds pairwise, so a block sum can differ from ``np.sum``'s in its last
 bits.
 
-digamma and gammaln map ``special.psi`` and ``special.lgamma`` over each
-element (``np.frompyfunc``): about 1 us an element, cheap on a fit's few
-dozen pseudo-counts.  Both are defined for positive reals only.
+``_digamma_arr`` and ``_gammaln_arr`` map ``special.psi`` and
+``special.lgamma`` over each element (``np.frompyfunc``): about 1 us an
+element, cheap on a fit's few dozen pseudo-counts.  Their arguments are
+positive pseudo-counts and category sums: ``model._validate_rows``
+refuses an alpha or omega row whose sum's log Gamma overflows.
 """
 
 from __future__ import annotations
@@ -84,20 +86,3 @@ def estep_flat(log_tstar, item_ids, dstart, sstart, n_items):
                          minlength=int(n_items))
     return q, logz, counts
 
-
-def digamma(x):
-    """psi(x) for positive reals; scalar in, scalar out."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size and not np.all(arr > 0.0):
-        raise ValueError("digamma requires x > 0")
-    out = _digamma_arr(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def gammaln(x):
-    """log Gamma(x) for positive reals; scalar in, scalar out."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size and not np.all(arr > 0.0):
-        raise ValueError("gammaln requires x > 0")
-    out = _gammaln_arr(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out

@@ -7,6 +7,11 @@ absolute error within 1e-10 even where |psi| approaches 1e6: the shifted
 reciprocals accumulate with Neumaier compensation, and for x < 1e-3 the
 dominant 1/x term carries an exact-product residual correction (Veltkamp
 splitting) so the final subtraction is the only rounding at full scale.
+Where 1/x exceeds 1e300 (x below 1e-300) the split would overflow, and the
+residual is far below an ulp of the result, so it is skipped.  psi is
+finite down to 1/DBL_MAX (about 5.56e-309) and -inf below, where 1/x
+itself overflows; that -inf is returned without dividing, so numpy, which
+maps psi over arrays, sees no overflow flag.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from __future__ import annotations
 import math
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp split constant
+_SPLIT_MAX = 1.0e300  # 1/x below _SPLIT * (1/x)'s overflow, about 1.34e300
+_TINY = 2.0 ** -1024  # 1/DBL_MAX rounded: 1/x is finite for x above it
 
 # Asymptotic series coefficients for psi, innermost last.
 _C12, _C120, _C252 = 1.0 / 12.0, 1.0 / 120.0, 1.0 / 252.0
@@ -44,9 +51,12 @@ def psi(x: float) -> float:
     y = x
     big = bigfix = small = comp = 0.0
     if y < 1.0e-3:
+        if y <= _TINY:  # 1/y overflows; so does psi(y), below -DBL_MAX
+            return -math.inf
         big = 1.0 / y
-        p = big * y
-        bigfix = ((1.0 - p) - _two_prod_err(big, y, p)) / y
+        if big < _SPLIT_MAX:
+            p = big * y
+            bigfix = ((1.0 - p) - _two_prod_err(big, y, p)) / y
         y += 1.0
     while y < 6.0:
         t = 1.0 / y

@@ -24,10 +24,10 @@ left-to-right pass, linear in its length: a stack of light states, each
 waiting for the argument of its head's next selector, on which the rules
 fire in the post-order of the derivation tree.  A count of selectors
 first raises ArityError for a sequence of the wrong length, before any
-rule runs.  The public rule functions run the same steps on Expressions.  ``seq_to_tree`` reads the sequence
-into that tree (head first, then one argument subtree per selector, in
-feature order; one move node per licensor above the merges), for
-rendering and counting.
+rule runs.  The public rule functions run the same steps on Expressions.
+``seq_to_tree`` reads the sequence into that tree (head first, then one
+argument subtree per selector, in feature order; one move node per
+licensor above the merges), for rendering and counting.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ class TestCheckSeq:
     def test_out_of_range_reference(self, runner):
         r = runner.invoke(main, ["check-seq", WHQ, "you@9.0"])
         assert r.exit_code == 2
+
+    # Lexicon.item makes the bounds test; the message names the reference.
+    @pytest.mark.parametrize("ref, why", [
+        ("you@9.0", "no category with index 9"),
+        ("you@4.0", "no category with index 4"),
+        ("you@0.2", "category 'd' has no item 2"),
+        ("ε@3.1", "category 'c' has no item 1"),
+    ])
+    @pytest.mark.parametrize("command", ["check-seq", "derive"])
+    def test_out_of_range_reference_message(self, runner, command, ref, why):
+        r = runner.invoke(main, [command, WHQ, ref])
+        _assert_one_error_line(r, 2)
+        assert r.stderr == f"error: bad item reference {ref!r}: {why}\n"
 
     # A superscript is a digit to str.isdigit but not to int(), and int()
     # refuses a number past its digit limit.
@@ -577,6 +591,42 @@ class TestBadModelRows:
         assert r.stderr == "error: alpha['d'] sums to inf, expected a finite sum\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_iters", ["0", "1", "100"])
+    def test_alpha_log_gamma_overflows(self, runner, tmp_path, max_iters):
+        # The row's sum is finite, but log Gamma of it is not a double.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("what did you see\n")
+        p = tmp_path / "alpha.json"
+        p.write_text('{"d": [1e306, 1e306], "v": [1], "i": [1], "c": [1]}')
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails it
+            r = runner.invoke(main, ["train", WHQ, str(corpus), "--start", "c",
+                                     "--alpha", str(p), "--out", str(out),
+                                     "--max-iters", max_iters])
+        _assert_one_error_line(r, 2)
+        assert r.stderr == (
+            "error: alpha['d'] sums to 2e+306, expected a sum whose log Gamma "
+            "is finite (below about 2.56e+305)\n")
+        assert not out.exists()
+
+    def test_alpha_entry_near_least_double_fits(self, runner, tmp_path):
+        # psi(1e-305) is about -1e305; the fit still converges.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("what did you see\n")
+        p = tmp_path / "alpha.json"
+        p.write_text('{"d": [1e-305, 1], "v": [1], "i": [1], "c": [1]}')
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = runner.invoke(main, ["train", WHQ, str(corpus), "--start", "c",
+                                     "--alpha", str(p), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        assert r.stderr == ""
+        assert r.stdout.startswith("converged after ")
+        # one count each for what and you; 1e-305 + 1 rounds to 1
+        assert json.loads(out.read_text())["omega"]["d"] == [1.0, 2.0]
+
     def test_alpha_nested_too_deeply(self, runner, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("what did you see\n")
@@ -594,7 +644,7 @@ class TestByteOrderMark:
 
     def test_lexicon(self, runner, tmp_path):
         # whq.lex without its comment line, so an item comes first
-        text = open(WHQ, encoding="utf-8").read().split("\n", 1)[1]
+        text = Path(WHQ).read_text(encoding="utf-8").split("\n", 1)[1]
         p = tmp_path / "bom.lex"
         p.write_text(text, encoding="utf-8-sig")
         r = runner.invoke(main, ["parse", str(p), "what did you see",

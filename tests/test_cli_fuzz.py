@@ -1,7 +1,8 @@
 """Fuzz ``pdmg score``, ``sample`` and ``train`` on mutated theta/alpha files
-and on extreme or negative counts, caps and tolerances, and ``parse``,
+and on extreme or negative counts, caps and tolerances; ``parse``,
 ``derive``, ``check-seq`` and ``validate`` on mutated lexicon text,
-malformed item references and unknown tokens.
+malformed item references and unknown tokens; and ``parse --corpus`` and
+``train`` on mutated corpus files.
 
 Every run must end in a documented exit code (0, 2 bad input, 3 coverage
 failure, 4 cap, or 1 when ``check-seq`` rejects a sequence) and never print
@@ -254,3 +255,70 @@ def test_derive(workdir, lexicon, refs):
 def test_parse(workdir, lexicon, tokens, start):
     _invoke(["parse", _lexicon_path(workdir, lexicon), " ".join(tokens),
              "--start", start])
+
+
+# -- corpus files ----------------------------------------------------------------
+
+SENTENCES = ["what did you see", "you see what", "what did you see", "see",
+             "# a comment", "", "   "]
+# Bytes that are not UTF-8 text (a lone continuation, a cut sequence, an
+# encoded surrogate) or that are odd in it (NUL, a C1 control, a BOM).
+ODD_BYTES = st.one_of(
+    st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\x00",
+                     b"\xc2\x85", b"\xef\xbb\xbf"]),
+    st.binary(min_size=1, max_size=2))
+
+
+@st.composite
+def corpus_bytes(draw):
+    """An empty or comment-only file, or a few sentences after line edits
+    (unknown tokens, a very long line, a random line) and, sometimes, a BOM,
+    CRLF line ends, or an odd or invalid UTF-8 byte spliced in."""
+    kind = draw(st.sampled_from(["sentences", "sentences", "sentences",
+                                 "empty", "comments"]))
+    if kind == "empty":
+        return draw(st.sampled_from([b"", b"\n", b"\r\n", b"\xef\xbb\xbf"]))
+    if kind == "comments":
+        lines = draw(st.lists(st.sampled_from(["# only comments", "#", "  # x",
+                                               ""]), min_size=1, max_size=4))
+    else:
+        lines = draw(st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=4))
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, len(lines) - 1))
+            edit = draw(st.sampled_from(["tokens", "long", "line"]))
+            if edit == "tokens":
+                lines[at] = " ".join(draw(st.lists(TOKEN, max_size=6)))
+            elif edit == "long":
+                lines[at] = " ".join([draw(TOKEN)] * draw(st.sampled_from([500, 3000])))
+            else:
+                lines[at] = draw(st.text(max_size=12))
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = ending.join(lines).encode("utf-8")
+    if draw(st.booleans()):
+        text += ending.encode()
+    if draw(st.booleans()):
+        text = b"\xef\xbb\xbf" + text
+    if draw(st.sampled_from([False, False, True])):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(ODD_BYTES) + text[at:]
+    return text
+
+
+def _corpus_path(workdir, text):
+    (workdir / "fuzz-corpus.txt").write_bytes(text)
+    return str(workdir / "fuzz-corpus.txt")
+
+
+@FUZZ
+@given(corpus=corpus_bytes(), sentences=st.lists(TOKEN, max_size=2))
+def test_parse_corpus(workdir, corpus, sentences):
+    _invoke(["parse", WHQ, *sentences, "--start", "c",
+             "--corpus", _corpus_path(workdir, corpus)])
+
+
+@FUZZ
+@given(corpus=corpus_bytes(), skip=st.booleans())
+def test_train_corpus(workdir, corpus, skip):
+    _invoke(["train", WHQ, _corpus_path(workdir, corpus), "--start", "c",
+             "--out", str(workdir / "result.json"), "--max-iters", "20"]
+            + (["--skip-unparsed"] if skip else []))

@@ -60,6 +60,13 @@ class TestThetaStar:
         with pytest.raises(InvalidModel):
             theta_star(whq, omega)
 
+    @pytest.mark.parametrize("tiny", [1e-300, 1e-305, 1e-308, 1e-309, 5e-324])
+    def test_tiny_pseudo_count(self, whq, tiny):
+        # psi(tiny) is about -1/tiny, or -inf below 1/DBL_MAX: theta* is 0.
+        omega = ones_alpha(whq)
+        omega["d"] = [tiny, 1.0]
+        assert theta_star(whq, omega)["d"] == [0.0, 1.0]
+
     def test_subnormalized(self, whq):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -302,8 +309,32 @@ class TestTrainBehavior:
         assert state.omega["a"] == state.omega["b"]
         assert state.omega["c"][0] == state.omega["c"][1]
 
+    def test_tiny_alpha_entry_converges(self, whq):
+        alpha = ones_alpha(whq)
+        alpha["d"] = [1e-305, 1.0]
+        state = train(whq, ["what did you see"], alpha, TrainConfig(start="c"))
+        assert state.converged
+        assert all(math.isfinite(b) for b in state.elbo_trace)
+        assert state.omega["d"] == [1.0, 2.0]
+
+    def test_validates_alpha_once_and_not_its_own_omega(self, whq, monkeypatch):
+        from pdmg import inference, model
+        names = []
+        real = model._validate_rows
+
+        def counted(lexicon, rows, name, **kw):
+            names.append(name)
+            return real(lexicon, rows, name, **kw)
+
+        monkeypatch.setattr(model, "_validate_rows", counted)
+        monkeypatch.setattr(inference, "_validate_rows", counted)
+        state = train(whq, ["what did you see"], ones_alpha(whq),
+                      TrainConfig(start="c"))
+        assert names == ["alpha"]
+        assert state.theta_mean == posterior_mean(whq, state.omega)
+
     @pytest.mark.parametrize("fields, message", [
-        ({"max_iters": -1}, "max_iters must be >= 0"),
+        ({"max_iters": -1}, "max_iters must be >= 0, got -1"),
         ({"tol": -1e-9}, "tol must be finite and >= 0"),
         ({"tol": math.nan}, "tol must be finite and >= 0"),
         ({"tol": math.inf}, "tol must be finite and >= 0"),

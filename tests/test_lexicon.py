@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdmg
+from conftest import DATA, random_lexicon
 from pdmg import (Feature, FeatureKind, FeatureOrderError, LexiconError,
                   UnknownCategoryError, build_lexicon, lexicon_to_text,
                   parse_feature, parse_lexicon)
+from pdmg import lexicon as lexicon_module
+from pdmg.lexicon import feature_stages
 
 
 class TestParseFeature:
@@ -48,8 +53,12 @@ class TestFeatureOrder:
         "-g",         # licensee only
     ])
     def test_bad_orders(self, feats):
-        with pytest.raises(FeatureOrderError):
+        # one message for every bad order, from the one order check
+        with pytest.raises(FeatureOrderError) as info:
             parse_lexicon(f"x :: {feats}\n")
+        assert str(info.value) == (
+            "line 1: features must be (selector)* (licensor)* category "
+            f"(licensee)*, got {feats!r}")
 
     @pytest.mark.parametrize("feats", ["c =d", "=d", "c c", "-g c"])
     def test_hand_built_item_is_checked(self, feats):
@@ -61,6 +70,46 @@ class TestFeatureOrder:
         features = tuple(parse_feature(t) for t in "=d +f c -g".split())
         item = pdmg.LexicalItem("x", features, 0, 0)
         assert item.category == "c" and item.stages == (1, 2)
+
+
+def _items_of_every_kind():
+    """The items of the five fixtures and of 60 seeded random lexicons."""
+    lexicons = [pdmg.load_lexicon(str(p)) for p in sorted(DATA.glob("*.lex"))]
+    assert len(lexicons) == 5
+    lexicons += [random_lexicon(random.Random(seed)) for seed in range(60)]
+    return [it for lex in lexicons for it in lex.items]
+
+
+def test_accessors_read_the_one_stage_check():
+    # The (s, c) of feature_stages against the filters they replaced.
+    for it in _items_of_every_kind():
+        feats = it.features
+        kinds = [f.kind for f in feats]
+        selectors = tuple(f for f in feats if f.is_selector)
+        licensees = tuple(f for f in feats if f.kind is FeatureKind.LICENSEE)
+        assert it.stages == feature_stages(feats)
+        assert it.stages == (len(selectors), kinds.index(FeatureKind.CAT))
+        assert it.selectors == selectors
+        assert it.licensees == licensees
+        assert it.category == next(f.name for f in feats
+                                   if f.kind is FeatureKind.CAT)
+
+
+def test_load_checks_each_item_twice(monkeypatch):
+    # once as its line is parsed, for the line number, and once as the item
+    # is built; the category, selectors and licensees read the item's stages
+    calls = []
+    real = lexicon_module.feature_stages
+
+    def counted(features):
+        calls.append(features)
+        return real(features)
+
+    monkeypatch.setattr(lexicon_module, "feature_stages", counted)
+    lex = pdmg.load_lexicon(str(DATA / "whq.lex"))
+    read = [(it.category, it.selectors, it.licensees) for it in lex.items]
+    assert len(read) == lex.n_items
+    assert len(calls) == 2 * lex.n_items
 
 
 class TestParseLexicon:

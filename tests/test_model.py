@@ -330,6 +330,10 @@ BAD_ROWS = [
     ("overflow", {"d": [1e308, 1e308]},
      "theta['d'] sums to inf, expected 1 within 1e-12",
      "{name}['d'] sums to inf, expected a finite sum"),
+    ("log-gamma-overflow", {"d": [1e306, 1e306]},
+     "theta['d'] sums to 2e+306, expected 1 within 1e-12",
+     "{name}['d'] sums to 2e+306, expected a sum whose log Gamma is finite "
+     "(below about 2.56e+305)"),
     ("off-1e-7", {"d": [0.5, 0.5 + 1e-7]},
      "theta['d'] sums to 1.0000000999999998, expected 1 within 1e-12", None),
 ]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracle
-from pdmg import numerics
+from pdmg import numerics, special
 
 mpmath.mp.dps = 40
 
@@ -27,81 +27,92 @@ GRID = np.logspace(-6, 6, 200)
 
 class TestDigamma:
     def test_psi_one_is_minus_euler(self):
-        assert abs(numerics.digamma(1.0) + EULER_GAMMA) <= 1e-12
+        assert abs(numerics._digamma_arr(1.0) + EULER_GAMMA) <= 1e-12
 
     def test_psi_two_recurrence(self):
-        assert abs(numerics.digamma(2.0) - (numerics.digamma(1.0) + 1.0)) <= 1e-12
+        psi1, psi2 = numerics._digamma_arr([1.0, 2.0])
+        assert abs(psi2 - (psi1 + 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("x", [1e-6, 1e-3, 0.5, 1.0, 6.0, 123.456, 1e6])
     def test_against_mpmath_points(self, x):
-        assert abs(numerics.digamma(x) - mp_digamma(x)) <= 1e-10
+        assert abs(numerics._digamma_arr(x) - mp_digamma(x)) <= 1e-10
 
     def test_against_mpmath_grid(self):
-        got = numerics.digamma(GRID)
+        got = numerics._digamma_arr(GRID)
         want = np.array([mp_digamma(x) for x in GRID])
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_recurrence_along_grid(self):
         x = GRID
-        lhs = numerics.digamma(x + 1.0)
-        rhs = numerics.digamma(x) + 1.0 / x
+        lhs = numerics._digamma_arr(x + 1.0)
+        rhs = numerics._digamma_arr(x) + 1.0 / x
         # near zero the rhs cancels two huge terms, so scale by them
         scale = np.maximum(np.maximum(1.0, np.abs(lhs)), 1.0 / x)
         assert np.max(np.abs(lhs - rhs) / scale) <= 1e-12
 
     def test_scalar_in_scalar_out(self):
-        out = numerics.digamma(2.5)
-        assert isinstance(out, float)
+        # the scalar routine the array routine maps: a float for a float
+        assert isinstance(special.psi(2.5), float)
+        assert isinstance(special.lgamma(2.5), float)
+        assert numerics._digamma_arr(np.array(2.5)) == special.psi(2.5)
 
     def test_array_shape_preserved(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = numerics.digamma(x)
+        out = numerics._digamma_arr(x)
         assert out.shape == (2, 2)
         assert abs(out[1, 1] - mp_digamma(4.0)) <= 1e-12
 
     def test_noncontiguous_input(self):
         x = np.linspace(1.0, 10.0, 20)[::2]
-        got = numerics.digamma(x)
+        got = numerics._digamma_arr(x)
         want = np.array([mp_digamma(v) for v in x])
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            numerics.digamma(bad)
+    def test_tiny_arguments_against_mpmath(self):
+        # 1/x passes 1e300 here, where the exact-product split would
+        # overflow; psi is then -1/x - gamma to within an ulp.
+        xs = np.logspace(-308.0, -300.0, 400)
+        got = numerics._digamma_arr(xs)
+        want = np.array([float(mpmath.digamma(mpmath.mpf(float(x)))) for x in xs])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+
+    def test_minus_inf_below_one_over_dbl_max(self):
+        least = 2.0 ** -1024  # 1 / DBL_MAX, rounded
+        above = math.nextafter(least, 1.0)
+        got = numerics._digamma_arr([least, 5e-324, above])
+        assert got[0] == got[1] == -math.inf
+        assert got[2] == float(mpmath.digamma(mpmath.mpf(above)))
+        assert math.isfinite(got[2])
 
 
 class TestGammaln:
     @pytest.mark.parametrize("x", [1.0, 2.0])
     def test_integer_zeros(self, x):
-        assert abs(numerics.gammaln(x)) <= 1e-13
+        assert abs(numerics._gammaln_arr(x)) <= 1e-13
 
     def test_half(self):
-        assert abs(numerics.gammaln(0.5) - 0.5 * math.log(math.pi)) <= 1e-13
+        assert abs(numerics._gammaln_arr(0.5) - 0.5 * math.log(math.pi)) <= 1e-13
 
     def test_against_mpmath_grid(self):
-        got = numerics.gammaln(GRID)
+        got = numerics._gammaln_arr(GRID)
         want = np.array([mp_gammaln(x) for x in GRID])
         scale = np.maximum(1.0, np.abs(want))
         assert np.max(np.abs(got - want) / scale) <= 1e-12
 
     def test_against_math_lgamma(self):
         x = np.linspace(0.05, 30.0, 400)
-        got = numerics.gammaln(x)
+        got = numerics._gammaln_arr(x)
         want = np.array([math.lgamma(v) for v in x])
         scale = np.maximum(1.0, np.abs(want))
         assert np.max(np.abs(got - want) / scale) <= 1e-12
 
     def test_recurrence(self):
         x = np.linspace(0.1, 50.0, 100)
-        lhs = numerics.gammaln(x + 1.0)
-        rhs = numerics.gammaln(x) + np.log(x)
+        lhs = numerics._gammaln_arr(x + 1.0)
+        rhs = numerics._gammaln_arr(x) + np.log(x)
         scale = np.maximum(1.0, np.abs(lhs))
         assert np.max(np.abs(lhs - rhs) / scale) <= 1e-12
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            numerics.gammaln(-0.5)
 
 
 class TestLogThetaStar:
