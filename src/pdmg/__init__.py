@@ -9,10 +9,10 @@ derivations of a sentence (`parse`), scores and samples them under
 per-item probabilities (`log_prob_of_sequence`, `sample_derivation`), and
 fits those probabilities to a corpus with variational Bayes (`train`).
 
-Only training, sampling, `sample_theta`, `theta_star` and
-`posterior_mean` compute with numpy, so importing the package does not
-load it: the names taken from `pdmg.inference` import that module, and
-numpy, on first access.
+Only training's e-step and the two random draws (`sample_theta` and the
+sampler) compute with numpy, so importing the package does not load it:
+the names taken from `pdmg.inference` import that module, and numpy, on
+first access, and the draws import numpy when they run.
 """
 
 from .chart import ChartItem, DerivationForest, ParseConfig, TrainConfig, parse
@@ -24,9 +24,9 @@ from .lexicon import (Feature, FeatureKind, LexicalItem, Lexicon,
                       build_lexicon, lexicon_to_text, load_lexicon,
                       parse_feature, parse_lexicon)
 from .model import (SampleConfig, load_alpha, load_theta, log_joint,
-                    log_prob_of_sequence, ones_alpha, prob_of_sequence,
-                    sample_derivation, sample_theta, uniform_theta,
-                    validate_alpha, validate_theta)
+                    log_prob_of_sequence, ones_alpha, posterior_mean,
+                    prob_of_sequence, sample_derivation, sample_theta,
+                    theta_star, uniform_theta, validate_alpha, validate_theta)
 from .structure import (Chain, Expression, Leaf, MergeNode, MoveNode,
                         count_nodes, derived_category, eval_expression,
                         eval_sequence, eval_tree, leaf_expression, merge_left,
@@ -37,8 +37,7 @@ from .wellformed import CursorTrace, TraceStep, is_wellformed, trace_wellformed
 __version__ = "0.1.0"
 
 _FROM_INFERENCE = frozenset({
-    "EncodedCorpus", "SentencePosterior", "TrainState", "encode_corpus",
-    "posterior_mean", "theta_star", "train",
+    "EncodedCorpus", "SentencePosterior", "TrainState", "encode_corpus", "train",
 })
 
 

@@ -390,8 +390,7 @@ def _extract(
         budget -= 1
         if budget < 0:
             raise CapExceeded(
-                f"derivation extraction exceeded {cfg.max_steps} steps "
-                f"(covert-recursion cycle?)")
+                f"derivation extraction exceeded {cfg.max_steps} steps")
         item, rest = pending
         for bp in reversed(chart[item]):  # popped in chart order
             tag = bp[0]

@@ -22,11 +22,14 @@ decreases.  Training stops when consecutive bound values agree within
 
 Derivation candidates come from the chart parser once, up front, as each
 forest's tuples of global item ids (``forest.ids``); training never builds
-their LexicalItem sequences unless ``TrainState.posteriors`` is read.  The
-loop itself runs on flat arrays of those ids via the kernels in
-``numerics``.  An iteration computes ``log t*`` once and uses it both to
-weigh derivations and in the KL's ``(omega - alpha) * log t*`` term; the
-prior's log-gamma terms are computed once per fit.
+their LexicalItem sequences unless ``TrainState.posteriors`` is read.
+
+The Dirichlet rows (alpha, omega, log t*) are a few dozen numbers, kept as
+one flat list in lexicon order and handled by ``model``'s row functions on
+plain floats.  Only the e-step, which weighs every derivation of every
+sentence, is numpy: ``estep_flat`` below, over the flat arrays of
+``encode_corpus``.  An iteration computes ``log t*`` once and uses it both
+to weigh derivations and in the KL's ``(omega - alpha) * log t*`` term.
 """
 
 from __future__ import annotations
@@ -41,50 +44,8 @@ import numpy as np
 from .chart import TrainConfig, decode_ids, parse
 from .errors import InvalidModel, UnparsedSentence
 from .lexicon import LexicalItem, Lexicon
-from .model import Theta, _validate_rows, validate_alpha
-from .numerics import (dirichlet_kl_flat, estep_flat, gammaln_terms,
-                       log_theta_star_flat)
-
-
-def _flat_offsets(lexicon: Lexicon) -> np.ndarray:
-    return np.asarray(lexicon.offsets, dtype=np.int64)
-
-
-def _omega_flat(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> np.ndarray:
-    return dict_to_flat(lexicon, _validate_rows(lexicon, omega, "omega",
-                                                positive=True))
-
-
-def dict_to_flat(lexicon: Lexicon, rows: Mapping[str, Sequence[float]]) -> np.ndarray:
-    out = np.empty(lexicon.n_items, dtype=np.float64)
-    for k, cat in enumerate(lexicon.categories):
-        out[lexicon.offsets[k]:lexicon.offsets[k + 1]] = rows[cat]
-    return out
-
-
-def flat_to_dict(lexicon: Lexicon, flat: np.ndarray) -> dict[str, list[float]]:
-    out: dict[str, list[float]] = {}
-    for k, cat in enumerate(lexicon.categories):
-        out[cat] = [float(v) for v in flat[lexicon.offsets[k]:lexicon.offsets[k + 1]]]
-    return out
-
-
-def theta_star(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> Theta:
-    """exp(psi(omega_i) - psi(sum_cat omega)): the geometric-mean point."""
-    flat = _omega_flat(lexicon, omega)
-    logs = log_theta_star_flat(flat, _flat_offsets(lexicon))
-    return flat_to_dict(lexicon, np.exp(logs))
-
-
-def posterior_mean(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> Theta:
-    """Dirichlet mean omega_i / sum_cat omega, per category."""
-    return _mean(lexicon, _omega_flat(lexicon, omega))
-
-
-def _mean(lexicon: Lexicon, flat: np.ndarray) -> Theta:
-    offsets = _flat_offsets(lexicon)
-    sums = np.add.reduceat(flat, offsets[:-1])
-    return flat_to_dict(lexicon, flat / np.repeat(sums, np.diff(offsets)))
+from .model import (Theta, _mean, dirichlet_kl_flat, log_theta_star_flat,
+                    validate_alpha)
 
 
 @dataclass(frozen=True)
@@ -134,6 +95,34 @@ def encode_corpus(
         dstart=np.asarray(dstart, dtype=np.int64),
         sstart=np.asarray(sstart, dtype=np.int64),
     )
+
+
+def estep_flat(log_tstar, item_ids, dstart, sstart, n_items):
+    """Responsibilities ``q``, per-sentence ``logz`` and expected counts.
+
+    ``item_ids[dstart[j]:dstart[j+1]]`` are derivation j's items, and
+    ``sstart`` marks sentence boundaries in the derivation list.  Every
+    sentence needs at least one derivation: its max, log Z and the sum
+    that normalizes q are segment reductions over ``sstart``
+    (``np.add.reduceat``, ``np.maximum.reduceat``), spread back over the
+    sentence's derivations with ``np.repeat``, so nothing loops in Python.
+    ``reduceat`` adds a segment's values in sequence where ``np.sum`` adds
+    pairwise, so a segment sum can differ from ``np.sum``'s in its last
+    bits.
+    """
+    if dstart.shape[0] == 1:
+        # No derivations, so no sentences: reduceat cannot take empty offsets.
+        return np.zeros(0), np.zeros(0), np.zeros(int(n_items))
+    logw = np.add.reduceat(log_tstar[item_ids], dstart[:-1])
+    starts = sstart[:-1]
+    sizes = np.diff(sstart)
+    top = np.maximum.reduceat(logw, starts)
+    logz = top + np.log(np.add.reduceat(np.exp(logw - np.repeat(top, sizes)), starts))
+    qn = np.exp(logw - np.repeat(logz, sizes))
+    q = qn / np.repeat(np.add.reduceat(qn, starts), sizes)
+    counts = np.bincount(item_ids, weights=np.repeat(q, np.diff(dstart)),
+                         minlength=int(n_items))
+    return q, logz, counts
 
 
 @dataclass
@@ -198,10 +187,9 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
         kept_derivations.append(ids)
     encoded = encode_corpus(kept_sentences, kept_derivations)
 
-    offsets = _flat_offsets(lexicon)
-    alpha_flat = dict_to_flat(lexicon, alpha)
-    alpha_terms = gammaln_terms(alpha_flat, offsets)
-    omega = alpha_flat.copy()
+    offsets = lexicon.offsets
+    alpha_flat = [v for cat in lexicon.categories for v in alpha[cat]]
+    omega = alpha_flat
     trace: list[float] = []
     iterations = 0
     converged = False
@@ -212,17 +200,17 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
         iterations = it
         # One digamma pass: log t* weighs the derivations and enters the KL.
         log_tstar = log_theta_star_flat(omega, offsets)
-        q, logz, counts = estep_flat(log_tstar, encoded.item_ids, encoded.dstart,
-                                     encoded.sstart, lexicon.n_items)
+        q, logz, counts = estep_flat(np.array(log_tstar), encoded.item_ids,
+                                     encoded.dstart, encoded.sstart,
+                                     lexicon.n_items)
         surrogate = float(np.sum(logz)) - dirichlet_kl_flat(
-            omega, alpha_flat, offsets, log_tstar, alpha_terms)
+            omega, alpha_flat, offsets, log_tstar)
         if not math.isfinite(surrogate):
             raise InvalidModel(
                 f"objective became non-finite at iteration {it}")
         trace.append(surrogate)
-        new_omega = alpha_flat + counts
-        if np.array_equal(new_omega, omega):
-            omega = new_omega
+        new_omega = [a + c for a, c in zip(alpha_flat, counts.tolist())]
+        if new_omega == omega:
             converged = True
             break
         omega = new_omega
@@ -230,9 +218,11 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
             converged = True
             break
 
+    rows = {cat: omega[a:b]
+            for cat, a, b in zip(lexicon.categories, offsets, offsets[1:])}
     return TrainState(
-        omega=flat_to_dict(lexicon, omega),
-        theta_mean=_mean(lexicon, omega),
+        omega=rows,
+        theta_mean=_mean(rows),
         elbo_trace=trace,
         iterations=iterations,
         converged=converged,

@@ -3,7 +3,10 @@
 A parameter vector assigns each lexical item a probability, normalized
 within its category.  The probability of a derivation sequence is the
 product over its items of those per-item probabilities; sequences that
-fail the well-formedness check carry probability zero.
+fail the well-formedness check carry probability zero.  Each category's
+probabilities have a Dirichlet prior, and the Dirichlet row math (the
+density, ``theta_star``, ``posterior_mean`` and the trainer's log theta*
+and KL) lives here too, on plain lists of floats.
 
 ``sample_derivation`` draws from the model by top-down expansion: grow a
 sequence from the start category by repeatedly spelling out a head and
@@ -35,15 +38,16 @@ from .chart import _nonnegative
 from .errors import (CapExceeded, InvalidModel, UnderivableCategory,
                      UnknownCategoryError)
 from .lexicon import LexicalItem, Lexicon
-from .special import lgamma
+from .special import _TINY, lgamma, psi
 from .wellformed import is_wellformed
 
 if TYPE_CHECKING:
     import numpy as np
 
 _NORM_TOL = 1.0e-12
-# The least positive double: for a float v, v >= _LEAST_POSITIVE iff v > 0.
-_LEAST_POSITIVE = math.ulp(0.0)
+# psi is -inf at or below _TINY (2**-1024), so a pseudo-count is at least
+# the next double up.
+_LEAST_PSEUDO_COUNT = math.nextafter(_TINY, 1.0)
 
 Theta = dict[str, list[float]]
 Alpha = dict[str, list[float]]
@@ -64,11 +68,12 @@ def _validate_rows(lexicon: Lexicon, rows: Mapping[str, Sequence[float]],
     """The one check of a theta, alpha or omega: each category's row as a
     list of floats, one per item.  A theta row's entries are finite and >= 0
     and sum to 1 within _NORM_TOL; an alpha or omega row's (``positive``)
-    are finite and > 0, with a finite sum whose log Gamma is finite.  No
-    entry exceeds the sum, so every entry's log Gamma is finite too.
-    InvalidModel otherwise, with one message per defect, checked in that
-    order, then unknown categories."""
-    bound, least = ("> 0", _LEAST_POSITIVE) if positive else (">= 0", 0.0)
+    are finite and above 2**-1024, so that each entry's psi is finite, with
+    a finite sum whose log Gamma is finite.  No entry exceeds the sum, so
+    every entry's log Gamma is finite too.  InvalidModel otherwise, with one
+    message per defect, checked in that order, then unknown categories."""
+    bound, least = (("> 2**-1024 (about 5.56e-309)", _LEAST_PSEUDO_COUNT)
+                    if positive else (">= 0", 0.0))
     inf = math.inf
     out: dict[str, list[float]] = {}
     for cat in lexicon.categories:
@@ -119,8 +124,8 @@ def validate_theta(lexicon: Lexicon, theta: Mapping[str, Sequence[float]]) -> Th
 
 
 def validate_alpha(lexicon: Lexicon, alpha: Mapping[str, Sequence[float]]) -> Alpha:
-    """alpha's rows as floats: finite, > 0, with a sum whose log Gamma is
-    finite."""
+    """alpha's rows as floats: finite, above 2**-1024, with a sum whose log
+    Gamma is finite."""
     return _validate_rows(lexicon, alpha, "alpha", positive=True)
 
 
@@ -185,14 +190,77 @@ def prob_of_sequence(seq: Sequence[LexicalItem],
     return 0.0 if lp == -math.inf else math.exp(lp)
 
 
+# -- Dirichlet rows ------------------------------------------------------------
+#
+# One category's Dirichlet parameters are a plain list of floats.  The
+# trainer's rows sit end to end in one flat list, category k's block being
+# ``flat[offsets[k]:offsets[k + 1]]`` (``Lexicon.offsets``).  Every row sum
+# is ``math.fsum``.
+
+
+def _log_normalizer(row: Sequence[float]) -> float:
+    """log Gamma(sum row) - sum_i log Gamma(row_i): the log of Dir(row)'s
+    normalising constant."""
+    return lgamma(math.fsum(row)) - math.fsum(map(lgamma, row))
+
+
+def _log_theta_star(row: Sequence[float]) -> list[float]:
+    """psi(row_i) - psi(sum row), per entry: log theta* of one category."""
+    total = psi(math.fsum(row))
+    return [psi(w) - total for w in row]
+
+
+def _mean(rows: Mapping[str, Sequence[float]]) -> Theta:
+    """The Dirichlet mean of each row: row_i / sum row."""
+    out: Theta = {}
+    for cat, row in rows.items():
+        total = math.fsum(row)
+        out[cat] = [w / total for w in row]
+    return out
+
+
+def log_theta_star_flat(omega: Sequence[float],
+                        offsets: Sequence[int]) -> list[float]:
+    """psi(omega_i) - psi(sum of omega_i's category), per item."""
+    out: list[float] = []
+    for a, b in zip(offsets, offsets[1:]):
+        out += _log_theta_star(omega[a:b])
+    return out
+
+
+def dirichlet_kl_flat(omega: Sequence[float], alpha: Sequence[float],
+                      offsets: Sequence[int], log_tstar: Sequence[float]) -> float:
+    """Sum over categories of KL(Dir(omega) || Dir(alpha)).
+
+    ``log_tstar`` is ``log_theta_star_flat(omega, offsets)``, which a fit
+    computes once per iteration for the e-step too.  The KL is exactly 0
+    where omega equals alpha.
+    """
+    terms = [(w - a) * t for w, a, t in zip(omega, alpha, log_tstar)]
+    for a, b in zip(offsets, offsets[1:]):
+        terms.append(_log_normalizer(omega[a:b]) - _log_normalizer(alpha[a:b]))
+    return math.fsum(terms)
+
+
+def theta_star(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> Theta:
+    """exp(psi(omega_i) - psi(sum_cat omega)): the geometric-mean point."""
+    rows = _validate_rows(lexicon, omega, "omega", positive=True)
+    return {cat: [math.exp(t) for t in _log_theta_star(row)]
+            for cat, row in rows.items()}
+
+
+def posterior_mean(lexicon: Lexicon, omega: Mapping[str, Sequence[float]]) -> Theta:
+    """Dirichlet mean omega_i / sum_cat omega, per category."""
+    return _mean(_validate_rows(lexicon, omega, "omega", positive=True))
+
+
 def log_dirichlet_density(row: Sequence[float], alpha_row: Sequence[float]) -> float:
     """log Dir(row | alpha_row) for one category's parameter vector; -inf
     when an entry of ``row`` is 0."""
     if any(v <= 0.0 for v in row):
         return -math.inf
-    lognorm = lgamma(math.fsum(alpha_row)) - math.fsum(map(lgamma, alpha_row))
-    return lognorm + math.fsum((a - 1.0) * math.log(x)
-                               for a, x in zip(alpha_row, row))
+    return _log_normalizer(alpha_row) + math.fsum(
+        (a - 1.0) * math.log(x) for a, x in zip(alpha_row, row))
 
 
 def log_joint(seq: Sequence[LexicalItem], theta: Mapping[str, Sequence[float]],

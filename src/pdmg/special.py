@@ -9,9 +9,10 @@ dominant 1/x term carries an exact-product residual correction (Veltkamp
 splitting) so the final subtraction is the only rounding at full scale.
 Where 1/x exceeds 1e300 (x below 1e-300) the split would overflow, and the
 residual is far below an ulp of the result, so it is skipped.  psi is
-finite down to 1/DBL_MAX (about 5.56e-309) and -inf below, where 1/x
-itself overflows; that -inf is returned without dividing, so numpy, which
-maps psi over arrays, sees no overflow flag.
+finite above 1/DBL_MAX (about 5.56e-309) and -inf at or below it, where
+1/x itself overflows; that -inf is returned without dividing.
+``model._validate_rows`` refuses such pseudo-counts, so a fit's psi values
+are all finite.
 """
 
 from __future__ import annotations

@@ -129,6 +129,18 @@ class TestCaps:
         with pytest.raises(CapExceeded):
             parse(whq, "what did you see".split(), CFG(max_steps=5))
 
+    # The question's closure takes 15 steps and its extraction 10 more.  The
+    # message names the layer that ran out and no guess at a cause: a chart
+    # cycle's every turn adds a covert leaf, which max_covert bounds.
+    @pytest.mark.parametrize("max_steps, layer", [
+        (14, "chart closure"), (15, "derivation extraction"),
+        (24, "derivation extraction")])
+    def test_max_steps_message(self, whq, max_steps, layer):
+        with pytest.raises(CapExceeded,
+                           match=f"^{layer} exceeded {max_steps} steps$"):
+            parse(whq, "what did you see".split(), CFG(max_steps=max_steps))
+        assert parse(whq, "what did you see".split(), CFG(max_steps=25)).count == 1
+
     @pytest.mark.parametrize("name", ["max_derivations", "max_covert", "max_steps"])
     @pytest.mark.parametrize("config", [ParseConfig, TrainConfig])
     def test_negative_cap_is_bad_input(self, config, name):

@@ -454,14 +454,30 @@ class TestCovertCap:
     a filter, so it trips no error."""
 
     LEX = "x :: a\nε :: =a b\nε :: =b c\nε :: =c d\nε :: =d e\n"
+    # From perfbench's sample-wh grammar: a clause embedded under `knows`,
+    # each clause with a covert T and a covert C.
+    EMBEDDED = ("sandy :: s\nkim :: s\nlee :: o\nsaw :: =o s= v\n"
+                "knows :: =c s= v\nε :: =v t\nε :: =t c\n")
+
+    @staticmethod
+    def _count(runner, tmp_path, text, args):
+        lex = tmp_path / "covert.lex"
+        lex.write_text(text, encoding="utf-8")
+        r = runner.invoke(main, [args[0], str(lex), *args[1:]])
+        return r.exit_code, json.loads(r.output)["count"]
 
     @pytest.mark.parametrize("command", ["parse", "score"])
     @pytest.mark.parametrize("cap, count", [([], 0), (["--max-covert", "4"], 1)])
     def test_four_covert_leaves(self, runner, tmp_path, command, cap, count):
-        lex = tmp_path / "covert.lex"
-        lex.write_text(self.LEX, encoding="utf-8")
-        r = runner.invoke(main, [command, str(lex), "x", "--start", "e", *cap])
-        assert (r.exit_code, json.loads(r.output)["count"]) == (0, count)
+        assert self._count(runner, tmp_path, self.LEX,
+                           [command, "x", "--start", "e", *cap]) == (0, count)
+
+    @pytest.mark.parametrize("command", ["parse", "score"])
+    @pytest.mark.parametrize("cap, count", [([], 0), (["--max-covert", "4"], 1)])
+    def test_embedded_clause(self, runner, tmp_path, command, cap, count):
+        assert self._count(runner, tmp_path, self.EMBEDDED,
+                           [command, "sandy knows kim saw lee", "--start", "c",
+                            *cap]) == (0, count)
 
 
 class TestNegativeSampleCounts:
@@ -608,6 +624,26 @@ class TestBadModelRows:
         assert r.stderr == (
             "error: alpha['d'] sums to 2e+306, expected a sum whose log Gamma "
             "is finite (below about 2.56e+305)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_iters", ["0", "1", "100"])
+    def test_alpha_entry_psi_minus_inf(self, runner, tmp_path, max_iters):
+        # psi(1e-309) is -inf: the entry is refused before any iteration,
+        # not carried into the e-step as -inf - (-inf).
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("what did you see\n")
+        p = tmp_path / "alpha.json"
+        p.write_text('{"d": [1e-309, 1], "v": [1], "i": [1], "c": [1]}')
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails it
+            r = runner.invoke(main, ["train", WHQ, str(corpus), "--start", "c",
+                                     "--alpha", str(p), "--out", str(out),
+                                     "--max-iters", max_iters])
+        _assert_one_error_line(r, 2)
+        assert r.stderr == (
+            "error: alpha['d'] entries must be finite and > 2**-1024 (about "
+            "5.56e-309); entry 1e-309 is not\n")
         assert not out.exists()
 
     def test_alpha_entry_near_least_double_fits(self, runner, tmp_path):

@@ -24,8 +24,8 @@ from pdmg import (
     uniform_theta,
 )
 from pdmg.cli import main
-from pdmg.inference import dict_to_flat, flat_to_dict
-from pdmg.numerics import estep_flat, log_theta_star_flat
+from pdmg.inference import estep_flat
+from pdmg.model import log_theta_star_flat
 
 
 def derivations_for(lex, sentences, start="c"):
@@ -35,10 +35,15 @@ def derivations_for(lex, sentences, start="c"):
 
 class TestFlatViews:
     def test_round_trip(self, whq):
+        # train lays the rows end to end in lexicon order, category k at
+        # whq.offsets[k]; with no iteration, omega is alpha's rows again.
         rows = {"d": [1.0, 2.0], "v": [3.0], "i": [4.0], "c": [5.0]}
-        flat = dict_to_flat(whq, rows)
-        assert flat.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert flat_to_dict(whq, flat) == rows
+        state = train(whq, ["what did you see"], rows,
+                      TrainConfig(start="c", max_iters=0))
+        assert state.omega == rows
+        flat = log_theta_star_flat([1.0, 2.0, 3.0, 4.0, 5.0], whq.offsets)
+        assert [math.exp(t) for t in flat[:2]] == theta_star(whq, rows)["d"]
+        assert flat[2:] == [0.0, 0.0, 0.0]
 
 
 class TestThetaStar:
@@ -62,10 +67,15 @@ class TestThetaStar:
 
     @pytest.mark.parametrize("tiny", [1e-300, 1e-305, 1e-308, 1e-309, 5e-324])
     def test_tiny_pseudo_count(self, whq, tiny):
-        # psi(tiny) is about -1/tiny, or -inf below 1/DBL_MAX: theta* is 0.
+        # psi(tiny) is about -1/tiny, so theta* is 0; at or below 2**-1024
+        # (1/DBL_MAX, rounded) psi is -inf and the row is refused.
         omega = ones_alpha(whq)
         omega["d"] = [tiny, 1.0]
-        assert theta_star(whq, omega)["d"] == [0.0, 1.0]
+        if tiny <= 2.0 ** -1024:
+            with pytest.raises(InvalidModel, match=r"> 2\*\*-1024"):
+                theta_star(whq, omega)
+        else:
+            assert theta_star(whq, omega)["d"] == [0.0, 1.0]
 
     def test_subnormalized(self, whq):
         rng = np.random.default_rng(0)
@@ -122,10 +132,9 @@ class TestEStepAndBound:
     def test_unambiguous_posterior_is_one(self, whq):
         enc = encode_corpus(["what did you see"],
                             derivations_for(whq, ["what did you see"]))
-        omega = dict_to_flat(whq, ones_alpha(whq))
-        log_tstar = log_theta_star_flat(omega, np.asarray(whq.offsets))
-        q, logz, counts = estep_flat(log_tstar, enc.item_ids, enc.dstart,
-                                     enc.sstart, whq.n_items)
+        log_tstar = log_theta_star_flat([1.0] * whq.n_items, whq.offsets)
+        q, logz, counts = estep_flat(np.array(log_tstar), enc.item_ids,
+                                     enc.dstart, enc.sstart, whq.n_items)
         assert q.tolist() == [1.0]
         # log t* is -1 for each d item, 0 for singletons
         assert logz[0] == pytest.approx(-2.0, abs=1e-12)
@@ -318,7 +327,8 @@ class TestTrainBehavior:
         assert state.omega["d"] == [1.0, 2.0]
 
     def test_validates_alpha_once_and_not_its_own_omega(self, whq, monkeypatch):
-        from pdmg import inference, model
+        # model's row check is the only one: inference no longer imports it.
+        from pdmg import model
         names = []
         real = model._validate_rows
 
@@ -327,7 +337,6 @@ class TestTrainBehavior:
             return real(lexicon, rows, name, **kw)
 
         monkeypatch.setattr(model, "_validate_rows", counted)
-        monkeypatch.setattr(inference, "_validate_rows", counted)
         state = train(whq, ["what did you see"], ones_alpha(whq),
                       TrainConfig(start="c"))
         assert names == ["alpha"]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ class TestValidateAlpha:
     def test_zero_rejected(self, whq):
         alpha = ones_alpha(whq)
         alpha["v"] = [0.0]
-        with pytest.raises(InvalidModel, match="> 0"):
+        with pytest.raises(InvalidModel, match=re.escape(PSEUDO_COUNT_BOUND)):
             validate_alpha(whq, alpha)
 
     def test_unnormalized_is_fine(self, whq):
@@ -304,13 +305,16 @@ class TestSampler:
 
 # One table of bad rows, put in place of category 'd' (two items) of whq.lex,
 # or DELETE to drop that category.  Each entry gives the message for a theta
-# (entries >= 0, summing to 1) and for an alpha or omega (entries > 0, with a
-# finite sum), or None where that kind of row is valid.  {name} is "theta",
-# "alpha" or "omega", and {bound} is ">= 0" or "> 0".
+# (entries >= 0, summing to 1) and for an alpha or omega (entries above
+# 2**-1024, where psi is finite, with a finite sum), or None where that kind
+# of row is valid.  {name} is "theta", "alpha" or "omega", and {bound} is
+# THETA_BOUND or PSEUDO_COUNT_BOUND.
 DELETE = object()
 NUMBERS = "{name}['d'] must be a list of numbers"
 ENTRY = "{name}['d'] entries must be finite and {bound}; entry %s is not"
 SHORT = "{name}['d'] has 1 entries, lexicon has 2 items"
+THETA_BOUND = ">= 0"
+PSEUDO_COUNT_BOUND = "> 2**-1024 (about 5.56e-309)"
 BAD_ROWS = [
     ("numeric-string", {"d": ["0.5", "0.5"]}, NUMBERS, NUMBERS),
     ("boolean", {"d": [True, False]}, NUMBERS, NUMBERS),
@@ -322,6 +326,7 @@ BAD_ROWS = [
     ("minus-inf", {"d": [-math.inf, 1.0]}, ENTRY % "-inf", ENTRY % "-inf"),
     ("negative", {"d": [-0.25, 1.25]}, ENTRY % "-0.25", ENTRY % "-0.25"),
     ("zero", {"d": [1.0, 0.0]}, None, ENTRY % "0.0"),
+    ("psi-minus-inf", {"d": [1e-309, 1.0]}, None, ENTRY % "1e-309"),
     ("short", {"d": [1.0]}, SHORT, SHORT),
     ("missing", {"d": DELETE}, "{name} missing category 'd'",
      "{name} missing category 'd'"),
@@ -379,7 +384,7 @@ class TestOneRowOneVerdict:
         }
         for entry, call in checks.items():
             assert (entry, _message(call)) == (
-                entry, theta_msg.format(name="theta", bound=">= 0"))
+                entry, theta_msg.format(name="theta", bound=THETA_BOUND))
 
     @pytest.mark.parametrize("change, positive_msg",
                              [(c, p) for _, c, _, p in BAD_ROWS],
@@ -409,7 +414,8 @@ class TestOneRowOneVerdict:
         for name, calls in checks.items():
             for entry, call in calls.items():
                 assert (entry, _message(call)) == (
-                    entry, positive_msg.format(name=name, bound="> 0"))
+                    entry,
+                    positive_msg.format(name=name, bound=PSEUDO_COUNT_BOUND))
 
     def test_sampler_refuses_numpys_tolerance(self, whq):
         # Generator.choice would take this row (|sum - 1| <= sqrt(eps)).

@@ -1,4 +1,6 @@
-"""Unit tests for the numeric kernels against mpmath-derived oracles."""
+"""Unit tests for the numeric kernels against mpmath-derived oracles: the
+scalar psi and log Gamma, the Dirichlet row functions on plain lists, and
+the numpy e-step."""
 
 import math
 
@@ -7,7 +9,9 @@ import numpy as np
 import pytest
 
 import oracle
-from pdmg import numerics, special
+from pdmg import special
+from pdmg.inference import estep_flat
+from pdmg.model import dirichlet_kl_flat, log_theta_star_flat
 
 mpmath.mp.dps = 40
 
@@ -22,57 +26,50 @@ def mp_gammaln(x: float) -> float:
     return float(mpmath.loggamma(x))
 
 
+def psi_all(xs) -> np.ndarray:
+    return np.array([special.psi(float(x)) for x in xs])
+
+
+def lgamma_all(xs) -> np.ndarray:
+    return np.array([special.lgamma(float(x)) for x in xs])
+
+
 GRID = np.logspace(-6, 6, 200)
 
 
 class TestDigamma:
     def test_psi_one_is_minus_euler(self):
-        assert abs(numerics._digamma_arr(1.0) + EULER_GAMMA) <= 1e-12
+        assert abs(special.psi(1.0) + EULER_GAMMA) <= 1e-12
 
     def test_psi_two_recurrence(self):
-        psi1, psi2 = numerics._digamma_arr([1.0, 2.0])
-        assert abs(psi2 - (psi1 + 1.0)) <= 1e-12
+        assert abs(special.psi(2.0) - (special.psi(1.0) + 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("x", [1e-6, 1e-3, 0.5, 1.0, 6.0, 123.456, 1e6])
     def test_against_mpmath_points(self, x):
-        assert abs(numerics._digamma_arr(x) - mp_digamma(x)) <= 1e-10
+        assert abs(special.psi(x) - mp_digamma(x)) <= 1e-10
 
     def test_against_mpmath_grid(self):
-        got = numerics._digamma_arr(GRID)
+        got = psi_all(GRID)
         want = np.array([mp_digamma(x) for x in GRID])
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_recurrence_along_grid(self):
         x = GRID
-        lhs = numerics._digamma_arr(x + 1.0)
-        rhs = numerics._digamma_arr(x) + 1.0 / x
+        lhs = psi_all(x + 1.0)
+        rhs = psi_all(x) + 1.0 / x
         # near zero the rhs cancels two huge terms, so scale by them
         scale = np.maximum(np.maximum(1.0, np.abs(lhs)), 1.0 / x)
         assert np.max(np.abs(lhs - rhs) / scale) <= 1e-12
 
     def test_scalar_in_scalar_out(self):
-        # the scalar routine the array routine maps: a float for a float
         assert isinstance(special.psi(2.5), float)
         assert isinstance(special.lgamma(2.5), float)
-        assert numerics._digamma_arr(np.array(2.5)) == special.psi(2.5)
-
-    def test_array_shape_preserved(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = numerics._digamma_arr(x)
-        assert out.shape == (2, 2)
-        assert abs(out[1, 1] - mp_digamma(4.0)) <= 1e-12
-
-    def test_noncontiguous_input(self):
-        x = np.linspace(1.0, 10.0, 20)[::2]
-        got = numerics._digamma_arr(x)
-        want = np.array([mp_digamma(v) for v in x])
-        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_tiny_arguments_against_mpmath(self):
         # 1/x passes 1e300 here, where the exact-product split would
         # overflow; psi is then -1/x - gamma to within an ulp.
         xs = np.logspace(-308.0, -300.0, 400)
-        got = numerics._digamma_arr(xs)
+        got = psi_all(xs)
         want = np.array([float(mpmath.digamma(mpmath.mpf(float(x)))) for x in xs])
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
@@ -80,7 +77,7 @@ class TestDigamma:
     def test_minus_inf_below_one_over_dbl_max(self):
         least = 2.0 ** -1024  # 1 / DBL_MAX, rounded
         above = math.nextafter(least, 1.0)
-        got = numerics._digamma_arr([least, 5e-324, above])
+        got = [special.psi(x) for x in (least, 5e-324, above)]
         assert got[0] == got[1] == -math.inf
         assert got[2] == float(mpmath.digamma(mpmath.mpf(above)))
         assert math.isfinite(got[2])
@@ -89,28 +86,28 @@ class TestDigamma:
 class TestGammaln:
     @pytest.mark.parametrize("x", [1.0, 2.0])
     def test_integer_zeros(self, x):
-        assert abs(numerics._gammaln_arr(x)) <= 1e-13
+        assert abs(special.lgamma(x)) <= 1e-13
 
     def test_half(self):
-        assert abs(numerics._gammaln_arr(0.5) - 0.5 * math.log(math.pi)) <= 1e-13
+        assert abs(special.lgamma(0.5) - 0.5 * math.log(math.pi)) <= 1e-13
 
     def test_against_mpmath_grid(self):
-        got = numerics._gammaln_arr(GRID)
+        got = lgamma_all(GRID)
         want = np.array([mp_gammaln(x) for x in GRID])
         scale = np.maximum(1.0, np.abs(want))
         assert np.max(np.abs(got - want) / scale) <= 1e-12
 
     def test_against_math_lgamma(self):
         x = np.linspace(0.05, 30.0, 400)
-        got = numerics._gammaln_arr(x)
+        got = lgamma_all(x)
         want = np.array([math.lgamma(v) for v in x])
         scale = np.maximum(1.0, np.abs(want))
         assert np.max(np.abs(got - want) / scale) <= 1e-12
 
     def test_recurrence(self):
         x = np.linspace(0.1, 50.0, 100)
-        lhs = numerics._gammaln_arr(x + 1.0)
-        rhs = numerics._gammaln_arr(x) + np.log(x)
+        lhs = lgamma_all(x + 1.0)
+        rhs = lgamma_all(x) + np.log(x)
         scale = np.maximum(1.0, np.abs(lhs))
         assert np.max(np.abs(lhs - rhs) / scale) <= 1e-12
 
@@ -118,79 +115,80 @@ class TestGammaln:
 class TestLogThetaStar:
     def test_pair_of_ones(self):
         # psi(1) - psi(2) is exactly -1
-        offsets = np.array([0, 2], dtype=np.int64)
-        out = numerics.log_theta_star_flat(np.array([1.0, 1.0]), offsets)
-        assert np.max(np.abs(out - (-1.0))) <= 1e-12
+        out = log_theta_star_flat([1.0, 1.0], [0, 2])
+        assert max(abs(t + 1.0) for t in out) <= 1e-12
 
     def test_singleton_is_exact_zero(self):
-        offsets = np.array([0, 1], dtype=np.int64)
         for w in (0.25, 1.0, 7.5, 1e3):
-            out = numerics.log_theta_star_flat(np.array([w]), offsets)
-            assert out[0] == 0.0
+            assert log_theta_star_flat([w], [0, 1]) == [0.0]
 
     def test_subnormalized(self):
         rng = np.random.default_rng(7)
-        offsets = np.array([0, 3, 4, 9], dtype=np.int64)
+        offsets = [0, 3, 4, 9]
         for _ in range(200):
-            omega = rng.uniform(1e-3, 1e3, size=9)
-            out = numerics.log_theta_star_flat(omega, offsets)
-            theta = np.exp(out)
-            for k in range(3):
-                assert theta[offsets[k]:offsets[k + 1]].sum() <= 1.0 + 1e-12
+            omega = rng.uniform(1e-3, 1e3, size=9).tolist()
+            theta = [math.exp(t) for t in log_theta_star_flat(omega, offsets)]
+            for a, b in zip(offsets, offsets[1:]):
+                assert math.fsum(theta[a:b]) <= 1.0 + 1e-12
 
     def test_matches_scalar_definition(self):
-        offsets = np.array([0, 2, 5], dtype=np.int64)
-        omega = np.array([0.5, 2.0, 1.0, 3.0, 4.5])
-        out = numerics.log_theta_star_flat(omega, offsets)
+        offsets = [0, 2, 5]
+        omega = [0.5, 2.0, 1.0, 3.0, 4.5]
+        out = log_theta_star_flat(omega, offsets)
         want = []
-        for k in range(2):
-            block = omega[offsets[k]:offsets[k + 1]]
-            s = mp_digamma(block.sum())
+        for a, b in zip(offsets, offsets[1:]):
+            block = omega[a:b]
+            s = mp_digamma(math.fsum(block))
             want.extend(mp_digamma(w) - s for w in block)
-        assert np.max(np.abs(out - np.array(want))) <= 1e-12
+        assert max(abs(g - w) for g, w in zip(out, want)) <= 1e-12
 
 
 def _kl(omega, alpha, offsets):
-    # The call train makes: log t* and the prior's log-gamma terms passed in.
-    return numerics.dirichlet_kl_flat(
-        omega, alpha, offsets, numerics.log_theta_star_flat(omega, offsets),
-        numerics.gammaln_terms(alpha, offsets))
+    # The call train makes: log t* computed once and passed in.
+    return dirichlet_kl_flat(omega, alpha, offsets,
+                             log_theta_star_flat(omega, offsets))
 
 
 class TestDirichletKL:
     def test_zero_at_equal_parameters(self):
-        offsets = np.array([0, 2, 5], dtype=np.int64)
-        omega = np.array([0.5, 2.0, 1.0, 3.0, 4.5])
-        assert _kl(omega, omega.copy(), offsets) == 0.0
+        omega = [0.5, 2.0, 1.0, 3.0, 4.5]
+        assert _kl(omega, list(omega), [0, 2, 5]) == 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
-        offsets = np.array([0, 3, 7], dtype=np.int64)
         for _ in range(100):
-            omega = rng.uniform(1e-2, 1e2, size=7)
-            alpha = rng.uniform(1e-2, 1e2, size=7)
-            assert _kl(omega, alpha, offsets) >= -1e-10
+            omega = rng.uniform(1e-2, 1e2, size=7).tolist()
+            alpha = rng.uniform(1e-2, 1e2, size=7).tolist()
+            assert _kl(omega, alpha, [0, 3, 7]) >= -1e-10
 
     def test_against_exact_oracle(self):
         rng = np.random.default_rng(5)
-        offsets = np.array([0, 4], dtype=np.int64)
         for _ in range(50):
-            omega = rng.uniform(1e-2, 1e2, size=4)
-            alpha = rng.uniform(1e-2, 1e2, size=4)
-            got = _kl(omega, alpha, offsets)
+            omega = rng.uniform(1e-2, 1e2, size=4).tolist()
+            alpha = rng.uniform(1e-2, 1e2, size=4).tolist()
+            got = _kl(omega, alpha, [0, 4])
             want = oracle.dirichlet_kl_exact(
-                list(omega), list(alpha),
-                psi=mp_digamma, lgamma=mp_gammaln)
+                omega, alpha, psi=mp_digamma, lgamma=mp_gammaln)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_against_exact_oracle_any_width(self):
+        # Rows of 1 to 50 items, each against the oracle in 40-digit mpmath.
+        rng = np.random.default_rng(11)
+        for width in range(1, 51):
+            omega = rng.uniform(1e-2, 1e2, size=width).tolist()
+            alpha = rng.uniform(1e-2, 1e2, size=width).tolist()
+            got = _kl(omega, alpha, [0, width])
+            want = oracle.dirichlet_kl_exact(
+                omega, alpha, psi=mp_digamma, lgamma=mp_gammaln)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), width
 
     def test_sums_over_categories(self):
         # KL over two categories equals the sum of the per-category KLs
-        omega = np.array([1.5, 2.5, 0.5, 3.5, 4.5])
-        alpha = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
-        offsets = np.array([0, 2, 5], dtype=np.int64)
-        whole = _kl(omega, alpha, offsets)
-        first = _kl(omega[:2], alpha[:2], np.array([0, 2], dtype=np.int64))
-        second = _kl(omega[2:], alpha[2:], np.array([0, 3], dtype=np.int64))
+        omega = [1.5, 2.5, 0.5, 3.5, 4.5]
+        alpha = [1.0, 1.0, 1.0, 2.0, 2.0]
+        whole = _kl(omega, alpha, [0, 2, 5])
+        first = _kl(omega[:2], alpha[:2], [0, 2])
+        second = _kl(omega[2:], alpha[2:], [0, 3])
         assert abs(whole - (first + second)) <= 1e-10
 
 
@@ -245,7 +243,7 @@ class TestEstep:
         rng = np.random.default_rng(17 + deep)
         for k in range(400):
             case = _random_flat_case(rng, deep, 4 if k < 300 else 64)
-            q, logz, counts = numerics.estep_flat(*case)
+            q, logz, counts = estep_flat(*case)
             want_q, want_logz, want_counts = oracle.estep_exact(*case)
             assert np.max(np.abs(q - want_q)) <= 1e-13
             assert np.max(np.abs(logz - want_logz)) <= 1e-12
@@ -253,7 +251,7 @@ class TestEstep:
 
     def test_hand_case(self):
         log_tstar, item_ids, dstart, sstart, n = _flat_case()
-        q, logz, counts = numerics.estep_flat(
+        q, logz, counts = estep_flat(
             log_tstar, item_ids, dstart, sstart, n)
         # sentence 0: weights 0.5 and 0.25*0.125, normalized
         w0, w1 = 0.5, 0.25 * 0.125
@@ -266,7 +264,7 @@ class TestEstep:
 
     def test_counts_respect_multiplicity(self):
         log_tstar, item_ids, dstart, sstart, n = _flat_case()
-        q, _, counts = numerics.estep_flat(
+        q, _, counts = estep_flat(
             log_tstar, item_ids, dstart, sstart, n)
         # item 0 appears once in derivation 0 and twice in derivation 2
         assert counts[0] == pytest.approx(q[0] + 2.0 * q[2], abs=1e-13)
@@ -275,12 +273,12 @@ class TestEstep:
 
     def test_q_sums_to_one_per_sentence(self):
         log_tstar, item_ids, dstart, sstart, n = _flat_case()
-        q, _, _ = numerics.estep_flat(log_tstar, item_ids, dstart, sstart, n)
+        q, _, _ = estep_flat(log_tstar, item_ids, dstart, sstart, n)
         assert math.fsum(q[0:2]) == pytest.approx(1.0, abs=1e-14)
         assert q[2] == pytest.approx(1.0, abs=1e-14)
 
     def test_empty_problem(self):
-        q, logz, counts = numerics.estep_flat(
+        q, logz, counts = estep_flat(
             np.zeros(3), np.zeros(0, dtype=np.int64),
             np.array([0], dtype=np.int64), np.array([0], dtype=np.int64), 3)
         assert q.shape == (0,)
@@ -293,6 +291,6 @@ class TestEstep:
         item_ids = np.array([0, 1], dtype=np.int64)
         dstart = np.array([0, 1, 2], dtype=np.int64)
         sstart = np.array([0, 2], dtype=np.int64)
-        q, logz, _ = numerics.estep_flat(log_tstar, item_ids, dstart, sstart, 2)
+        q, logz, _ = estep_flat(log_tstar, item_ids, dstart, sstart, 2)
         assert np.isfinite(logz).all()
         assert q[0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-13)

@@ -1,9 +1,11 @@
 """Start-up: parsing, scoring and checking load neither numpy nor the trainer.
 
-Only training, sampling, ``sample_theta``, ``theta_star`` and
-``posterior_mean`` compute with numpy.  The behavioural tests run a fresh
-interpreter, because this process already holds numpy; the ``ast`` guard
-names the module whose import would load it.
+Only training's e-step (``pdmg.inference``) and the random draws of
+``sample_theta`` and the sampler compute with numpy; the Dirichlet row
+math (``theta_star``, ``posterior_mean``, the density) runs on plain
+floats.  The behavioural tests run a fresh interpreter, because this
+process already holds numpy; the ``ast`` guard names the module whose
+import would load it.
 """
 
 import ast
@@ -19,7 +21,7 @@ import pdmg
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "pdmg"
-HEAVY = ("numpy", "pdmg.inference", "pdmg.numerics")
+HEAVY = ("numpy", "pdmg.inference")
 
 # Runs in the child: `step(name)` records which of HEAVY are loaded, and
 # `cli(...)` runs one command in process and records its exit code.
@@ -89,6 +91,18 @@ step("library")
     assert out["steps"] == {"library": []}
 
 
+def test_dirichlet_rows_load_no_numpy():
+    out = _child(f"""
+import pdmg
+lex = pdmg.load_lexicon({WHQ!r})
+omega = {{"d": [1.0, 3.0], "v": [2.0], "i": [5.0], "c": [0.5]}}
+assert pdmg.theta_star(lex, omega)["v"] == [1.0]
+assert pdmg.posterior_mean(lex, omega)["d"] == [0.25, 0.75]
+step("library")
+""")
+    assert out["steps"] == {"library": []}
+
+
 def test_train_loads_numpy(tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(SENTENCE + "\n")
@@ -131,9 +145,9 @@ def test_every_public_name_resolves():
 
 # -- tooling guard ------------------------------------------------------------
 
-# The modules that compute with numpy; nothing else imports them, or numpy,
+# The module that computes with numpy; nothing else imports it, or numpy,
 # outside a function.
-NUMPY_MODULES = {"numerics", "inference"}
+NUMPY_MODULES = {"inference"}
 
 
 def _imported(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -181,11 +195,11 @@ def test_guard_sees_every_form():
         "import numpy as np\n"
         "from numpy import zeros\n"
         "from . import inference\n"
-        "from .numerics import gammaln\n"
+        "from .inference import train\n"
         "try:\n    import numpy.random\nexcept ImportError:\n    pass\n"
         "if TYPE_CHECKING:\n    import numpy\n"
         "def f():\n    import numpy\n"
         "from .chart import parse\n")
     assert _heavy_module_level_imports(tree) == [
         (1, "numpy"), (2, "numpy"), (3, "pdmg.inference"),
-        (4, "pdmg.numerics"), (6, "numpy.random")]
+        (4, "pdmg.inference"), (6, "numpy.random")]
