@@ -19,7 +19,7 @@ import click
 
 from . import __version__
 from .chart import ParseConfig, TrainConfig, parse
-from .corpus import canonical_json, load_corpus
+from .corpus import _fmt_float, canonical_json, load_corpus
 from .errors import (CapExceeded, EvalError, LexiconError, PdmgError,
                      UnknownCategoryError, UnparsedSentence)
 from .lexicon import LexicalItem, Lexicon, load_lexicon
@@ -329,8 +329,11 @@ def train_cmd(lexicon_path: str, corpus_path: str, start: str,
             fh.write("\n")
         status = "converged" if state.converged else "stopped"
         bound = state.elbo_trace[-1] if state.elbo_trace else float("nan")
+        # From 1e16 on, .6f spells out every integer digit (hundreds near
+        # 1e305); print such a bound as result.json holds it.
+        shown = _fmt_float(bound) if abs(bound) >= 1e16 else f"{bound:.6f}"
         click.echo(f"{status} after {state.iterations} iterations, "
-                   f"bound {bound:.6f}, wrote {out_path}")
+                   f"bound {shown}, wrote {out_path}")
     _run(body)
 
 

@@ -27,9 +27,15 @@ their LexicalItem sequences unless ``TrainState.posteriors`` is read.
 The Dirichlet rows (alpha, omega, log t*) are a few dozen numbers, kept as
 one flat list in lexicon order and handled by ``model``'s row functions on
 plain floats.  Only the e-step, which weighs every derivation of every
-sentence, is numpy: ``estep_flat`` below, over the flat arrays of
-``encode_corpus``.  An iteration computes ``log t*`` once and uses it both
-to weigh derivations and in the KL's ``(omega - alpha) * log t*`` term.
+sentence, is numpy: ``estep_flat`` below.  A derivation's weight depends
+only on how often it uses each item, so ``encode_corpus`` builds, once per
+fit, the D x N matrix of those counts over the corpus's D derivations and
+the lexicon's N items.  An e-step is then two matrix-vector products
+(log weights ``counts @ log t*``, expected counts ``q @ counts``) and a
+few reductions over the D log weights; its cost grows with D x N, where
+the item occurrences it replaced grew with D times the derivation length.
+An iteration computes ``log t*`` once and uses it both to weigh
+derivations and in the KL's ``(omega - alpha) * log t*`` term.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,18 +66,21 @@ class SentencePosterior:
 
 @dataclass(frozen=True)
 class EncodedCorpus:
-    """Parsed corpus flattened for the array kernels.
+    """Parsed corpus as the e-step's count matrix.
 
     ``derivations[n]`` is sentence n's candidate derivations, each a tuple
-    of global item indices (a forest's ``ids``).
-    ``item_ids`` concatenates every derivation's global item indices;
-    ``dstart`` marks derivation boundaries within it, and ``sstart``
-    marks sentence boundaries within the derivation list.  No chart is
-    kept: training holds only these through the VB loop.
+    of global item indices (a forest's ``ids``).  ``counts`` is a D x N
+    float64 matrix over the corpus's D derivations and the lexicon's N
+    items: row j holds how often derivation j uses each item.  It costs
+    8·D·N bytes, 0.6 MB for train-pp's 3,250 derivations over 23 items,
+    and grows with the lexicon.  ``dstart[j]`` is where derivation j
+    starts in the concatenated id tuples, so ``len(dstart) - 1`` is D, and
+    ``sstart`` marks sentence boundaries within the derivation list.  No
+    chart is kept: training holds only these through the VB loop.
     """
     sentences: tuple[str, ...]
     derivations: tuple[tuple[tuple[int, ...], ...], ...]
-    item_ids: np.ndarray
+    counts: np.ndarray
     dstart: np.ndarray
     sstart: np.ndarray
 
@@ -78,51 +88,70 @@ class EncodedCorpus:
 def encode_corpus(
     sentences: Sequence[str],
     derivations: Sequence[tuple[tuple[int, ...], ...]],
+    n_items: int,
 ) -> EncodedCorpus:
-    """Flatten each sentence's derivations (a forest's ``ids``)."""
-    ids: list[int] = []
-    dstart = [0]
-    sstart = [0]
-    for forest_ids in derivations:
-        for d in forest_ids:
-            ids.extend(d)
-            dstart.append(len(ids))
-        sstart.append(len(dstart) - 1)
+    """Count each derivation's items (a forest's ``ids``) over ``n_items``.
+
+    Every sentence needs at least one derivation; one with none raises
+    UnparsedSentence, naming its index in ``sentences``.
+    """
+    sizes = [len(forest_ids) for forest_ids in derivations]
+    if 0 in sizes:
+        n = sizes.index(0)
+        raise UnparsedSentence(n, sentences[n])
+    n_derivations = sum(sizes)
+    lengths = np.fromiter(map(len, chain.from_iterable(derivations)),
+                          np.int64, n_derivations)
+    dstart = np.zeros(n_derivations + 1, dtype=np.int64)
+    np.cumsum(lengths, out=dstart[1:])
+    cells = np.fromiter(chain.from_iterable(chain.from_iterable(derivations)),
+                        np.int64, int(dstart[-1]))
+    if cells.size and not 0 <= cells.min() <= cells.max() < n_items:
+        raise ValueError(f"item ids must lie in [0, {n_items})")
+    # Item i of derivation j is cell j * N + i of the row-major matrix.
+    cells += np.repeat(np.arange(0, n_derivations * n_items, n_items), lengths)
+    counts = np.zeros((n_derivations, n_items))
+    np.add.at(counts.reshape(-1), cells, 1.0)
+    sstart = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=sstart[1:])
     return EncodedCorpus(
         sentences=tuple(sentences),
         derivations=tuple(derivations),
-        item_ids=np.asarray(ids, dtype=np.int64),
-        dstart=np.asarray(dstart, dtype=np.int64),
-        sstart=np.asarray(sstart, dtype=np.int64),
+        counts=counts,
+        dstart=dstart,
+        sstart=sstart,
     )
 
 
-def estep_flat(log_tstar, item_ids, dstart, sstart, n_items):
+def estep_flat(log_tstar, counts, sstart):
     """Responsibilities ``q``, per-sentence ``logz`` and expected counts.
 
-    ``item_ids[dstart[j]:dstart[j+1]]`` are derivation j's items, and
-    ``sstart`` marks sentence boundaries in the derivation list.  Every
-    sentence needs at least one derivation: its max, log Z and the sum
-    that normalizes q are segment reductions over ``sstart``
-    (``np.add.reduceat``, ``np.maximum.reduceat``), spread back over the
-    sentence's derivations with ``np.repeat``, so nothing loops in Python.
-    ``reduceat`` adds a segment's values in sequence where ``np.sum`` adds
-    pairwise, so a segment sum can differ from ``np.sum``'s in its last
-    bits.
+    ``counts`` is the D x N item-count matrix of ``encode_corpus`` and
+    ``sstart`` marks sentence boundaries in its rows; every sentence has at
+    least one row.  Derivation weights are one matrix-vector product,
+    ``counts @ log_tstar``, exact in its terms: counts are small integers
+    and ``log_tstar`` is finite, so an unused item adds 0.  Each
+    sentence's max, log Z and the sum that normalizes q are segment
+    reductions over ``sstart`` (``np.add.reduceat``,
+    ``np.maximum.reduceat``), spread back over the sentence's derivations
+    with ``np.repeat``, and the expected counts are ``q @ counts``, so
+    nothing loops in Python.  ``reduceat`` adds a segment's values in
+    sequence where ``np.sum`` adds pairwise, so a segment sum can differ
+    from ``np.sum``'s in its last bits.  A call reads the matrix twice: on
+    train-pp (3,250 x 23) it takes 0.07-0.10 ms on one core of a 2-CPU
+    host, and with the same derivations over a 197-item lexicon 0.5 ms.
     """
-    if dstart.shape[0] == 1:
+    if counts.shape[0] == 0:
         # No derivations, so no sentences: reduceat cannot take empty offsets.
-        return np.zeros(0), np.zeros(0), np.zeros(int(n_items))
-    logw = np.add.reduceat(log_tstar[item_ids], dstart[:-1])
+        return np.zeros(0), np.zeros(0), np.zeros(counts.shape[1])
+    logw = counts @ log_tstar
     starts = sstart[:-1]
     sizes = np.diff(sstart)
     top = np.maximum.reduceat(logw, starts)
     logz = top + np.log(np.add.reduceat(np.exp(logw - np.repeat(top, sizes)), starts))
     qn = np.exp(logw - np.repeat(logz, sizes))
     q = qn / np.repeat(np.add.reduceat(qn, starts), sizes)
-    counts = np.bincount(item_ids, weights=np.repeat(q, np.diff(dstart)),
-                         minlength=int(n_items))
-    return q, logz, counts
+    return q, logz, q @ counts
 
 
 @dataclass
@@ -185,7 +214,7 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
             continue
         kept_sentences.append(sentence)
         kept_derivations.append(ids)
-    encoded = encode_corpus(kept_sentences, kept_derivations)
+    encoded = encode_corpus(kept_sentences, kept_derivations, lexicon.n_items)
 
     offsets = lexicon.offsets
     alpha_flat = [v for cat in lexicon.categories for v in alpha[cat]]
@@ -200,16 +229,15 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
         iterations = it
         # One digamma pass: log t* weighs the derivations and enters the KL.
         log_tstar = log_theta_star_flat(omega, offsets)
-        q, logz, counts = estep_flat(np.array(log_tstar), encoded.item_ids,
-                                     encoded.dstart, encoded.sstart,
-                                     lexicon.n_items)
+        q, logz, expected = estep_flat(np.array(log_tstar), encoded.counts,
+                                       encoded.sstart)
         surrogate = float(np.sum(logz)) - dirichlet_kl_flat(
             omega, alpha_flat, offsets, log_tstar)
         if not math.isfinite(surrogate):
             raise InvalidModel(
                 f"objective became non-finite at iteration {it}")
         trace.append(surrogate)
-        new_omega = [a + c for a, c in zip(alpha_flat, counts.tolist())]
+        new_omega = [a + c for a, c in zip(alpha_flat, expected.tolist())]
         if new_omega == omega:
             converged = True
             break

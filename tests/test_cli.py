@@ -663,6 +663,23 @@ class TestBadModelRows:
         # one count each for what and you; 1e-305 + 1 rounds to 1
         assert json.loads(out.read_text())["omega"]["d"] == [1.0, 2.0]
 
+    def test_huge_bound_printed_as_in_result(self, runner, tmp_path):
+        # The bound is about -1e305: .6f would print 306 digits before the
+        # point, so stdout takes result.json's text for it instead.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("what did you see\n")
+        p = tmp_path / "alpha.json"
+        p.write_text('{"d": [1e-305, 1], "v": [1], "i": [1], "c": [1]}')
+        out = tmp_path / "r.json"
+        r = runner.invoke(main, ["train", WHQ, str(corpus), "--start", "c",
+                                 "--alpha", str(p), "--out", str(out),
+                                 "--max-iters", "1"])
+        assert r.exit_code == 0, r.output
+        assert r.stderr == ""
+        assert r.stdout == (f"stopped after 1 iterations, bound -1e+305, "
+                            f"wrote {out}\n")
+        assert '"elbo_trace":[-1e+305]' in out.read_text()
+
     def test_alpha_nested_too_deeply(self, runner, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("what did you see\n")

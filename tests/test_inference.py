@@ -109,32 +109,57 @@ class TestEncodeCorpus:
         derivations = [
             parse(whq, sentences[0].split(), ParseConfig(start="c")).ids,
             parse(whq, sentences[1].split(), ParseConfig(start="d")).ids]
-        enc = encode_corpus(sentences, derivations)
+        enc = encode_corpus(sentences, derivations, whq.n_items)
         # one derivation of five items, then one of a single item
         assert enc.dstart.tolist() == [0, 5, 6]
         assert enc.sstart.tolist() == [0, 1, 2]
-        assert enc.item_ids.tolist() == [4, 3, 2, 1, 0, 1]
+        assert enc.counts.tolist() == [[1.0, 1.0, 1.0, 1.0, 1.0],
+                                       [0.0, 1.0, 0.0, 0.0, 0.0]]
+        assert enc.counts.dtype == np.float64
         assert enc.sentences == tuple(sentences)
 
     def test_ambiguous_sentence_groups_derivations(self, ambig):
-        enc = encode_corpus(["saw"], derivations_for(ambig, ["saw"]))
+        enc = encode_corpus(["saw"], derivations_for(ambig, ["saw"]),
+                            ambig.n_items)
         assert enc.sstart.tolist() == [0, 2]
         assert len(enc.dstart) == 3
+        assert enc.counts.shape == (2, ambig.n_items)
+
+    def test_repeated_item_is_counted(self, whq):
+        enc = encode_corpus(["x"], [((0, 2, 0, 0),)], whq.n_items)
+        assert enc.counts.tolist() == [[3.0, 0.0, 1.0, 0.0, 0.0]]
 
     def test_empty_corpus(self, whq):
-        enc = encode_corpus([], [])
-        assert enc.item_ids.size == 0
+        enc = encode_corpus([], [], whq.n_items)
+        assert enc.counts.shape == (0, whq.n_items)
         assert enc.dstart.tolist() == [0]
         assert enc.sstart.tolist() == [0]
+
+    @pytest.mark.parametrize("empty_at", [0, 1])
+    def test_sentence_without_derivations_refused(self, ambig, empty_at):
+        # The e-step needs a derivation per sentence.  Unchecked, an empty
+        # last sentence made it raise IndexError, and an empty first one
+        # silently got log Z -3, its neighbour's.
+        derivations = [(), ()]
+        derivations[1 - empty_at] = derivations_for(ambig, ["saw"], "v")[0]
+        with pytest.raises(UnparsedSentence,
+                           match=rf"sentence {empty_at} has no derivations: "):
+            encode_corpus(["a", "b"], derivations, ambig.n_items)
+
+    @pytest.mark.parametrize("item", [-1, 5])
+    def test_item_id_out_of_range_refused(self, whq, item):
+        with pytest.raises(ValueError, match=r"item ids must lie in \[0, 5\)"):
+            encode_corpus(["x", "y"], [((0,),), ((item, 1),)], whq.n_items)
 
 
 class TestEStepAndBound:
     def test_unambiguous_posterior_is_one(self, whq):
         enc = encode_corpus(["what did you see"],
-                            derivations_for(whq, ["what did you see"]))
+                            derivations_for(whq, ["what did you see"]),
+                            whq.n_items)
         log_tstar = log_theta_star_flat([1.0] * whq.n_items, whq.offsets)
-        q, logz, counts = estep_flat(np.array(log_tstar), enc.item_ids,
-                                     enc.dstart, enc.sstart, whq.n_items)
+        q, logz, counts = estep_flat(np.array(log_tstar), enc.counts,
+                                     enc.sstart)
         assert q.tolist() == [1.0]
         # log t* is -1 for each d item, 0 for singletons
         assert logz[0] == pytest.approx(-2.0, abs=1e-12)
@@ -362,3 +387,92 @@ class TestTrainBehavior:
                       TrainConfig(start="c", tol=0.0))
         assert state.converged  # bitwise omega fixed point still fires
         assert state.omega["d"] == [2.0, 2.0]
+
+
+# PP attachment: each preposition attaches to a noun (=d n= n) or to the
+# verb (=d v= v), so a sentence with k PPs has Catalan(k + 1) readings.
+PP_LEXICON = """\
+kim :: d
+lee :: d
+the :: =n d
+man :: n
+dog :: n
+park :: n
+with :: =d n= n
+near :: =d n= n
+saw :: =d d= v
+met :: =d d= v
+with :: =d v= v
+near :: =d v= v
+"""
+PP_CORPUS = (
+    "kim saw the man",
+    "lee met the dog",
+    "kim saw the man with the dog",
+    "lee saw the park near the man",
+    "kim met the dog near the park with the man",
+    "lee saw the man with the dog near the park",
+    "kim saw the dog with the man near the park with the dog",
+    "lee met the park near the dog near the man with the park",
+    "kim saw the man with the dog near the park with the man near the dog",
+    "lee met the dog near the man with the park with the dog with the man",
+    "kim saw the park with the man near the dog with the park near the man "
+    "with the dog",
+    "lee met the man near the park near the dog with the man near the park "
+    "near the dog",
+)
+
+
+def vb_reference(lex, forests, alpha_flat, tol, max_iters):
+    """train's loop in pure Python: ``oracle.estep_exact`` on flat ids and
+    ``oracle.dirichlet_kl_exact`` per category, with the same stop rules.
+
+    Returns (omega, bound trace, iterations, converged).
+    """
+    item_ids: list[int] = []
+    dstart, sstart = [0], [0]
+    for ids in forests:
+        for d in ids:
+            item_ids.extend(d)
+            dstart.append(len(item_ids))
+        sstart.append(len(dstart) - 1)
+    offsets = lex.offsets
+    omega, trace, converged = list(alpha_flat), [], False
+    it = 0
+    for it in range(1, max_iters + 1):
+        log_tstar = log_theta_star_flat(omega, offsets)
+        _, logz, counts = oracle.estep_exact(log_tstar, item_ids, dstart,
+                                             sstart, lex.n_items)
+        kl = math.fsum(oracle.dirichlet_kl_exact(
+            omega[a:b], alpha_flat[a:b], psi=pdmg.special.psi,
+            lgamma=math.lgamma) for a, b in zip(offsets, offsets[1:]))
+        trace.append(math.fsum(logz) - kl)
+        new_omega = [a + c for a, c in zip(alpha_flat, counts)]
+        if new_omega == omega:
+            converged = True
+            break
+        omega = new_omega
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= tol:
+            converged = True
+            break
+    return omega, trace, it, converged
+
+
+class TestPPCorpusFit:
+    """A fit over 1-132 readings a sentence, against the pure-Python loop."""
+
+    def test_matches_pure_python_loop(self):
+        lex = pdmg.parse_lexicon(PP_LEXICON)
+        cfg = TrainConfig(start="v", tol=1e-9)
+        forests = [parse(lex, s.split(), cfg).ids for s in PP_CORPUS]
+        assert sorted({len(ids) for ids in forests}) == [1, 2, 5, 14, 42, 132]
+        alpha = ones_alpha(lex)
+        state = train(lex, list(PP_CORPUS), alpha, cfg)
+        want_omega, want_trace, want_iters, want_converged = vb_reference(
+            lex, forests, [v for cat in lex.categories for v in alpha[cat]],
+            cfg.tol, cfg.max_iters)
+        assert state.iterations == want_iters
+        assert state.converged is want_converged is True
+        got_omega = [v for cat in lex.categories for v in state.omega[cat]]
+        assert got_omega == pytest.approx(want_omega, rel=1e-12, abs=0)
+        assert state.elbo_trace == pytest.approx(want_trace, rel=1e-12, abs=0)

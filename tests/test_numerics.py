@@ -192,6 +192,20 @@ class TestDirichletKL:
         assert abs(whole - (first + second)) <= 1e-10
 
 
+def _count_matrix(item_ids, dstart, n_items):
+    """Row j counts derivation j's items, ``item_ids[dstart[j]:dstart[j+1]]``."""
+    counts = np.zeros((len(dstart) - 1, n_items))
+    for j, (a, b) in enumerate(zip(dstart, dstart[1:])):
+        for i in item_ids[a:b]:
+            counts[j, i] += 1.0
+    return counts
+
+
+def _estep(log_tstar, item_ids, dstart, sstart, n_items):
+    """``estep_flat`` on a flat case, laid out as its count matrix."""
+    return estep_flat(log_tstar, _count_matrix(item_ids, dstart, n_items), sstart)
+
+
 def _flat_case():
     # Two sentences over three items.  Sentence 0 has derivations (0,) and
     # (1, 2); sentence 1 has the single derivation (0, 0, 2).
@@ -243,7 +257,7 @@ class TestEstep:
         rng = np.random.default_rng(17 + deep)
         for k in range(400):
             case = _random_flat_case(rng, deep, 4 if k < 300 else 64)
-            q, logz, counts = estep_flat(*case)
+            q, logz, counts = _estep(*case)
             want_q, want_logz, want_counts = oracle.estep_exact(*case)
             assert np.max(np.abs(q - want_q)) <= 1e-13
             assert np.max(np.abs(logz - want_logz)) <= 1e-12
@@ -251,8 +265,7 @@ class TestEstep:
 
     def test_hand_case(self):
         log_tstar, item_ids, dstart, sstart, n = _flat_case()
-        q, logz, counts = estep_flat(
-            log_tstar, item_ids, dstart, sstart, n)
+        q, logz, counts = _estep(log_tstar, item_ids, dstart, sstart, n)
         # sentence 0: weights 0.5 and 0.25*0.125, normalized
         w0, w1 = 0.5, 0.25 * 0.125
         assert q[0] == pytest.approx(w0 / (w0 + w1), abs=1e-14)
@@ -264,8 +277,7 @@ class TestEstep:
 
     def test_counts_respect_multiplicity(self):
         log_tstar, item_ids, dstart, sstart, n = _flat_case()
-        q, _, counts = estep_flat(
-            log_tstar, item_ids, dstart, sstart, n)
+        q, _, counts = _estep(log_tstar, item_ids, dstart, sstart, n)
         # item 0 appears once in derivation 0 and twice in derivation 2
         assert counts[0] == pytest.approx(q[0] + 2.0 * q[2], abs=1e-13)
         assert counts[1] == pytest.approx(q[1], abs=1e-14)
@@ -273,14 +285,13 @@ class TestEstep:
 
     def test_q_sums_to_one_per_sentence(self):
         log_tstar, item_ids, dstart, sstart, n = _flat_case()
-        q, _, _ = estep_flat(log_tstar, item_ids, dstart, sstart, n)
+        q, _, _ = _estep(log_tstar, item_ids, dstart, sstart, n)
         assert math.fsum(q[0:2]) == pytest.approx(1.0, abs=1e-14)
         assert q[2] == pytest.approx(1.0, abs=1e-14)
 
     def test_empty_problem(self):
         q, logz, counts = estep_flat(
-            np.zeros(3), np.zeros(0, dtype=np.int64),
-            np.array([0], dtype=np.int64), np.array([0], dtype=np.int64), 3)
+            np.zeros(3), np.zeros((0, 3)), np.array([0], dtype=np.int64))
         assert q.shape == (0,)
         assert logz.shape == (0,)
         assert np.all(counts == 0.0)
@@ -291,6 +302,6 @@ class TestEstep:
         item_ids = np.array([0, 1], dtype=np.int64)
         dstart = np.array([0, 1, 2], dtype=np.int64)
         sstart = np.array([0, 2], dtype=np.int64)
-        q, logz, _ = estep_flat(log_tstar, item_ids, dstart, sstart, 2)
+        q, logz, _ = _estep(log_tstar, item_ids, dstart, sstart, 2)
         assert np.isfinite(logz).all()
         assert q[0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-13)

@@ -1,12 +1,19 @@
 """Every call site the benchmark's tracer wraps still exists in pdmg.
 
 ``perfbench/tracing.py`` wraps pdmg functions by module path and leaves a
-metric out when its function is gone, so a rename would silently blank a
-per-layer metric.  This reads the tracer's site tables; it changes nothing.
+metric out when its function is gone, and its after-hooks read fields of
+what those functions return (``forest.chart``, ``state.iterations``,
+``encoded.dstart``), leaving a metric out when one is gone.  So a rename
+would silently blank a per-layer metric.  These tests read the tracer's
+site tables and, in a child interpreter, run it; they change nothing.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +40,42 @@ def test_api_site_is_callable(name, path):
 @pytest.mark.parametrize("name, module, attr", tracing.MODULE_SITES)
 def test_module_site_is_callable(name, module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None)), name
+
+
+# Runs in the child: install the tracer, reach every traced site once on
+# the fixtures, and report what the tracer could not record.
+TRACED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+import numpy as np
+import pdmg
+tracer = tracing.Tracer()
+api = tracer.install()
+whq = pdmg.load_lexicon(sys.argv[2])
+sentence = "what did you see".split()
+forest = api.parse(whq, sentence, pdmg.ParseConfig(start="c"))
+api.train(whq, [" ".join(sentence)], pdmg.ones_alpha(whq),
+          pdmg.TrainConfig(start="c", max_iters=3))
+theta = pdmg.uniform_theta(whq)
+api.log_prob_of_sequence(forest.sequences[0], theta)
+seq, _ = api.sample_derivation(whq, theta, pdmg.SampleConfig(start="c"),
+                               np.random.default_rng(0))
+api.eval_sequence(seq)
+api.canonical_json({"count": forest.count})
+metrics = tracer.layer_metrics(1, {"lexicon.load_s": 0.0, "cli.import_s": 0.0})
+print(json.dumps({"missing": sorted(tracer.missing), "metrics": sorted(metrics)}))
+"""
+
+
+def test_traced_run_records_every_metric():
+    env = dict(os.environ, PYTHONPATH=str(TRACING.parent.parent / "src"))
+    whq = TRACING.parent.parent / "tests" / "data" / "whq.lex"
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(TRACING), str(whq)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["missing"] == []
+    assert out["metrics"] == sorted(tracing.UNITS)
