@@ -103,6 +103,18 @@ class TestPosteriorMean:
             assert state.theta_mean[cat] == pytest.approx(want, rel=1e-15)
 
 
+def count_rows(enc):
+    """Each derivation's item counts, its sentence's shared counts plus its
+    extra ones, as one row per derivation."""
+    rows = [[0.0] * enc.n_items for _ in range(len(enc.dstart) - 1)]
+    for n, i, c in zip(enc.shared_sentence, enc.shared_item, enc.shared_count):
+        for j in range(enc.sstart[n], enc.sstart[n + 1]):
+            rows[j][i] += c
+    for j, i, c in zip(enc.extra_derivation, enc.extra_item, enc.extra_count):
+        rows[j][i] += c
+    return rows
+
+
 class TestEncodeCorpus:
     def test_layout(self, whq):
         sentences = ["what did you see", "you"]
@@ -113,9 +125,11 @@ class TestEncodeCorpus:
         # one derivation of five items, then one of a single item
         assert enc.dstart.tolist() == [0, 5, 6]
         assert enc.sstart.tolist() == [0, 1, 2]
-        assert enc.counts.tolist() == [[1.0, 1.0, 1.0, 1.0, 1.0],
-                                       [0.0, 1.0, 0.0, 0.0, 0.0]]
-        assert enc.counts.dtype == np.float64
+        assert count_rows(enc) == [[1.0, 1.0, 1.0, 1.0, 1.0],
+                                   [0.0, 1.0, 0.0, 0.0, 0.0]]
+        # a sentence's only derivation shares all its counts
+        assert enc.extra_derivation.size == 0
+        assert enc.shared_count.dtype == np.float64
         assert enc.sentences == tuple(sentences)
 
     def test_ambiguous_sentence_groups_derivations(self, ambig):
@@ -123,15 +137,51 @@ class TestEncodeCorpus:
                             ambig.n_items)
         assert enc.sstart.tolist() == [0, 2]
         assert len(enc.dstart) == 3
-        assert enc.counts.shape == (2, ambig.n_items)
+        assert len(count_rows(enc)) == 2
 
     def test_repeated_item_is_counted(self, whq):
         enc = encode_corpus(["x"], [((0, 2, 0, 0),)], whq.n_items)
-        assert enc.counts.tolist() == [[3.0, 0.0, 1.0, 0.0, 0.0]]
+        assert count_rows(enc) == [[3.0, 0.0, 1.0, 0.0, 0.0]]
+
+    def test_shared_counts_are_the_least_over_derivations(self, whq):
+        # Item 0 is used twice and three times, so twice by every
+        # derivation; item 1 by one derivation only, item 2 once by each.
+        enc = encode_corpus(["x"], [((0, 0, 2, 1), (2, 0, 0, 0))], whq.n_items)
+        assert enc.shared_item.tolist() == [0, 2]
+        assert enc.shared_count.tolist() == [2.0, 1.0]
+        assert sorted(zip(enc.extra_derivation.tolist(), enc.extra_item.tolist(),
+                          enc.extra_count.tolist())) == [(0, 1, 1.0), (1, 0, 1.0)]
+        assert count_rows(enc) == [[2.0, 1.0, 1.0, 0.0, 0.0],
+                                   [3.0, 0.0, 1.0, 0.0, 0.0]]
+
+    def test_counts_match_each_derivation(self):
+        # Seeded corpora of 1-4 derivations per sentence over 1-6 items,
+        # repeats included: the split rows are each derivation's counts,
+        # and no more entries are stored than there are item occurrences.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n_items = int(rng.integers(1, 7))
+            forests = [tuple(tuple(int(i) for i in rng.integers(0, n_items, rng.integers(1, 6)))
+                             for _ in range(rng.integers(1, 5)))
+                       for _ in range(rng.integers(1, 5))]
+            enc = encode_corpus([""] * len(forests), forests, n_items)
+            want = [[float(d.count(i)) for i in range(n_items)]
+                    for forest in forests for d in forest]
+            assert count_rows(enc) == want
+            occurrences = sum(len(d) for forest in forests for d in forest)
+            assert enc.shared_item.size + enc.extra_item.size <= occurrences
+
+    def test_size_does_not_grow_with_the_lexicon(self):
+        # Two derivations sharing item 3: one shared and one extra entry,
+        # however many items the lexicon has.
+        enc = encode_corpus(["x"], [((3, 999_999), (3,))], 10**6)
+        assert enc.shared_item.tolist() == [3]
+        assert enc.extra_item.tolist() == [999_999]
 
     def test_empty_corpus(self, whq):
         enc = encode_corpus([], [], whq.n_items)
-        assert enc.counts.shape == (0, whq.n_items)
+        assert count_rows(enc) == []
+        assert enc.n_items == whq.n_items
         assert enc.dstart.tolist() == [0]
         assert enc.sstart.tolist() == [0]
 
@@ -158,8 +208,7 @@ class TestEStepAndBound:
                             derivations_for(whq, ["what did you see"]),
                             whq.n_items)
         log_tstar = log_theta_star_flat([1.0] * whq.n_items, whq.offsets)
-        q, logz, counts = estep_flat(np.array(log_tstar), enc.counts,
-                                     enc.sstart)
+        q, logz, counts = estep_flat(np.array(log_tstar), enc)
         assert q.tolist() == [1.0]
         # log t* is -1 for each d item, 0 for singletons
         assert logz[0] == pytest.approx(-2.0, abs=1e-12)

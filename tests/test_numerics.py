@@ -10,7 +10,7 @@ import pytest
 
 import oracle
 from pdmg import special
-from pdmg.inference import estep_flat
+from pdmg.inference import encode_corpus, estep_flat
 from pdmg.model import dirichlet_kl_flat, log_theta_star_flat
 
 mpmath.mp.dps = 40
@@ -192,18 +192,11 @@ class TestDirichletKL:
         assert abs(whole - (first + second)) <= 1e-10
 
 
-def _count_matrix(item_ids, dstart, n_items):
-    """Row j counts derivation j's items, ``item_ids[dstart[j]:dstart[j+1]]``."""
-    counts = np.zeros((len(dstart) - 1, n_items))
-    for j, (a, b) in enumerate(zip(dstart, dstart[1:])):
-        for i in item_ids[a:b]:
-            counts[j, i] += 1.0
-    return counts
-
-
 def _estep(log_tstar, item_ids, dstart, sstart, n_items):
-    """``estep_flat`` on a flat case, laid out as its count matrix."""
-    return estep_flat(log_tstar, _count_matrix(item_ids, dstart, n_items), sstart)
+    """``estep_flat`` on a flat case, encoded by ``encode_corpus``."""
+    derivations = [tuple(item_ids[a:b].tolist()) for a, b in zip(dstart, dstart[1:])]
+    forests = [tuple(derivations[a:b]) for a, b in zip(sstart, sstart[1:])]
+    return estep_flat(log_tstar, encode_corpus([""] * len(forests), forests, n_items))
 
 
 def _flat_case():
@@ -290,8 +283,7 @@ class TestEstep:
         assert q[2] == pytest.approx(1.0, abs=1e-14)
 
     def test_empty_problem(self):
-        q, logz, counts = estep_flat(
-            np.zeros(3), np.zeros((0, 3)), np.array([0], dtype=np.int64))
+        q, logz, counts = estep_flat(np.zeros(3), encode_corpus([], [], 3))
         assert q.shape == (0,)
         assert logz.shape == (0,)
         assert np.all(counts == 0.0)
