@@ -17,9 +17,11 @@ are simply not derived.  Mover lists are kept sorted by licensee name
 (unique under the SMC), so items built along different rule orders dedupe.
 
 Closure is agenda-driven (Shieber, Schabes & Pereira 1995), over span
-items for minimalist grammars (Harkema 2001).  Each item is queued once,
-when first derived.  When popped, it is filed under the keys the binary
-rules test and meets only the finished items filed under its partner keys:
+items for minimalist grammars (Harkema 2001).  The agenda is a list that
+one loop walks while appending to it, so each item is queued once, when
+first derived, and popped once, first in first out.  When popped, it is
+filed under the keys the binary rules test and meets only the finished
+items filed under its partner keys:
 
 - ``=x`` heads by (x, end) and ``x=`` heads by (x, start), the adjacency
   merge_right and merge_left test against a bare ``x`` argument;
@@ -27,14 +29,29 @@ rules test and meets only the finished items filed under its partner keys:
 - bare ``x`` items by (x, start) and by (x, end);
 - ``x -y ...`` items by x.
 
+An item is filed under a key only when some suffix of the lexicon looks
+items up there (``FeatureCodes.by_start``, ``by_end`` and ``by_name``):
+with no ``x=`` in the lexicon, no bare ``x`` is filed by its end.
+
 So the pairs tried stay close to the consequences derived instead of
-growing with the square of the chart.  Inside the closure and extraction a
-suffix is a small int from ``Lexicon.codes`` (every suffix of every
-item's features, coded once per lexicon), so items hash tuples of ints, not
-Feature dataclasses and Enum members.  The forest keeps the coded chart and
-decodes it to ChartItems, once per item, only when ``forest.chart`` is first
-read; training, scoring and ``pdmg parse`` never read it, so they never pay
-for it.
+growing with the square of the chart.  The loop builds one kind of
+consequence itself: a bare argument and its selector, neither with
+movers, meet on adjacent spans by the key that paired them, and there
+are no movers to sort or to check for overlap.  Every other pair, any
+with movers and every merge_mover, goes through ``_merge``, and a
+licensor-led item through ``_move``.  Each consequence is recorded at
+one place in the loop, which appends its back-pointer to a known item or
+queues a new one.
+
+Inside the closure and extraction a suffix is a small int from
+``Lexicon.codes`` (every suffix of every item's features, coded
+once per lexicon), so items hash tuples of ints, not Feature dataclasses
+and Enum members.  The axioms take each token's items by global index
+from ``Lexicon.phon_ids`` and their codes from ``codes.item``; an
+empty token, like an unknown one, matches none.  The forest
+keeps the coded chart and decodes it to ChartItems, once per item, only
+when ``forest.chart`` is first read; training, scoring and ``pdmg parse``
+never read it, so they never pay for it.
 
 The goal is the head (0, n) with suffix exactly the start category and no
 movers.  Extraction walks goal back-pointers depth-first and returns one
@@ -62,7 +79,6 @@ is queued once and there are finitely many spans.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -254,7 +270,7 @@ def parse(lex: Lexicon, tokens: Sequence[str], cfg: ParseConfig) -> DerivationFo
     tokens = tuple(tokens)
     n = len(tokens)
     codes = lex.codes
-    chart, steps = _close(lex, tokens, cfg.max_steps)
+    chart, steps, _ = _close(lex, tokens, cfg.max_steps)
     goal_suffix = (Feature(FeatureKind.CAT, cfg.start),)
     goal_code = (0, n, codes.code.get(goal_suffix), ())
     if goal_code not in chart:
@@ -266,34 +282,30 @@ def parse(lex: Lexicon, tokens: Sequence[str], cfg: ParseConfig) -> DerivationFo
 
 def _close(
     lex: Lexicon, tokens: tuple[str, ...], max_steps: int,
-) -> tuple[dict[Coded, list[BackPointer]], int]:
-    """The closed coded chart over ``tokens`` and the agenda pops it took."""
+) -> tuple[dict[Coded, list[BackPointer]], int, int]:
+    """The closed coded chart over ``tokens``, the agenda pops it took and
+    the pairs it tried (the partners each popped item met)."""
     n = len(tokens)
     codes = lex.codes
     kind, name, rest = codes.kind, codes.name, codes.rest
+    by_start, by_end, by_name = codes.by_start, codes.by_end, codes.by_name
 
     # Back-pointers per item.  None repeats: the indices pair two items
     # once, when the later of them is popped, and each pair or popped item
     # yields at most one consequence, so a list needs no membership test.
-    chart: dict[Coded, list[BackPointer]] = {}
-    agenda: deque[Coded] = deque()
-
-    def derive(item: Coded, bp: BackPointer) -> None:
-        bps = chart.get(item)
-        if bps is None:
-            chart[item] = [bp]
-            agenda.append(item)
-        else:
-            bps.append(bp)
-
-    for i, tok in enumerate(tokens):
-        for it in lex.items_by_phon(tok):
-            g = lex.global_index(it)
-            derive((i, i + 1, codes.item[g], ()), (LEX, g))
-    for it in lex.covert_items():
-        g = lex.global_index(it)
+    # The axioms are distinct items: two items of one phon differ in their
+    # features, and overt and covert axioms lie on different spans.  An
+    # empty token, like an unknown one, matches no item.
+    item, phon_ids = codes.item, lex.phon_ids
+    chart: dict[Coded, list[BackPointer]] = {
+        (i, i + 1, item[g], ()): [(LEX, g)]
+        for i, tok in enumerate(tokens) if tok for g in phon_ids.get(tok, ())}
+    for g in phon_ids.get("", ()):
         for i in range(n + 1):
-            derive((i, i, codes.item[g], ()), (LEX, g))
+            chart[(i, i, item[g], ())] = [(LEX, g)]
+    # The agenda: the for loop below also visits the items appended to it
+    # while it runs, so each item is popped once, first in first out.
+    agenda = list(chart)
 
     # Finished items, filed under the keys the binary rules test.
     sel_right: dict[tuple[int, int], list[Coded]] = {}   # =x by (x, end)
@@ -304,9 +316,8 @@ def _close(
     movable: dict[int, list[Coded]] = {}                 # x -y... by x
     no_items: list[Coded] = []
 
-    steps = 0
-    while agenda:
-        x = agenda.popleft()
+    steps = pairs = 0
+    for x in agenda:
         steps += 1
         if steps > max_steps:
             raise CapExceeded(f"chart closure exceeded {max_steps} steps")
@@ -314,34 +325,57 @@ def _close(
         k, f = kind[c], name[c]
         if k == _CAT:
             if rest[c] < 0:
-                bare_start.setdefault((f, start), []).append(x)
-                bare_end.setdefault((f, end), []).append(x)
-                heads = (sel_right.get((f, start), no_items)
-                         + sel_left.get((f, end), no_items))
+                if by_start[c]:
+                    bare_start.setdefault((f, start), []).append(x)
+                if by_end[c]:
+                    bare_end.setdefault((f, end), []).append(x)
+                partners = (sel_right.get((f, start), no_items)
+                            + sel_left.get((f, end), no_items))
             else:
-                movable.setdefault(f, []).append(x)
-                heads = selectors.get(f, no_items)
-            for s in heads:
-                r = _merge(s, x, codes)
-                if r is not None:
-                    derive(*r)
+                if by_name[c]:
+                    movable.setdefault(f, []).append(x)
+                partners = selectors.get(f, no_items)
+            pairs += len(partners)
         elif k == _SEL_RIGHT or k == _SEL_LEFT:
             if k == _SEL_RIGHT:
-                sel_right.setdefault((f, end), []).append(x)
-                args = bare_start.get((f, end), no_items)
+                if by_end[c]:
+                    sel_right.setdefault((f, end), []).append(x)
+                partners = bare_start.get((f, end), no_items)
             else:
-                sel_left.setdefault((f, start), []).append(x)
-                args = bare_end.get((f, start), no_items)
-            selectors.setdefault(f, []).append(x)
-            for t in args + movable.get(f, no_items):
-                r = _merge(x, t, codes)
-                if r is not None:
-                    derive(*r)
-        elif k == _LICENSOR:
-            r = _move(x, codes)
-            if r is not None:
-                derive(*r)
-    return chart, steps
+                if by_start[c]:
+                    sel_left.setdefault((f, start), []).append(x)
+                partners = bare_end.get((f, start), no_items)
+            if by_name[c]:
+                selectors.setdefault(f, []).append(x)
+            partners = partners + movable.get(f, no_items)
+            pairs += len(partners)
+        else:  # a licensor: no head leads with a licensee
+            partners = (x,)  # move: x alone
+        for y in partners:
+            if k == _LICENSOR:
+                r = _move(x, codes)
+            else:
+                s, t = (y, x) if k == _CAT else (x, y)
+                sc = s[2]
+                if rest[t[2]] < 0 and not s[3] and not t[3]:
+                    # A bare argument and no movers: the spans are
+                    # adjacent and there is nothing to sort or check.
+                    if kind[sc] == _SEL_RIGHT:
+                        r = (s[0], t[1], rest[sc], ()), (MERGE_R, s, t)
+                    else:
+                        r = (t[0], s[1], rest[sc], ()), (MERGE_L, s, t)
+                else:
+                    r = _merge(s, t, codes)
+            if r is None:
+                continue
+            item, bp = r
+            bps = chart.get(item)
+            if bps is None:
+                chart[item] = [bp]
+                agenda.append(item)
+            else:
+                bps.append(bp)
+    return chart, steps, pairs
 
 
 def _decode(
@@ -369,8 +403,10 @@ def _extract(
     cfg: ParseConfig,
     steps_used: int,
 ) -> tuple[tuple[int, ...], ...]:
-    budget = cfg.max_steps - steps_used
-    covert = {lex.global_index(it) for it in lex.covert_items()}
+    max_derivations, max_covert, max_steps = (
+        cfg.max_derivations, cfg.max_covert, cfg.max_steps)
+    budget = max_steps - steps_used
+    covert = lex.phon_ids.get("", ())
     found: set[tuple[int, ...]] = set()
     # (pending, ids, used): pending is (item, rest) in polish order and ids
     # is (id, earlier), newest first; None ends both lists.
@@ -383,22 +419,21 @@ def _extract(
                 g, ids = ids
                 leaves.append(g)
             found.add(tuple(reversed(leaves)))
-            if len(found) > cfg.max_derivations:
+            if len(found) > max_derivations:
                 raise CapExceeded(
-                    f"more than {cfg.max_derivations} distinct derivations")
+                    f"more than {max_derivations} distinct derivations")
             continue
         budget -= 1
         if budget < 0:
             raise CapExceeded(
-                f"derivation extraction exceeded {cfg.max_steps} steps")
+                f"derivation extraction exceeded {max_steps} steps")
         item, rest = pending
         for bp in reversed(chart[item]):  # popped in chart order
-            tag = bp[0]
-            if tag == LEX:
+            if bp[0] is LEX:
                 cost = used + (bp[1] in covert)
-                if cost <= cfg.max_covert:
+                if cost <= max_covert:
                     stack.append((rest, (bp[1], ids), cost))
-            elif tag in (MOVE_1, MOVE_2):
+            elif len(bp) == 2:  # a move: one antecedent
                 stack.append(((bp[1], rest), ids, used))
             else:
                 stack.append(((bp[1], (bp[2], rest)), ids, used))

@@ -155,6 +155,14 @@ class FeatureCodes:
     that is empty.  Names are numbered in sorted order, so ordering name
     codes orders the names.  ``item[g]`` codes the whole sequence of the
     item with global index g, and ``code`` maps a suffix back to its code.
+
+    The chart files a finished item with suffix c, naming x, under a key
+    only if some suffix of the lexicon can look it up there.
+    ``by_start[c]`` holds for a bare ``x`` when some ``=x`` exists and for
+    ``x=`` when some bare ``x`` exists; ``by_end[c]`` for a bare ``x`` when
+    some ``x=`` exists and for ``=x`` when some bare ``x`` exists;
+    ``by_name[c]`` for ``x -y ...`` when some selector of x exists and for
+    a selector of x when some ``x -y ...`` exists.  Other codes have none.
     """
 
     def __init__(self, items: tuple[LexicalItem, ...]):
@@ -180,6 +188,21 @@ class FeatureCodes:
                 rest = c
         self.item = [self.code[it.features] for it in items]
 
+        cat, right, left = (KIND_CODE[FeatureKind.CAT], KIND_CODE[FeatureKind.SEL_RIGHT],
+                            KIND_CODE[FeatureKind.SEL_LEFT])
+        lead = list(zip(self.kind, self.name, self.rest))  # first features
+        sel_right = {x for k, x, _ in lead if k == right}
+        sel_left = {x for k, x, _ in lead if k == left}
+        bare = {x for k, x, r in lead if k == cat and r < 0}
+        movable = {x for k, x, r in lead if k == cat and r >= 0}
+        self.by_start = [(k == cat and r < 0 and x in sel_right)
+                         or (k == left and x in bare) for k, x, r in lead]
+        self.by_end = [(k == cat and r < 0 and x in sel_left)
+                       or (k == right and x in bare) for k, x, r in lead]
+        self.by_name = [(k == cat and r >= 0 and (x in sel_right or x in sel_left))
+                        or ((k == right or k == left) and x in movable)
+                        for k, x, r in lead]
+
 
 @dataclass(frozen=True)
 class Lexicon:
@@ -188,13 +211,15 @@ class Lexicon:
     ``categories`` lists category names in first-appearance order; items
     within a category keep their file order.  ``items`` is the flat view in
     (k, m) order, so an item's global index is ``offsets[k] + m``.
+    ``phon_ids`` maps each phon to the global indices of the items spelled
+    so, ascending; "" maps to the covert items.
     """
 
     items: tuple[LexicalItem, ...]
     categories: tuple[str, ...]
     offsets: tuple[int, ...]  # len == len(categories) + 1
     _by_cat: dict[str, tuple[LexicalItem, ...]] = field(repr=False)
-    _by_phon: dict[str, tuple[LexicalItem, ...]] = field(repr=False)
+    phon_ids: dict[str, tuple[int, ...]] = field(repr=False)
 
     @property
     def n_items(self) -> int:
@@ -220,7 +245,7 @@ class Lexicon:
         return block[item_index]
 
     def items_by_phon(self, phon: str) -> tuple[LexicalItem, ...]:
-        return self._by_phon.get(phon, ())
+        return tuple([self.items[g] for g in self.phon_ids.get(phon, ())])
 
     def global_index(self, item: LexicalItem) -> int:
         return self.offsets[item.cat_index] + item.item_index
@@ -229,7 +254,7 @@ class Lexicon:
         return self.items[global_index]
 
     def covert_items(self) -> tuple[LexicalItem, ...]:
-        return self._by_phon.get("", ())
+        return self.items_by_phon("")
 
     @cached_property
     def root_categories(self) -> frozenset[str]:
@@ -296,16 +321,16 @@ def _assemble(entries: list[tuple[str, tuple[Feature, ...], int]]) -> Lexicon:
         flat.extend(block)
         offsets.append(len(flat))
 
-    by_phon: dict[str, list[LexicalItem]] = {}
-    for it in flat:
-        by_phon.setdefault(it.phon, []).append(it)
+    phon_ids: dict[str, list[int]] = {}
+    for g, it in enumerate(flat):
+        phon_ids.setdefault(it.phon, []).append(g)
 
     return Lexicon(
         items=tuple(flat),
         categories=tuple(categories),
         offsets=tuple(offsets),
         _by_cat=by_cat,
-        _by_phon={p: tuple(g) for p, g in by_phon.items()},
+        phon_ids={p: tuple(g) for p, g in phon_ids.items()},
     )
 
 

@@ -362,10 +362,15 @@ def reference_parse(lex: Lexicon, tokens, cfg: ParseConfig):
             agenda.append(item)
         chart[item].add(bp)
 
+    # A token matches the overt items spelled as it: an empty token, like
+    # any unknown one, matches none.
     for i, tok in enumerate(tokens):
-        for it in lex.items_by_phon(tok):
-            derive(ChartItem(i, i + 1, it.features, ()), ("lex", lex.global_index(it)))
-    for it in lex.covert_items():
+        for it in lex.items:
+            if it.phon and it.phon == tok:
+                derive(ChartItem(i, i + 1, it.features, ()), ("lex", lex.global_index(it)))
+    for it in lex.items:
+        if it.phon:
+            continue
         for i in range(n + 1):
             derive(ChartItem(i, i, it.features, ()), ("lex", lex.global_index(it)))
 

@@ -102,6 +102,19 @@ class TestStressLexicons:
         forest = parse(ambig, [], CFG("d"))
         assert ids_of(forest) == [((1, 1),)]
 
+    @pytest.mark.parametrize("tokens", [[""], ["", ""], ["saw", ""], ["", "saw"]])
+    def test_empty_token_matches_no_item(self, ambig, tokens):
+        """An empty token is an unknown token, not a covert item's span."""
+        unknown = [tok or "xyzzy" for tok in tokens]
+        for start in ambig.categories:
+            cfg = CFG(start)
+            forest = parse(ambig, tokens, cfg)
+            assert (forest.count, forest.goal) == (0, None)
+            assert forest.chart == parse(ambig, unknown, cfg).chart
+            reference, goal, sequences = oracle.reference_parse(ambig, tokens, cfg)
+            assert forest.chart.keys() == reference.keys()
+            assert (goal, sequences) == (None, [])
+
     def test_remnant_movement(self, chain):
         forest = parse(chain, "su ja ki".split(), CFG())
         assert ids_of(forest) == [((3, 0), (2, 0), (1, 0), (0, 0))]
@@ -219,10 +232,13 @@ FIXTURE_SENTENCES = {
 def assert_same_as_reference(lex, sentence, start):
     """The chart, goal and sequences equal the all-pairs reference's."""
     cfg = CFG(start)
-    forest = parse(lex, sentence.split(), cfg)
-    chart, goal, sequences = oracle.reference_parse(lex, sentence.split(), cfg)
-    assert forest.chart.keys() == chart.keys(), sentence
-    for item, bps in chart.items():
+    tokens = tuple(sentence.split())
+    forest = parse(lex, tokens, cfg)
+    reference, goal, sequences = oracle.reference_parse(lex, tokens, cfg)
+    assert forest.chart.keys() == reference.keys(), sentence
+    # The agenda pops each item once.
+    assert chart._close(lex, tokens, cfg.max_steps)[1] == len(forest.chart)
+    for item, bps in reference.items():
         got = forest.chart[item]
         assert len(set(got)) == len(got)
         assert set(got) == bps, (sentence, item)
@@ -268,7 +284,11 @@ class TestAgainstReferenceClosure:
 
 
 def test_closure_tries_few_pairs(monkeypatch):
-    """Pairs tried grow with the chart, not with its square."""
+    """Pairs tried grow with the chart, not with its square.
+
+    The chain's merges have no movers, so the closure builds them itself;
+    the question's moved ``what`` takes its merges through ``_merge``.
+    """
     calls = [0]
     merge = chart._merge
 
@@ -277,10 +297,16 @@ def test_closure_tries_few_pairs(monkeypatch):
         return merge(*args)
 
     monkeypatch.setattr(chart, "_merge", counted)
-    lex = pdmg.parse_lexicon(CHAIN)
-    forest = parse(lex, ["a"] * 299 + ["b"], CFG())
-    assert forest.count == 1
-    assert 0 < calls[0] <= len(forest.chart)
+    for lex, sentence, merges in [
+            (pdmg.parse_lexicon(CHAIN), " ".join(["a"] * 299 + ["b"]), False),
+            (pdmg.load_lexicon(data_path("whq.lex")), "what did you see", True)]:
+        calls[0] = 0
+        tokens = tuple(sentence.split())
+        _, _, pairs = chart._close(lex, tokens, 10**6)
+        forest = parse(lex, tokens, CFG())
+        assert forest.count == 1
+        assert 0 < pairs <= len(forest.chart)
+        assert (calls[0] > 0) == merges
 
 
 class TestLazyDecode:

@@ -162,6 +162,14 @@ class TestParseLexicon:
     def test_covert_items(self, ambig):
         assert [it.ref for it in ambig.covert_items()] == ["ε@1.1", "ε@2.0"]
 
+    def test_phon_ids_index_every_item_once(self, ambig):
+        ids = sorted(g for gs in ambig.phon_ids.values() for g in gs)
+        assert ids == list(range(ambig.n_items))
+        for phon, gs in ambig.phon_ids.items():
+            assert list(gs) == sorted(gs)
+            assert ambig.items_by_phon(phon) == tuple(ambig.items[g] for g in gs)
+            assert all(ambig.items[g].phon == phon for g in gs)
+
     def test_smc_risk_groups(self):
         lex = parse_lexicon("a :: d -p\nb :: d -p\nc :: e -q\n")
         groups = lex.smc_risk_groups()
