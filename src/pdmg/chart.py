@@ -34,14 +34,15 @@ items up there (``FeatureCodes.by_start``, ``by_end`` and ``by_name``):
 with no ``x=`` in the lexicon, no bare ``x`` is filed by its end.
 
 So the pairs tried stay close to the consequences derived instead of
-growing with the square of the chart.  The loop builds one kind of
-consequence itself: a bare argument and its selector, neither with
-movers, meet on adjacent spans by the key that paired them, and there
-are no movers to sort or to check for overlap.  Every other pair, any
-with movers and every merge_mover, goes through ``_merge``, and a
-licensor-led item through ``_move``.  Each consequence is recorded at
-one place in the loop, which appends its back-pointer to a known item or
-queues a new one.
+growing with the square of the chart.  A licensor-led item ``+f ...``
+has one possible partner, its own mover that leads with ``-f`` (the SMC
+allows at most one).  Each rule is applied at one site, the loop over a
+popped item's partners, which builds every consequence: a bare argument
+and its selector meet on adjacent spans by the key that paired them, so
+merge_left and merge_right need no span test; movers are sorted and
+checked for overlap only when the consequence has some.  The same loop
+records each consequence at one place, appending its back-pointer to a
+known item or queueing a new one.
 
 Inside the closure and extraction a suffix is a small int from
 ``Lexicon.codes`` (every suffix of every item's features, coded
@@ -83,9 +84,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .errors import CapExceeded, InvalidModel, UnknownCategoryError
-from .lexicon import (KIND_CODE, Feature, FeatureCodes, FeatureKind, LexicalItem,
-                      Lexicon)
+from .errors import CapExceeded, InvalidModel
+from .lexicon import KIND_CODE, Feature, FeatureKind, LexicalItem, Lexicon
 
 Mover = tuple[int, int, tuple[Feature, ...]]
 
@@ -206,56 +206,11 @@ def _canon(movers: tuple, name: list[int]) -> tuple | None:
 
 def _disjoint(start: int, end: int, movers: tuple) -> bool:
     """The head's and movers' non-empty spans are pairwise disjoint."""
-    if not movers:
-        return True
     spans = sorted(m[:2] for m in movers if m[0] != m[1])
     if start != end:
         spans.append((start, end))
         spans.sort()
     return all(spans[i][1] <= spans[i + 1][0] for i in range(len(spans) - 1))
-
-
-def _merge(s: Coded, t: Coded, codes: FeatureCodes) -> tuple[Coded, BackPointer] | None:
-    """Merge selector-headed s with its category-headed argument t.
-
-    The caller pairs only items the rules can combine: t's category is the
-    one s selects, and a bare t meets s on the selector's side.
-    """
-    rest, name = codes.rest, codes.name
-    s_start, s_end, sc, s_movers = s
-    t_start, t_end, tc, t_movers = t
-    if rest[tc] < 0:
-        if codes.kind[sc] == _SEL_LEFT:
-            start, end, tag = t_start, s_end, MERGE_L
-        else:
-            start, end, tag = s_start, t_end, MERGE_R
-        movers = _canon(s_movers + t_movers, name)
-    else:
-        start, end, tag = s_start, s_end, MERGE_M
-        movers = _canon(s_movers + ((t_start, t_end, rest[tc]),) + t_movers, name)
-    if movers is None or not _disjoint(start, end, movers):
-        return None
-    return (start, end, rest[sc], movers), (tag, s, t)
-
-
-def _move(s: Coded, codes: FeatureCodes) -> tuple[Coded, BackPointer] | None:
-    """Check s's leading licensor against the mover that leads with it."""
-    rest, name = codes.rest, codes.name
-    s_start, s_end, sc, s_movers = s
-    y = name[sc]
-    for i, (m_start, m_end, mc) in enumerate(s_movers):
-        if name[mc] != y:
-            continue
-        others = s_movers[:i] + s_movers[i + 1:]
-        if rest[mc] < 0:
-            if m_end != s_start:
-                return None
-            return (m_start, s_end, rest[sc], others), (MOVE_1, s)
-        movers = _canon(others + ((m_start, m_end, rest[mc]),), name)
-        if movers is None:
-            return None
-        return (s_start, s_end, rest[sc], movers), (MOVE_2, s)
-    return None
 
 
 def parse(lex: Lexicon, tokens: Sequence[str], cfg: ParseConfig) -> DerivationForest:
@@ -265,8 +220,7 @@ def parse(lex: Lexicon, tokens: Sequence[str], cfg: ParseConfig) -> DerivationFo
     error.  An unknown start category is an error; cap overruns raise
     CapExceeded.
     """
-    if not lex.has_category(cfg.start):
-        raise UnknownCategoryError(f"start category {cfg.start!r} not in lexicon")
+    lex.check_start(cfg.start)
     tokens = tuple(tokens)
     n = len(tokens)
     codes = lex.codes
@@ -284,7 +238,8 @@ def _close(
     lex: Lexicon, tokens: tuple[str, ...], max_steps: int,
 ) -> tuple[dict[Coded, list[BackPointer]], int, int]:
     """The closed coded chart over ``tokens``, the agenda pops it took and
-    the pairs it tried (the partners each popped item met)."""
+    the pairs it tried (the partners each popped item met; a licensor's
+    own mover is not counted, as a move is not a pair)."""
     n = len(tokens)
     codes = lex.codes
     kind, name, rest = codes.kind, codes.name, codes.rest
@@ -349,26 +304,38 @@ def _close(
                 selectors.setdefault(f, []).append(x)
             partners = partners + movable.get(f, no_items)
             pairs += len(partners)
-        else:  # a licensor: no head leads with a licensee
-            partners = (x,)  # move: x alone
+        else:  # a licensor +f meets its own mover that leads with -f
+            partners = [m for m in x[3] if name[m[2]] == f]
         for y in partners:
             if k == _LICENSOR:
-                r = _move(x, codes)
+                m_start, m_end, mc = y
+                movers = tuple([m for m in x[3] if m is not y])
+                if rest[mc] < 0:  # move_final
+                    if m_end != start:
+                        continue
+                    item, bp = (m_start, end, rest[c], movers), (MOVE_1, x)
+                else:  # move_again
+                    movers = _canon(movers + ((m_start, m_end, rest[mc]),), name)
+                    if movers is None:
+                        continue
+                    item, bp = (start, end, rest[c], movers), (MOVE_2, x)
             else:
                 s, t = (y, x) if k == _CAT else (x, y)
-                sc = s[2]
-                if rest[t[2]] < 0 and not s[3] and not t[3]:
-                    # A bare argument and no movers: the spans are
-                    # adjacent and there is nothing to sort or check.
+                sc, tc = s[2], t[2]
+                if rest[tc] < 0:  # the key that paired them made them adjacent
                     if kind[sc] == _SEL_RIGHT:
-                        r = (s[0], t[1], rest[sc], ()), (MERGE_R, s, t)
+                        h_start, h_end, tag = s[0], t[1], MERGE_R
                     else:
-                        r = (t[0], s[1], rest[sc], ()), (MERGE_L, s, t)
+                        h_start, h_end, tag = t[0], s[1], MERGE_L
+                    movers = s[3] + t[3]
                 else:
-                    r = _merge(s, t, codes)
-            if r is None:
-                continue
-            item, bp = r
+                    h_start, h_end, tag = s[0], s[1], MERGE_M
+                    movers = s[3] + ((t[0], t[1], rest[tc]),) + t[3]
+                if movers:
+                    movers = _canon(movers, name)
+                    if movers is None or not _disjoint(h_start, h_end, movers):
+                        continue
+                item, bp = (h_start, h_end, rest[sc], movers), (tag, s, t)
             bps = chart.get(item)
             if bps is None:
                 chart[item] = [bp]

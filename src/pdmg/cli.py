@@ -203,6 +203,7 @@ def parse_cmd(lexicon_path: str, sentences: tuple[str, ...], start: str,
     """Enumerate the derivations of each sentence; one JSON line each."""
     def body() -> None:
         lex = load_lexicon(lexicon_path)
+        lex.check_start(start)
         todo = list(sentences)
         if corpus_path is not None:
             todo.extend(load_corpus(corpus_path))
@@ -231,6 +232,7 @@ def score(lexicon_path: str, sentence: str, start: str, theta_path: str | None,
     """Sum derivation probabilities for SENTENCE; one JSON object."""
     def body() -> None:
         lex = load_lexicon(lexicon_path)
+        lex.check_start(start)
         theta = (uniform_theta(lex) if theta_path is None
                  else load_theta(theta_path, lex))
         forest = parse(lex, sentence.split(), ParseConfig(start=start, **caps))
@@ -277,6 +279,7 @@ def sample(lexicon_path: str, start: str, count: int, seed: int | None,
 
     def body() -> None:
         lex = load_lexicon(lexicon_path)
+        lex.check_start(start)
         theta = (uniform_theta(lex) if theta_path is None
                  else load_theta(theta_path, lex))
         cfg = SampleConfig(start=start, max_depth=max_depth,
@@ -310,6 +313,7 @@ def train_cmd(lexicon_path: str, corpus_path: str, start: str,
 
     def body() -> None:
         lex = load_lexicon(lexicon_path)
+        lex.check_start(start)
         alpha = (ones_alpha(lex) if alpha_path is None
                  else load_alpha(alpha_path, lex))
         sentences = load_corpus(corpus_path)

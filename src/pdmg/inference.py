@@ -270,8 +270,10 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
     """Fit per-category pseudo-counts to a corpus.
 
     Sentences the chart cannot derive raise UnparsedSentence, or are
-    recorded and dropped when ``config.skip_unparsed`` is set.
+    recorded and dropped when ``config.skip_unparsed`` is set.  An unknown
+    start category raises UnknownCategoryError, even for an empty corpus.
     """
+    lexicon.check_start(config.start)
     alpha = validate_alpha(lexicon, alpha)
 
     # Only the id tuples are kept, so each chart is freed once parsed.

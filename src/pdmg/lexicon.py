@@ -234,6 +234,12 @@ class Lexicon:
     def has_category(self, name: str) -> bool:
         return name in self._by_cat
 
+    def check_start(self, name: str) -> None:
+        """The one check of a start category: UnknownCategoryError unless
+        some item has category ``name``."""
+        if name not in self._by_cat:
+            raise UnknownCategoryError(f"unknown start category {name!r}")
+
     def item(self, cat_index: int, item_index: int) -> LexicalItem:
         if not 0 <= cat_index < len(self.categories):
             raise UnknownCategoryError(f"no category with index {cat_index}")

@@ -35,8 +35,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .chart import _nonnegative
-from .errors import (CapExceeded, InvalidModel, UnderivableCategory,
-                     UnknownCategoryError)
+from .errors import CapExceeded, InvalidModel, UnderivableCategory
 from .lexicon import LexicalItem, Lexicon
 from .special import _TINY, lgamma, psi
 from .wellformed import is_wellformed
@@ -345,8 +344,7 @@ def _draws(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
            ) -> Iterator[tuple[tuple[LexicalItem, ...], int]]:
     """``sample_derivation``'s draws, one per ``next``, from one set of
     tables.  Nothing is checked or built before the first ``next``."""
-    if not lexicon.has_category(config.start):
-        raise UnknownCategoryError(f"unknown start category {config.start!r}")
+    lexicon.check_start(config.start)
     if config.start not in lexicon.root_categories:
         raise UnderivableCategory(
             f"start category {config.start!r} derives nothing: every "

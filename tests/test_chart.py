@@ -1,8 +1,10 @@
 """Unit tests for the span chart and derivation extraction."""
 
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -59,7 +61,8 @@ class TestWhqParsing:
         assert forest.count == 0
 
     def test_unknown_start_category(self, whq):
-        with pytest.raises(UnknownCategoryError):
+        with pytest.raises(UnknownCategoryError,
+                           match="^unknown start category 'nope'$"):
             parse(whq, ["you"], CFG("nope"))
 
     def test_goal_shape(self, whq):
@@ -229,9 +232,63 @@ FIXTURE_SENTENCES = {
 }
 
 
-def assert_same_as_reference(lex, sentence, start):
-    """The chart, goal and sequences equal the all-pairs reference's."""
-    cfg = CFG(start)
+# sample-wh's grammar: wh- and topic movement out of embedded clauses,
+# with covert tense and complementizers.
+WH = """\
+what :: o -wh
+who :: o -wh
+kim :: o
+lee :: o
+kim :: o -top
+lee :: o -top
+kim :: s
+lee :: s
+sandy :: s
+saw :: =o s= v
+met :: =o s= v
+liked :: =o s= v
+knows :: =c s= v
+did :: =v t
+ε :: =v t
+ε :: =t +wh c
+ε :: =t +top c
+ε :: =t c
+that :: =t c
+"""
+
+
+def count_paths(forest, lex, max_covert) -> int:
+    """The goal's back-pointer paths with at most ``max_covert`` covert
+    leaves, counted one by one: two paths to one item sequence count twice."""
+    covert = {lex.global_index(it) for it in lex.covert_items()}
+    memo: dict = {}
+
+    def walk(item, budget) -> Counter:  # paths by the budget they leave
+        key = (item, budget)
+        if key not in memo:
+            left: Counter = Counter()
+            for bp in forest.chart[item]:
+                if bp[0] == chart.LEX:
+                    b = budget - (bp[1] in covert)
+                    if b >= 0:
+                        left[b] += 1
+                    continue
+                for b, k in walk(bp[1], budget).items():
+                    if len(bp) == 2:
+                        left[b] += k
+                    else:
+                        for b2, k2 in walk(bp[2], b).items():
+                            left[b2] += k * k2
+            memo[key] = left
+        return memo[key]
+
+    return sum(walk(forest.goal, max_covert).values()) if forest.goal else 0
+
+
+def assert_same_as_reference(lex, sentence, start, max_covert=3):
+    """The chart, goal and sequences equal the all-pairs reference's, and
+    no two of the goal's back-pointer paths spell one item sequence."""
+    cfg = CFG(start, max_covert=max_covert)
     tokens = tuple(sentence.split())
     forest = parse(lex, tokens, cfg)
     reference, goal, sequences = oracle.reference_parse(lex, tokens, cfg)
@@ -245,6 +302,8 @@ def assert_same_as_reference(lex, sentence, start):
     assert forest.goal == goal
     assert [tuple(lex.global_index(it) for it in seq)
             for seq in forest.sequences] == sequences
+    assert count_paths(forest, lex, max_covert) == forest.count
+    return forest
 
 
 class TestAgainstReferenceClosure:
@@ -282,31 +341,63 @@ class TestAgainstReferenceClosure:
         lex = pdmg.parse_lexicon(CHAIN)
         assert_same_as_reference(lex, " ".join(["a"] * (n - 1) + ["b"]), "c")
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sampled_wh_sentences(self, seed):
+        """Movers in flight across clause boundaries: each sampled sentence
+        of up to 8 tokens parses, with the drawn sequence among its
+        derivations."""
+        lex = pdmg.parse_lexicon(WH)
+        theta, rng = pdmg.uniform_theta(lex), np.random.default_rng(seed)
+        parsed = 0
+        for _ in range(30):
+            seq, _ = pdmg.sample_derivation(lex, theta, pdmg.SampleConfig("c"), rng)
+            sentence = pdmg.eval_sequence(seq)
+            if len(sentence.split()) > 8:
+                continue
+            covert = sum(1 for it in seq if not it.phon)
+            forest = assert_same_as_reference(lex, sentence, "c", max(3, covert))
+            assert tuple(lex.global_index(it) for it in seq) in forest.ids
+            parsed += 1
+        assert parsed >= 20
 
-def test_closure_tries_few_pairs(monkeypatch):
-    """Pairs tried grow with the chart, not with its square.
+    def test_shortest_move_lexicon(self):
+        lex = pdmg.parse_lexicon(SMC)
+        vocab = sorted({it.phon for it in lex.items if it.phon})
+        for sentence in oracle.all_sentences(vocab, 3):
+            for start in lex.categories:
+                assert_same_as_reference(lex, sentence, start)
+        for sentence in ("who did kim met", "what kim knows that lee saw",
+                         "what did kim knows that lee met",
+                         "what did lee knows who saw"):
+            assert_same_as_reference(lex, sentence, "c")
 
-    The chain's merges have no movers, so the closure builds them itself;
-    the question's moved ``what`` takes its merges through ``_merge``.
-    """
-    calls = [0]
-    merge = chart._merge
+    def test_shortest_move_on_move_again(self):
+        """move_again can break the SMC too: once r's +f moves p on, p's
+        next licensee -g meets q's, and r derives nothing; s's does not."""
+        lex = pdmg.parse_lexicon("p :: x -f -g\nq :: y -g\n"
+                                 "r :: =x =y +f +g c\ns :: =x +f +g c\n")
+        derived = 0
+        for sentence in oracle.all_sentences("pqrs", 4):
+            for start in lex.categories:
+                derived += assert_same_as_reference(lex, sentence, start).count
+        assert derived == 1  # p s
 
-    def counted(*args):
-        calls[0] += 1
-        return merge(*args)
 
-    monkeypatch.setattr(chart, "_merge", counted)
-    for lex, sentence, merges in [
-            (pdmg.parse_lexicon(CHAIN), " ".join(["a"] * 299 + ["b"]), False),
-            (pdmg.load_lexicon(data_path("whq.lex")), "what did you see", True)]:
-        calls[0] = 0
+def test_closure_tries_few_pairs():
+    """Pairs tried grow with the chart, not with its square, with movers
+    and without: the chain has none, and the question's ``what`` moves."""
+    used = {}
+    for name, lex, sentence in [
+            ("chain", pdmg.parse_lexicon(CHAIN), " ".join(["a"] * 299 + ["b"])),
+            ("whq", pdmg.load_lexicon(data_path("whq.lex")), "what did you see")]:
         tokens = tuple(sentence.split())
-        _, _, pairs = chart._close(lex, tokens, 10**6)
+        coded, _, pairs = chart._close(lex, tokens, 10**6)
         forest = parse(lex, tokens, CFG())
         assert forest.count == 1
         assert 0 < pairs <= len(forest.chart)
-        assert (calls[0] > 0) == merges
+        used[name] = {bp[0] for bps in coded.values() for bp in bps}
+    assert used["chain"] == {chart.LEX, chart.MERGE_R}
+    assert {chart.MERGE_M, chart.MOVE_1} <= used["whq"]
 
 
 class TestLazyDecode:

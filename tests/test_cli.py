@@ -422,6 +422,23 @@ def _assert_one_error_line(r, code):
     assert "Traceback" not in r.output
 
 
+def test_unknown_start_one_message(runner, tmp_path):
+    """Every command that takes --start checks it before it parses or draws
+    anything, so one with nothing to parse or draw exits 2 as well."""
+    empty, corpus = tmp_path / "empty.txt", tmp_path / "corpus.txt"
+    empty.write_text("")
+    corpus.write_text("what did you see\n")
+    out = str(tmp_path / "r.json")
+    for args in (["parse", WHQ], ["parse", WHQ, "you"], ["score", WHQ, "you"],
+                 ["sample", WHQ, "-n", "0"], ["sample", WHQ],
+                 ["train", WHQ, str(empty), "--out", out],
+                 ["train", WHQ, str(corpus), "--out", out]):
+        r = runner.invoke(main, args + ["--start", "zz"])
+        _assert_one_error_line(r, 2)
+        assert r.stderr == "error: unknown start category 'zz'\n", args
+    assert not (tmp_path / "r.json").exists()
+
+
 class TestNegativeCaps:
     """A negative cap is bad input, not an empty forest."""
 

@@ -14,6 +14,7 @@ from pdmg import (
     InvalidModel,
     ParseConfig,
     TrainConfig,
+    UnknownCategoryError,
     UnparsedSentence,
     encode_corpus,
     ones_alpha,
@@ -335,6 +336,12 @@ class TestTrainBehavior:
         assert state.converged
         assert state.omega == ones_alpha(whq)
         assert state.elbo_trace == [0.0]
+
+    def test_unknown_start_with_empty_corpus(self, whq):
+        """Checked before any sentence is parsed, so with none as well."""
+        with pytest.raises(UnknownCategoryError,
+                           match="^unknown start category 'zz'$"):
+            train(whq, [], ones_alpha(whq), TrainConfig(start="zz"))
 
     def test_unparsed_sentence_raises(self, whq):
         with pytest.raises(UnparsedSentence) as info:

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import oracle
 import pdmg
 from pdmg import (
     ArityError,
@@ -260,8 +261,10 @@ class TestSampler:
             assert seq in ((what,), (you,))
 
     def test_unknown_start(self, whq):
-        with pytest.raises(UnknownCategoryError):
-            sample_derivation(whq, uniform_theta(whq), SampleConfig(start="x"))
+        for sampler in (sample_derivation, oracle.sample_reference):
+            with pytest.raises(UnknownCategoryError,
+                               match="^unknown start category 'x'$"):
+                sampler(whq, uniform_theta(whq), SampleConfig(start="x"))
 
     def test_certain_rejection_hits_cap(self, whq):
         # force both argument slots to draw the same mover: every proposal
