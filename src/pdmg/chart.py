@@ -47,30 +47,57 @@ known item or queueing a new one.
 Inside the closure and extraction a suffix is a small int from
 ``Lexicon.codes`` (every suffix of every item's features, coded
 once per lexicon), so items hash tuples of ints, not Feature dataclasses
-and Enum members.  The axioms take each token's items by global index
-from ``Lexicon.phon_ids`` and their codes from ``codes.item``; an
-empty token, like an unknown one, matches none.  The forest
-keeps the coded chart and decodes it to ChartItems, once per item, only
-when ``forest.chart`` is first read; training, scoring and ``pdmg parse``
-never read it, so they never pay for it.
+and Enum members.  The axioms take each token's item codes from the
+sentence's ``signature``, in ``Lexicon.phon_ids`` order; an empty token,
+like an unknown one, matches none.  The forest keeps the coded chart and
+decodes it to ChartItems, once per item, only when ``forest.chart`` is
+first read; training, scoring and ``pdmg parse`` never read it, so they
+never pay for it.
+
+Leaves are numbered by slot.  A sentence's leaf table (``leaf_table``)
+is the list of global ids that its leaf codes stand for: every code up
+to the greatest covert id stands for itself, and after those come the
+tokens' items, position by position, each token's in ``phon_ids`` order.
+An overt axiom's back-pointer ``(LEX, code)`` holds its item's index in
+that table, its slot, not the item's id; a covert axiom's holds the
+covert item's id, so extraction's covert test is a membership test on
+ids, as before, and no slot code is a covert id.  The closure and
+extraction read a sentence only through its ``signature``, its tokens'
+``phon_codes`` entries, so the coded chart and the slot tuples
+extracted from it depend on nothing else: sentences with one
+signature have one coded chart and one set of slot tuples, and differ
+only in their leaf tables.  ``relabel`` maps slot tuples through a leaf
+table and sorts the results.  ``parse`` ends in it, and the trainer
+calls it to give every sentence whose signature it has parsed the ids
+of its derivations without a second parse.
+
+Dedupe over slot tuples is dedupe over id tuples.  A leaf table maps
+each slot tuple to one id tuple.  Conversely, an id tuple in polish
+order fixes the derivation tree, since an item's features fix how many
+arguments it takes; the tree fixes the position in the sentence of each
+overt leaf, since merge and move place every span; and a position and
+an item fix the slot.  So within one sentence slot tuples and id tuples
+correspond one to one: counting either gives the same derivations and
+trips ``max_derivations`` at the same one.
 
 The goal is the head (0, n) with suffix exactly the start category and no
 movers.  Extraction walks goal back-pointers depth-first and returns one
-polish-order tuple of global item ids per distinct derivation,
-deduplicated and sorted.  These id tuples are the forest's ``ids``;
-``forest.sequences`` decodes them to LexicalItems on first read, and
-training, scoring and ``pdmg parse`` use the ids alone.
+polish-order tuple of leaf codes per distinct derivation, its slot tuple.
+``relabel`` turns them into the forest's ``ids``, one tuple of global
+item ids per derivation, sorted; ``forest.sequences`` decodes them to
+LexicalItems on first read, and training, scoring and ``pdmg parse`` use
+the ids alone.
 
-The walk is one loop over a stack of states (pending items, leaf ids,
+The walk is one loop over a stack of states (pending items, leaf codes,
 covert leaves used).  It pops a state, expands its first pending item by
 each of that item's back-pointers in chart order, and pushes the results;
-a state with nothing pending is a derivation.  Pending items and leaf ids
-are cons lists whose tails the states share, so a step costs the same at
-any depth.  A derivation may use at most max_covert covert leaves, which
-also bounds the unwinding of covert recursion cycles.  This cap is a
-filter, not an error: extraction drops a derivation that needs more
-covert leaves and says nothing, so a sentence whose every derivation
-needs more parses to an empty forest.  The number of distinct
+a state with nothing pending is a derivation.  Pending items and leaf
+codes are cons lists whose tails the states share, so a step costs the
+same at any depth.  A derivation may use at most max_covert covert
+leaves, which also bounds the unwinding of covert recursion cycles.
+This cap is a filter, not an error: extraction drops a derivation that
+needs more covert leaves and says nothing, so a sentence whose every
+derivation needs more parses to an empty forest.  The number of distinct
 derivations is capped by max_derivations and the total closure plus
 extraction work by max_steps; exceeding either raises CapExceeded rather
 than silently truncating.  The closure itself always ends, as each item
@@ -82,6 +109,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded, InvalidModel
@@ -109,7 +137,9 @@ MERGE_M = "merge-m"
 MOVE_1 = "move-1"
 MOVE_2 = "move-2"
 
-BackPointer = tuple  # (LEX, global_item_index) | (tag, s) | (tag, s, t)
+# (LEX, global item index) | (tag, s) | (tag, s, t); in the coded chart a
+# LEX back-pointer holds a leaf code (see the module docstring).
+BackPointer = tuple
 
 
 def _nonnegative(config: object, *names: str) -> None:
@@ -153,15 +183,20 @@ class DerivationForest:
 
     ``ids`` holds each derivation as its polish-order tuple of global item
     indices, sorted; ``sequences`` decodes them through the lexicon's items
-    on first read.  The chart is held coded, with the lexicon's suffix
-    table; ``chart`` decodes it on first read.  Both keep the result.
-    Equality compares the ids, the coded chart and the tables that fix
-    their decoded forms.
+    on first read.  ``slots`` holds the same derivations as leaf codes, in
+    no set order; ``relabel(slots, leaf_table(lex, other))`` gives the ids
+    of any sentence ``other`` with the same signature.  The chart is held
+    coded, with the lexicon's suffix table and the sentence's leaf table;
+    ``chart`` decodes it on first read.  Both keep the result.  Equality
+    compares the ids, the coded chart and the tables that fix their
+    decoded forms.
     """
     tokens: tuple[str, ...]
     goal: ChartItem | None
     ids: tuple[tuple[int, ...], ...]
+    slots: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     _coded: dict[Coded, list[BackPointer]] = field(repr=False)
+    _leaves: list[int] = field(repr=False)
     _suffixes: list[tuple[Feature, ...]] = field(repr=False)
     _items: tuple[LexicalItem, ...] = field(repr=False)
 
@@ -177,7 +212,7 @@ class DerivationForest:
     @cached_property
     def chart(self) -> dict[ChartItem, tuple[BackPointer, ...]]:
         """Every derived item and its back-pointers, as ChartItems."""
-        return _decode(self._coded, self._suffixes)
+        return _decode(self._coded, self._leaves, self._suffixes)
 
 
 def decode_ids(
@@ -213,6 +248,41 @@ def _disjoint(start: int, end: int, movers: tuple) -> bool:
     return all(spans[i][1] <= spans[i + 1][0] for i in range(len(spans) - 1))
 
 
+def _first_slot(lex: Lexicon) -> int:
+    """The least overt leaf code: one above the greatest covert id."""
+    covert = lex.phon_ids.get("", ())
+    return covert[-1] + 1 if covert else 0
+
+
+def signature(lex: Lexicon, tokens: Sequence[str]) -> tuple[tuple[int, ...], ...]:
+    """Each token's ``phon_codes`` entry, () for a token with none: all the
+    closure reads of a sentence."""
+    phon_codes = lex.phon_codes
+    return tuple([phon_codes.get(tok, ()) for tok in tokens])
+
+
+def leaf_table(lex: Lexicon, tokens: Sequence[str]) -> list[int]:
+    """The global id of each leaf code of ``tokens``: each code below the
+    first slot is a covert id and maps to itself; then come the tokens'
+    items, position by position, in ``phon_ids`` order (an empty token,
+    like an unknown one, has none)."""
+    phon_ids = lex.phon_ids
+    table = list(range(_first_slot(lex)))
+    table += [g for tok in tokens if tok for g in phon_ids.get(tok, ())]
+    return table
+
+
+def relabel(
+    slots: Sequence[tuple[int, ...]], leaves: list[int],
+) -> tuple[tuple[int, ...], ...]:
+    """Derivations given as leaf codes, as sorted tuples of the global ids
+    ``leaves`` (a ``leaf_table``) names."""
+    # An itemgetter of two or more indices gives a tuple, in half the time
+    # a map over the codes takes; of one index, the bare id.
+    return tuple(sorted([itemgetter(*d)(leaves) if len(d) > 1 else (leaves[d[0]],)
+                         for d in slots]))
+
+
 def parse(lex: Lexicon, tokens: Sequence[str], cfg: ParseConfig) -> DerivationForest:
     """Close the chart over ``tokens`` and extract the goal's derivations.
 
@@ -224,23 +294,27 @@ def parse(lex: Lexicon, tokens: Sequence[str], cfg: ParseConfig) -> DerivationFo
     tokens = tuple(tokens)
     n = len(tokens)
     codes = lex.codes
-    chart, steps, _ = _close(lex, tokens, cfg.max_steps)
+    chart, steps, _ = _close(lex, signature(lex, tokens), cfg.max_steps)
+    leaves = leaf_table(lex, tokens)
     goal_suffix = (Feature(FeatureKind.CAT, cfg.start),)
     goal_code = (0, n, codes.code.get(goal_suffix), ())
     if goal_code not in chart:
-        return DerivationForest(tokens, None, (), chart, codes.suffixes, lex.items)
-    ids = _extract(chart, goal_code, lex, cfg, steps)
-    return DerivationForest(tokens, ChartItem(0, n, goal_suffix, ()), ids,
-                            chart, codes.suffixes, lex.items)
+        return DerivationForest(tokens, None, (), (), chart, leaves,
+                                codes.suffixes, lex.items)
+    slots = _extract(chart, goal_code, lex, cfg, steps)
+    return DerivationForest(tokens, ChartItem(0, n, goal_suffix, ()),
+                            relabel(slots, leaves), slots, chart, leaves,
+                            codes.suffixes, lex.items)
 
 
 def _close(
-    lex: Lexicon, tokens: tuple[str, ...], max_steps: int,
+    lex: Lexicon, sig: tuple[tuple[int, ...], ...], max_steps: int,
 ) -> tuple[dict[Coded, list[BackPointer]], int, int]:
-    """The closed coded chart over ``tokens``, the agenda pops it took and
-    the pairs it tried (the partners each popped item met; a licensor's
-    own mover is not counted, as a move is not a pair)."""
-    n = len(tokens)
+    """The closed coded chart over a sentence of signature ``sig``, the
+    agenda pops it took and the pairs it tried (the partners each popped
+    item met; a licensor's own mover is not counted, as a move is not a
+    pair)."""
+    n = len(sig)
     codes = lex.codes
     kind, name, rest = codes.kind, codes.name, codes.rest
     by_start, by_end, by_name = codes.by_start, codes.by_end, codes.by_name
@@ -250,14 +324,18 @@ def _close(
     # yields at most one consequence, so a list needs no membership test.
     # The axioms are distinct items: two items of one phon differ in their
     # features, and overt and covert axioms lie on different spans.  An
-    # empty token, like an unknown one, matches no item.
-    item, phon_ids = codes.item, lex.phon_ids
-    chart: dict[Coded, list[BackPointer]] = {
-        (i, i + 1, item[g], ()): [(LEX, g)]
-        for i, tok in enumerate(tokens) if tok for g in phon_ids.get(tok, ())}
-    for g in phon_ids.get("", ()):
+    # empty token, like an unknown one, matches no item.  Overt axioms are
+    # numbered by leaf slot, in ``leaf_table`` order.
+    chart: dict[Coded, list[BackPointer]] = {}
+    slot = _first_slot(lex)
+    for i, token_codes in enumerate(sig):
+        for c in token_codes:
+            chart[(i, i + 1, c, ())] = [(LEX, slot)]
+            slot += 1
+    for g in lex.phon_ids.get("", ()):
+        c = codes.item[g]
         for i in range(n + 1):
-            chart[(i, i, item[g], ())] = [(LEX, g)]
+            chart[(i, i, c, ())] = [(LEX, g)]
     # The agenda: the for loop below also visits the items appended to it
     # while it runs, so each item is popped once, first in first out.
     agenda = list(chart)
@@ -347,16 +425,18 @@ def _close(
 
 def _decode(
     chart: dict[Coded, list[BackPointer]],
+    leaves: list[int],
     suffixes: list[tuple[Feature, ...]],
 ) -> dict[ChartItem, tuple[BackPointer, ...]]:
-    """The coded chart in public form: ChartItems holding Feature tuples."""
+    """The coded chart in public form: ChartItems holding Feature tuples,
+    and LEX back-pointers holding global item ids."""
     item = {
         c: ChartItem(c[0], c[1], suffixes[c[2]],
                      tuple((m[0], m[1], suffixes[m[2]]) for m in c[3]))
         for c in chart
     }
     return {
-        item[c]: tuple(bp if bp[0] == LEX
+        item[c]: tuple((LEX, leaves[bp[1]]) if bp[0] == LEX
                        else (bp[0],) + tuple(item[a] for a in bp[1:])
                        for bp in bps)
         for c, bps in chart.items()
@@ -370,22 +450,23 @@ def _extract(
     cfg: ParseConfig,
     steps_used: int,
 ) -> tuple[tuple[int, ...], ...]:
+    """The goal's distinct derivations as slot tuples, in no set order."""
     max_derivations, max_covert, max_steps = (
         cfg.max_derivations, cfg.max_covert, cfg.max_steps)
     budget = max_steps - steps_used
     covert = lex.phon_ids.get("", ())
     found: set[tuple[int, ...]] = set()
-    # (pending, ids, used): pending is (item, rest) in polish order and ids
-    # is (id, earlier), newest first; None ends both lists.
+    # (pending, leaves, used): pending is (item, rest) in polish order and
+    # leaves is (code, earlier), newest first; None ends both lists.
     stack: list[tuple] = [((goal, None), None, 0)]
     while stack:
-        pending, ids, used = stack.pop()
+        pending, leaves, used = stack.pop()
         if pending is None:
-            leaves: list[int] = []
-            while ids is not None:
-                g, ids = ids
-                leaves.append(g)
-            found.add(tuple(reversed(leaves)))
+            slots: list[int] = []
+            while leaves is not None:
+                g, leaves = leaves
+                slots.append(g)
+            found.add(tuple(reversed(slots)))
             if len(found) > max_derivations:
                 raise CapExceeded(
                     f"more than {max_derivations} distinct derivations")
@@ -399,9 +480,9 @@ def _extract(
             if bp[0] is LEX:
                 cost = used + (bp[1] in covert)
                 if cost <= max_covert:
-                    stack.append((rest, (bp[1], ids), cost))
+                    stack.append((rest, (bp[1], leaves), cost))
             elif len(bp) == 2:  # a move: one antecedent
-                stack.append(((bp[1], rest), ids, used))
+                stack.append(((bp[1], rest), leaves, used))
             else:
-                stack.append(((bp[1], (bp[2], rest)), ids, used))
-    return tuple(sorted(found))
+                stack.append(((bp[1], (bp[2], rest)), leaves, used))
+    return tuple(found)

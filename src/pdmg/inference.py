@@ -20,9 +20,16 @@ lower bound at the current ``omega``, so the recorded trace never
 decreases.  Training stops when consecutive bound values agree within
 ``tol``, when ``omega`` repeats bitwise, or after ``max_iters`` rounds.
 
-Derivation candidates come from the chart parser once, up front, as each
-forest's tuples of global item ids (``forest.ids``); training never builds
-their LexicalItem sequences unless ``TrainState.posteriors`` is read.
+Derivation candidates come from the chart parser once per signature, up
+front, as tuples of global item ids (``forest.ids``); training never
+builds their LexicalItem sequences unless ``TrainState.posteriors`` is
+read.  A sentence's signature is its tokens' item codes
+(``chart.signature``), and sentences with one signature have one coded
+chart up to which item sits at each leaf (see ``chart``).  So the first
+sentence of each signature is parsed, and every later one takes its ids
+by ``relabel``-ing that parse's slot tuples through its own leaf table:
+the ids ``parse`` would give it, without a second parse.  Only the slot
+tuples are kept per signature, never a chart, and only for one call.
 
 The Dirichlet rows (alpha, omega, log t*) are a few dozen numbers, kept as
 one flat list in lexicon order and handled by ``model``'s row functions on
@@ -49,7 +56,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chart import TrainConfig, decode_ids, parse
+from .chart import (TrainConfig, decode_ids, leaf_table, parse, relabel,
+                    signature)
 from .errors import InvalidModel, UnparsedSentence
 from .lexicon import LexicalItem, Lexicon
 from .model import (Theta, _mean, dirichlet_kl_flat, log_theta_star_flat,
@@ -265,6 +273,37 @@ class TrainState:
         return out
 
 
+def _parse_corpus(
+    lexicon: Lexicon, sentences: Sequence[str], config: TrainConfig,
+) -> tuple[list[str], list[tuple[tuple[int, ...], ...]], list[int]]:
+    """The sentences with derivations, their ids, and the indices of those
+    without, parsing the first sentence of each signature and relabelling
+    its slot tuples for the rest.  Only ids are returned, so each chart is
+    freed once parsed, and the slot tuples when this returns."""
+    kept_sentences: list[str] = []
+    kept_derivations: list[tuple[tuple[int, ...], ...]] = []
+    unparsed: list[int] = []
+    slots_of: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
+    for n, sentence in enumerate(sentences):
+        tokens = sentence.split()
+        sig = signature(lexicon, tokens)
+        slots = slots_of.get(sig)
+        if slots is None:
+            forest = parse(lexicon, tokens, config)
+            slots_of[sig] = forest.slots
+            ids = forest.ids
+        else:
+            ids = relabel(slots, leaf_table(lexicon, tokens))
+        if not ids:
+            if not config.skip_unparsed:
+                raise UnparsedSentence(n, sentence)
+            unparsed.append(n)
+            continue
+        kept_sentences.append(sentence)
+        kept_derivations.append(ids)
+    return kept_sentences, kept_derivations, unparsed
+
+
 def train(lexicon: Lexicon, sentences: Sequence[str],
           alpha: Mapping[str, Sequence[float]], config: TrainConfig) -> TrainState:
     """Fit per-category pseudo-counts to a corpus.
@@ -276,19 +315,8 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
     lexicon.check_start(config.start)
     alpha = validate_alpha(lexicon, alpha)
 
-    # Only the id tuples are kept, so each chart is freed once parsed.
-    kept_sentences: list[str] = []
-    kept_derivations: list[tuple[tuple[int, ...], ...]] = []
-    unparsed: list[int] = []
-    for n, sentence in enumerate(sentences):
-        ids = parse(lexicon, sentence.split(), config).ids
-        if not ids:
-            if not config.skip_unparsed:
-                raise UnparsedSentence(n, sentence)
-            unparsed.append(n)
-            continue
-        kept_sentences.append(sentence)
-        kept_derivations.append(ids)
+    kept_sentences, kept_derivations, unparsed = _parse_corpus(
+        lexicon, sentences, config)
     encoded = encode_corpus(kept_sentences, kept_derivations, lexicon.n_items)
 
     offsets = lexicon.offsets

@@ -276,6 +276,18 @@ class Lexicon:
         """The items' feature suffixes as small ints (built on first use)."""
         return FeatureCodes(self.items)
 
+    @cached_property
+    def phon_codes(self) -> dict[str, tuple[int, ...]]:
+        """Each overt phon's items as ``codes.item`` codes, in ``phon_ids``
+        order (built on first use); "" has no entry.
+
+        A sentence's signature (``chart.signature``) is its tokens'
+        entries, and the chart reads a token only through its entry.
+        """
+        item = self.codes.item
+        return {phon: tuple([item[g] for g in ids])
+                for phon, ids in self.phon_ids.items() if phon}
+
     def smc_risk_groups(self) -> dict[str, tuple[LexicalItem, ...]]:
         """Items grouped by leading licensee, for groups of two or more.
 

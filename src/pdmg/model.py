@@ -343,7 +343,9 @@ def _draws(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
            config: SampleConfig, rng: np.random.Generator | None,
            ) -> Iterator[tuple[tuple[LexicalItem, ...], int]]:
     """``sample_derivation``'s draws, one per ``next``, from one set of
-    tables.  Nothing is checked or built before the first ``next``."""
+    tables.  The start category and theta are checked, and the tables
+    built, when this is called: a stream that is never read refuses a bad
+    start all the same."""
     lexicon.check_start(config.start)
     if config.start not in lexicon.root_categories:
         raise UnderivableCategory(
@@ -376,14 +378,17 @@ def _draws(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
                 stack.append((f.name, depth + 1))
         return tuple(out)
 
-    rejected = 0
-    while True:
-        seq = propose()
-        if seq is not None and is_wellformed(seq):
-            yield seq, rejected
-            rejected = 0
-            continue
-        rejected += 1
-        if rejected >= config.max_rejections:
-            raise CapExceeded(
-                f"sampler exceeded {config.max_rejections} rejected draws")
+    def stream() -> Iterator[tuple[tuple[LexicalItem, ...], int]]:
+        rejected = 0
+        while True:
+            seq = propose()
+            if seq is not None and is_wellformed(seq):
+                yield seq, rejected
+                rejected = 0
+                continue
+            rejected += 1
+            if rejected >= config.max_rejections:
+                raise CapExceeded(
+                    f"sampler exceeded {config.max_rejections} rejected draws")
+
+    return stream()

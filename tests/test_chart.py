@@ -1,5 +1,6 @@
 """Unit tests for the span chart and derivation extraction."""
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
@@ -12,7 +13,7 @@ import oracle
 import pdmg
 from conftest import data_path, random_lexicon
 from pdmg import (CapExceeded, InvalidModel, ParseConfig, TrainConfig,
-                  UnknownCategoryError, chart, parse)
+                  UnknownCategoryError, chart, inference, parse)
 from pdmg.cli import main
 
 
@@ -294,7 +295,8 @@ def assert_same_as_reference(lex, sentence, start, max_covert=3):
     reference, goal, sequences = oracle.reference_parse(lex, tokens, cfg)
     assert forest.chart.keys() == reference.keys(), sentence
     # The agenda pops each item once.
-    assert chart._close(lex, tokens, cfg.max_steps)[1] == len(forest.chart)
+    assert chart._close(lex, chart.signature(lex, tokens),
+                        cfg.max_steps)[1] == len(forest.chart)
     for item, bps in reference.items():
         got = forest.chart[item]
         assert len(set(got)) == len(got)
@@ -391,7 +393,7 @@ def test_closure_tries_few_pairs():
             ("chain", pdmg.parse_lexicon(CHAIN), " ".join(["a"] * 299 + ["b"])),
             ("whq", pdmg.load_lexicon(data_path("whq.lex")), "what did you see")]:
         tokens = tuple(sentence.split())
-        coded, _, pairs = chart._close(lex, tokens, 10**6)
+        coded, _, pairs = chart._close(lex, chart.signature(lex, tokens), 10**6)
         forest = parse(lex, tokens, CFG())
         assert forest.count == 1
         assert 0 < pairs <= len(forest.chart)
@@ -555,3 +557,158 @@ class TestChartSoundness:
             assert assert_sound(lex, sentence, "c") == 1
         # The checker accepts this sequence; the chart must not derive it.
         assert parse(lex, "what did lee knows who saw".split(), CFG()).count == 0
+
+
+def twin_lexicon(lex):
+    """``lex`` plus a twin of each overt item, spelled with a trailing 2.
+    A twin has its item's features, so putting twins for words keeps a
+    sentence's signature and changes only which items sit at its leaves."""
+    twins = "".join(f"{it.phon}2 :: {' '.join(map(str, it.features))}\n"
+                    for it in lex.items if it.phon)
+    return pdmg.parse_lexicon(pdmg.lexicon_to_text(lex) + twins)
+
+
+def with_twins(sentences):
+    """Each sentence, then every way of putting twins for some of its words;
+    so a word stands at two positions of one signature's sentences."""
+    for sentence in sentences:
+        for toks in itertools.product(*[(t, t + "2") for t in sentence.split()]):
+            yield " ".join(toks)
+
+
+def record_train_parses(monkeypatch) -> list[str]:
+    """The sentences ``train`` parses from now on, in order."""
+    parsed = []
+    real = inference.parse
+    monkeypatch.setattr(inference, "parse", lambda lex, tokens, cfg: (
+        parsed.append(" ".join(tokens)) or real(lex, tokens, cfg)))
+    return parsed
+
+
+def assert_train_keeps_parse_ids(lex, corpus, start, monkeypatch, max_covert=3):
+    """``train`` parses each signature of ``corpus`` once, and keeps for
+    every sentence the ids its own parse gives; returns the repeats."""
+    corpus = list(corpus)
+    cfg = TrainConfig(start=start, max_covert=max_covert, max_iters=0,
+                      skip_unparsed=True)
+    forests = [parse(lex, s.split(), cfg) for s in corpus]
+    parsed = record_train_parses(monkeypatch)
+    state = pdmg.train(lex, corpus, pdmg.ones_alpha(lex), cfg)
+    monkeypatch.undo()
+    assert state.unparsed == [n for n, f in enumerate(forests) if not f.ids]
+    assert list(state._sentences) == [s for s, f in zip(corpus, forests) if f.ids]
+    assert list(state._ids) == [f.ids for f in forests if f.ids]
+    firsts = {}
+    for s in corpus:
+        firsts.setdefault(chart.signature(lex, s.split()), s)
+    assert parsed == list(firsts.values())
+    return len(corpus) - len(firsts)
+
+
+class TestTrainRelabels:
+    """A sentence whose signature ``train`` has parsed gets its ids by
+    relabelling that parse's slot tuples: the ids its own parse gives."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_SENTENCES))
+    def test_fixtures_with_twins(self, name, request, monkeypatch):
+        base = request.getfixturevalue(name)
+        lex = twin_lexicon(base)
+        vocab = sorted({it.phon for it in base.items if it.phon})
+        corpus = list(with_twins(oracle.all_sentences(vocab, 3)))
+        for start in lex.categories:
+            assert assert_train_keeps_parse_ids(lex, corpus, start, monkeypatch) > 0
+
+    def test_whq_questions(self, whq, monkeypatch):
+        lex = twin_lexicon(whq)
+        corpus = list(with_twins(["what did you see", "you see what",
+                                  "what did see you", "did you see you",
+                                  "you see you"]))
+        assert assert_train_keeps_parse_ids(lex, corpus, "c", monkeypatch) > 0
+        assert assert_train_keeps_parse_ids(lex, corpus, "i", monkeypatch) > 0
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_lexicons(self, seed, monkeypatch):
+        base = random_lexicon(random.Random(seed))
+        lex = twin_lexicon(base)
+        vocab = sorted({it.phon for it in base.items if it.phon})
+        corpus = list(with_twins(oracle.all_sentences(vocab, 3)))
+        for start in lex.categories:
+            assert_train_keeps_parse_ids(lex, corpus, start, monkeypatch)
+
+    def test_pp_nouns_swapped(self, monkeypatch):
+        """``man`` and ``dog`` share a signature, and a sentence may use
+        either at several positions."""
+        lex = pdmg.parse_lexicon(PP)
+        corpus = []
+        for pps in range(4):
+            for nouns in itertools.product(("man", "dog"), repeat=pps + 1):
+                tail = "".join(f" with the {n}" for n in nouns[1:])
+                corpus.append(f"kim saw the {nouns[0]}{tail}")
+                corpus.append(f"what kim saw{tail}")
+        assert assert_train_keeps_parse_ids(lex, corpus, "c", monkeypatch) > 20
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sampled_wh_sentences(self, seed, monkeypatch):
+        """sample-wh's grammar, with kim and lee, what and who, and the three
+        transitive verbs sharing signatures, at a high ``max_covert``."""
+        lex = pdmg.parse_lexicon(WH)
+        theta, rng = pdmg.uniform_theta(lex), np.random.default_rng(seed)
+        swaps = {"kim": "lee", "lee": "kim", "what": "who", "who": "what",
+                 "saw": "met", "met": "liked", "liked": "saw"}
+        corpus = []
+        while len(corpus) < 60:
+            seq, _ = pdmg.sample_derivation(lex, theta, pdmg.SampleConfig("c"), rng)
+            toks = pdmg.eval_sequence(seq).split()
+            if len(toks) <= 8:
+                corpus.append(" ".join(toks))
+                corpus.append(" ".join(swaps.get(t, t) for t in toks))
+        assert assert_train_keeps_parse_ids(lex, corpus, "c", monkeypatch,
+                                            max_covert=6) > 30
+
+    def test_unparsed_names_the_first_failing_sentence(self, whq):
+        corpus = ["what did you see", "what did you see", "you see you",
+                  "see you", "you see you"]
+        cfg = TrainConfig(start="c", max_iters=0)
+        with pytest.raises(pdmg.UnparsedSentence) as err:
+            pdmg.train(whq, corpus, pdmg.ones_alpha(whq), cfg)
+        assert err.value.index == 2
+
+    def test_skip_unparsed_lists_every_repeat(self, monkeypatch):
+        lex = pdmg.parse_lexicon(PP)
+        corpus = ["kim saw the man", "the man", "kim saw the dog", "the dog",
+                  "the man", "what kim saw", "the dog"]
+        assert assert_train_keeps_parse_ids(lex, corpus, "c", monkeypatch) == 4
+        cfg = TrainConfig(start="c", max_iters=0, skip_unparsed=True)
+        state = pdmg.train(lex, corpus, pdmg.ones_alpha(lex), cfg)
+        assert state.unparsed == [1, 3, 4, 6]
+
+    @pytest.mark.parametrize("cap", [{"max_steps": 60}, {"max_derivations": 1}])
+    def test_cap_raised_at_the_same_sentence(self, cap, monkeypatch):
+        """The first sentence whose own parse trips a cap is the first of its
+        signature, and training stops there, as parsing each in turn does."""
+        lex = pdmg.parse_lexicon(PP)
+        corpus = ["kim saw the man", "kim saw the dog",
+                  "kim saw the man with the dog", "kim saw the dog",
+                  "kim saw the dog with the man"]
+        cfg = TrainConfig(start="c", **cap)
+        want = None
+        for n, s in enumerate(corpus):
+            try:
+                parse(lex, s.split(), cfg)
+            except CapExceeded:
+                want = n
+                break
+        assert want == 2
+        parsed = record_train_parses(monkeypatch)
+        with pytest.raises(CapExceeded):
+            pdmg.train(lex, corpus, pdmg.ones_alpha(lex), cfg)
+        assert parsed[-1] == corpus[want]
+
+    def test_slots_relabel_to_the_ids(self, whq):
+        lex = twin_lexicon(whq)
+        cfg = CFG()
+        forest = parse(lex, "what did you see".split(), cfg)
+        for other in with_twins(["what did you see"]):
+            got = chart.relabel(forest.slots, chart.leaf_table(lex, other.split()))
+            assert got == parse(lex, other.split(), cfg).ids
+        assert len(set(forest.slots)) == forest.count

@@ -439,6 +439,19 @@ def test_unknown_start_one_message(runner, tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_underivable_start_exits_2(runner):
+    """A start category that derives nothing is refused before any draw, so
+    asking for no draws exits 2 as asking for one does."""
+    for count in ("0", "1"):
+        r = runner.invoke(main, ["sample", data_path("chain.lex"), "--start", "v",
+                                 "-n", count])
+        _assert_one_error_line(r, 2)
+        assert r.stderr == (
+            "error: start category 'v' derives nothing: every 'v' item has "
+            "licensees, which nothing above the root can check\n"), count
+        assert r.stdout == ""
+
+
 class TestNegativeCaps:
     """A negative cap is bad input, not an empty forest."""
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
+from conftest import data_path
 import pdmg
 from pdmg import (
     ArityError,
@@ -27,7 +28,7 @@ from pdmg import (
     validate_alpha,
     validate_theta,
 )
-from pdmg.model import _cumulative_tables, log_dirichlet_density
+from pdmg.model import _cumulative_tables, _draws, log_dirichlet_density
 
 
 class TestValidateTheta:
@@ -265,6 +266,20 @@ class TestSampler:
             with pytest.raises(UnknownCategoryError,
                                match="^unknown start category 'x'$"):
                 sampler(whq, uniform_theta(whq), SampleConfig(start="x"))
+
+    def test_underivable_start(self):
+        """Every ``v`` item of chain.lex has a licensee, so no draw can be
+        rooted in ``v``.  sample_derivation refuses it at the call, as the
+        reference does, and so does a stream of draws never read."""
+        lex = pdmg.load_lexicon(data_path("chain.lex"))
+        message = ("^start category 'v' derives nothing: every 'v' item has "
+                   "licensees, which nothing above the root can check$")
+        cfg = SampleConfig(start="v")
+        for sampler in (sample_derivation, oracle.sample_reference):
+            with pytest.raises(pdmg.UnderivableCategory, match=message):
+                sampler(lex, uniform_theta(lex), cfg, np.random.default_rng(0))
+        with pytest.raises(pdmg.UnderivableCategory, match=message):
+            _draws(lex, uniform_theta(lex), cfg, np.random.default_rng(0))
 
     def test_certain_rejection_hits_cap(self, whq):
         # force both argument slots to draw the same mover: every proposal

@@ -79,3 +79,41 @@ def test_traced_run_records_every_metric():
     out = json.loads(done.stdout.splitlines()[-1])
     assert out["missing"] == []
     assert out["metrics"] == sorted(tracing.UNITS)
+
+
+# Runs in the child: a traced fit of a corpus whose seven sentences have
+# three signatures (man and dog share theirs); prints the names of the
+# spans directly under the fit and the per-layer parse time.
+TRACED_TRAIN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+import pdmg
+tracer = tracing.Tracer()
+api = tracer.install()
+lex = pdmg.parse_lexicon(
+    "kim :: d\\nsaw :: =d d= v\\nthe :: =n d\\nman :: n\\ndog :: n\\n"
+    "with :: =d n= n\\nwith :: =d v= v\\nε :: =v c\\n")
+corpus = ["kim saw the man", "kim saw the dog", "kim saw the man with the dog",
+          "kim saw the dog with the man", "kim saw the man with the man",
+          "kim saw the dog", "kim saw kim"]
+api.train(lex, corpus, pdmg.ones_alpha(lex), pdmg.TrainConfig(start="c"))
+name = {s[1]: s[3] for s in tracer.spans}
+under = [s[3] for s in tracer.spans if name.get(s[2]) == "inference.train"]
+metrics = tracer.layer_metrics(1, {"lexicon.load_s": 0.0, "cli.import_s": 0.0})
+print(json.dumps({"under": under, "parse_s": metrics["inference.parse_s"]}))
+"""
+
+
+def test_traced_train_parses_each_signature_once():
+    """``train`` calls ``pdmg.inference.parse`` once per signature, so the
+    tracer's ``inference.parse_s`` times every parse the fit makes."""
+    env = dict(os.environ, PYTHONPATH=str(TRACING.parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_TRAIN, str(TRACING)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["under"].count("chart.parse") == 3
+    assert out["parse_s"] > 0
