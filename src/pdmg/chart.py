@@ -54,39 +54,37 @@ decodes it to ChartItems, once per item, only when ``forest.chart`` is
 first read; training, scoring and ``pdmg parse`` never read it, so they
 never pay for it.
 
-Leaves are numbered by slot.  A sentence's leaf table (``leaf_table``)
-is the list of global ids that its leaf codes stand for: every code up
-to the greatest covert id stands for itself, and after those come the
-tokens' items, position by position, each token's in ``phon_ids`` order.
-An overt axiom's back-pointer ``(LEX, code)`` holds its item's index in
-that table, its slot, not the item's id; a covert axiom's holds the
-covert item's id, so extraction's covert test is a membership test on
-ids, as before, and no slot code is a covert id.  The closure and
-extraction read a sentence only through its ``signature``, its tokens'
-``phon_codes`` entries, so the coded chart and the slot tuples
-extracted from it depend on nothing else: sentences with one
-signature have one coded chart and one set of slot tuples, and differ
-only in their leaf tables.  ``relabel`` maps slot tuples through a leaf
-table and sorts the results.  ``parse`` ends in it, and the trainer
-calls it to give every sentence whose signature it has parsed the ids
-of its derivations without a second parse.
-
-Dedupe over slot tuples is dedupe over id tuples.  A leaf table maps
-each slot tuple to one id tuple.  Conversely, an id tuple in polish
-order fixes the derivation tree, since an item's features fix how many
-arguments it takes; the tree fixes the position in the sentence of each
-overt leaf, since merge and move place every span; and a position and
-an item fix the slot.  So within one sentence slot tuples and id tuples
-correspond one to one: counting either gives the same derivations and
-trips ``max_derivations`` at the same one.
+Every leaf is a slot of the sentence's leaf table (``leaf_table``), the
+global ids its leaf codes stand for: the covert items in ``phon_ids[""]``
+order, then the tokens' items, position by position, each token's in
+``phon_ids`` order.  An axiom's back-pointer ``(LEX, code)`` holds its
+slot: covert item j is slot j on every empty span, and overt slots start
+at C, the number of covert items, so extraction's covert test is
+``code < C``.  The closure and extraction read a sentence only through its
+``signature``, its tokens' ``phon_codes`` entries, so sentences with one
+signature have one coded chart and one list of slot tuples, and differ
+only in their leaf tables.  ``parse`` ends in ``relabel``, which maps
+slot tuples through a leaf table to the forest's sorted ``ids``, and the
+trainer calls it to give every sentence whose signature it has parsed the
+ids of its derivations without a second parse.
 
 The goal is the head (0, n) with suffix exactly the start category and no
 movers.  Extraction walks goal back-pointers depth-first and returns one
-polish-order tuple of leaf codes per distinct derivation, its slot tuple.
-``relabel`` turns them into the forest's ``ids``, one tuple of global
-item ids per derivation, sorted; ``forest.sequences`` decodes them to
-LexicalItems on first read, and training, scoring and ``pdmg parse`` use
-the ids alone.
+polish-order tuple of leaf codes per path, its slot tuple, in walk order,
+with no dedupe, as two distinct paths never spell one tuple:
+- an id tuple fixes the tree, its rules included: features fix arity, the
+  selector's kind fixes merge-L/R, the argument's licensees fix merge-m,
+  and the mover's remainder fixes move-1/2;
+- every overt leaf's span is fixed by its slot, which names a position;
+- every empty span is pinned by the first merge adjacency or move-1
+  landing above it, and the goal has no movers and spans (0, n).
+So a slot tuple fixes each item on its path and each back-pointer taken.
+Covert cycles add leaves, so their unwindings differ too.  A leaf table
+maps slot tuples to id tuples one to one (a position and an item fix the
+slot), so each path is one distinct derivation, and ``max_derivations``
+trips at the first path past it.  ``forest.sequences`` decodes the ids to
+LexicalItems on first read; training, scoring and ``pdmg parse`` use the
+ids alone.
 
 The walk is one loop over a stack of states (pending items, leaf codes,
 covert leaves used).  It pops a state, expands its first pending item by
@@ -184,7 +182,7 @@ class DerivationForest:
     ``ids`` holds each derivation as its polish-order tuple of global item
     indices, sorted; ``sequences`` decodes them through the lexicon's items
     on first read.  ``slots`` holds the same derivations as leaf codes, in
-    no set order; ``relabel(slots, leaf_table(lex, other))`` gives the ids
+    walk order; ``relabel(slots, leaf_table(lex, other))`` gives the ids
     of any sentence ``other`` with the same signature.  The chart is held
     coded, with the lexicon's suffix table and the sentence's leaf table;
     ``chart`` decodes it on first read.  Both keep the result.  Equality
@@ -248,10 +246,9 @@ def _disjoint(start: int, end: int, movers: tuple) -> bool:
     return all(spans[i][1] <= spans[i + 1][0] for i in range(len(spans) - 1))
 
 
-def _first_slot(lex: Lexicon) -> int:
-    """The least overt leaf code: one above the greatest covert id."""
-    covert = lex.phon_ids.get("", ())
-    return covert[-1] + 1 if covert else 0
+def _covert(lex: Lexicon) -> tuple[int, ...]:
+    """The covert items' global ids, in order: leaf codes 0 to C - 1."""
+    return lex.phon_ids.get("", ())
 
 
 def signature(lex: Lexicon, tokens: Sequence[str]) -> tuple[tuple[int, ...], ...]:
@@ -262,21 +259,19 @@ def signature(lex: Lexicon, tokens: Sequence[str]) -> tuple[tuple[int, ...], ...
 
 
 def leaf_table(lex: Lexicon, tokens: Sequence[str]) -> list[int]:
-    """The global id of each leaf code of ``tokens``: each code below the
-    first slot is a covert id and maps to itself; then come the tokens'
-    items, position by position, in ``phon_ids`` order (an empty token,
-    like an unknown one, has none)."""
+    """The global id of each leaf code of ``tokens``: the covert items,
+    then the tokens' items, position by position, in ``phon_ids`` order
+    (an empty token, like an unknown one, has none)."""
     phon_ids = lex.phon_ids
-    table = list(range(_first_slot(lex)))
-    table += [g for tok in tokens if tok for g in phon_ids.get(tok, ())]
-    return table
+    return [*_covert(lex),
+            *[g for tok in tokens if tok for g in phon_ids.get(tok, ())]]
 
 
 def relabel(
     slots: Sequence[tuple[int, ...]], leaves: list[int],
 ) -> tuple[tuple[int, ...], ...]:
-    """Derivations given as leaf codes, as sorted tuples of the global ids
-    ``leaves`` (a ``leaf_table``) names."""
+    """Derivations given as leaf codes, in any order, as the sorted tuples
+    of the global ids ``leaves`` (a ``leaf_table``) names."""
     # An itemgetter of two or more indices gives a tuple, in half the time
     # a map over the codes takes; of one index, the bare id.
     return tuple(sorted([itemgetter(*d)(leaves) if len(d) > 1 else (leaves[d[0]],)
@@ -301,7 +296,7 @@ def parse(lex: Lexicon, tokens: Sequence[str], cfg: ParseConfig) -> DerivationFo
     if goal_code not in chart:
         return DerivationForest(tokens, None, (), (), chart, leaves,
                                 codes.suffixes, lex.items)
-    slots = _extract(chart, goal_code, lex, cfg, steps)
+    slots = _extract(chart, goal_code, len(_covert(lex)), cfg, steps)
     return DerivationForest(tokens, ChartItem(0, n, goal_suffix, ()),
                             relabel(slots, leaves), slots, chart, leaves,
                             codes.suffixes, lex.items)
@@ -324,18 +319,20 @@ def _close(
     # yields at most one consequence, so a list needs no membership test.
     # The axioms are distinct items: two items of one phon differ in their
     # features, and overt and covert axioms lie on different spans.  An
-    # empty token, like an unknown one, matches no item.  Overt axioms are
-    # numbered by leaf slot, in ``leaf_table`` order.
+    # empty token, like an unknown one, matches no item.  Axioms are
+    # numbered by leaf slot, in ``leaf_table`` order: covert item j is
+    # slot j on every empty span, and overt slots follow.
     chart: dict[Coded, list[BackPointer]] = {}
-    slot = _first_slot(lex)
+    covert = _covert(lex)
+    slot = len(covert)
     for i, token_codes in enumerate(sig):
         for c in token_codes:
             chart[(i, i + 1, c, ())] = [(LEX, slot)]
             slot += 1
-    for g in lex.phon_ids.get("", ()):
+    for j, g in enumerate(covert):
         c = codes.item[g]
         for i in range(n + 1):
-            chart[(i, i, c, ())] = [(LEX, g)]
+            chart[(i, i, c, ())] = [(LEX, j)]
     # The agenda: the for loop below also visits the items appended to it
     # while it runs, so each item is popped once, first in first out.
     agenda = list(chart)
@@ -446,30 +443,30 @@ def _decode(
 def _extract(
     chart: dict[Coded, list[BackPointer]],
     goal: Coded,
-    lex: Lexicon,
+    covert: int,
     cfg: ParseConfig,
     steps_used: int,
 ) -> tuple[tuple[int, ...], ...]:
-    """The goal's distinct derivations as slot tuples, in no set order."""
+    """The goal's derivations as slot tuples, one per back-pointer path, in
+    walk order; leaf codes below ``covert`` are covert leaves."""
     max_derivations, max_covert, max_steps = (
         cfg.max_derivations, cfg.max_covert, cfg.max_steps)
     budget = max_steps - steps_used
-    covert = lex.phon_ids.get("", ())
-    found: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
     # (pending, leaves, used): pending is (item, rest) in polish order and
     # leaves is (code, earlier), newest first; None ends both lists.
     stack: list[tuple] = [((goal, None), None, 0)]
     while stack:
         pending, leaves, used = stack.pop()
         if pending is None:
+            if len(found) == max_derivations:
+                raise CapExceeded(
+                    f"more than {max_derivations} distinct derivations")
             slots: list[int] = []
             while leaves is not None:
                 g, leaves = leaves
                 slots.append(g)
-            found.add(tuple(reversed(slots)))
-            if len(found) > max_derivations:
-                raise CapExceeded(
-                    f"more than {max_derivations} distinct derivations")
+            found.append(tuple(reversed(slots)))
             continue
         budget -= 1
         if budget < 0:
@@ -478,7 +475,7 @@ def _extract(
         item, rest = pending
         for bp in reversed(chart[item]):  # popped in chart order
             if bp[0] is LEX:
-                cost = used + (bp[1] in covert)
+                cost = used + (bp[1] < covert)
                 if cost <= max_covert:
                     stack.append((rest, (bp[1], leaves), cost))
             elif len(bp) == 2:  # a move: one antecedent

@@ -314,6 +314,8 @@ def _cumulative_tables(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
 
 @dataclass(frozen=True)
 class SampleConfig:
+    """A proposal may have ``max_depth`` levels, the root being level one;
+    a draw may follow ``max_rejections`` rejected proposals."""
     start: str
     max_depth: int = 64
     max_rejections: int = 10_000
@@ -329,12 +331,12 @@ def sample_derivation(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
     """Draw one well-formed sequence; returns (sequence, rejected_count).
 
     Proposals come from the top-down expansion of the start category;
-    draws the checker rejects are discarded and retried.  Exceeding
-    ``max_depth`` during a proposal, or ``max_rejections`` overall,
-    raises CapExceeded.  A start category whose every item has licensees
-    raises UnderivableCategory up front: each proposal's root would keep
-    them unchecked.  A theta that ``validate_theta`` refuses raises
-    InvalidModel before any draw.
+    draws the checker rejects are discarded and retried.  A proposal
+    deeper than ``max_depth`` levels (the root is level one), or more than
+    ``max_rejections`` rejections, raises CapExceeded.  A start category
+    whose every item has licensees raises UnderivableCategory up front:
+    each proposal's root would keep them unchecked.  A theta that
+    ``validate_theta`` refuses raises InvalidModel before any draw.
     """
     return next(_draws(lexicon, theta, config, rng))
 
@@ -387,7 +389,7 @@ def _draws(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
                 rejected = 0
                 continue
             rejected += 1
-            if rejected >= config.max_rejections:
+            if rejected > config.max_rejections:
                 raise CapExceeded(
                     f"sampler exceeded {config.max_rejections} rejected draws")
 

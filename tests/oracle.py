@@ -426,9 +426,9 @@ def sample_reference(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
     """Draw one well-formed sequence; returns (sequence, rejected_count).
 
     Proposals come from the top-down expansion of the start category;
-    draws the checker rejects are discarded and retried.  Exceeding
-    ``max_depth`` during a proposal, or ``max_rejections`` overall,
-    raises CapExceeded.  A start category whose every item has licensees
+    draws the checker rejects are discarded and retried.  A proposal
+    deeper than ``max_depth`` levels (the root is level one), or more than
+    ``max_rejections`` rejections, raises CapExceeded.  A start category whose every item has licensees
     raises UnderivableCategory up front: each proposal's root would keep
     them unchecked.
     """
@@ -471,7 +471,7 @@ def sample_reference(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
         if seq is not None and is_wellformed(seq):
             return seq, rejected
         rejected += 1
-        if rejected >= config.max_rejections:
+        if rejected > config.max_rejections:
             raise CapExceeded(
                 f"sampler exceeded {config.max_rejections} rejected draws")
 

@@ -257,6 +257,18 @@ did :: =v t
 that :: =t c
 """
 
+# Empty spans that float: a covert mover, a covert head that parks a mover
+# and lands it, and covert recursion over it.
+FLOAT = """\
+ε :: d -f
+who :: d -f
+kim :: d
+ε :: =v +f c
+ε :: =c c
+saw :: =d d= v
+says :: =c v
+"""
+
 
 def count_paths(forest, lex, max_covert) -> int:
     """The goal's back-pointer paths with at most ``max_covert`` covert
@@ -361,6 +373,23 @@ class TestAgainstReferenceClosure:
             assert tuple(lex.global_index(it) for it in seq) in forest.ids
             parsed += 1
         assert parsed >= 20
+
+    @pytest.mark.parametrize("max_covert", range(6))
+    def test_floating_empty_spans(self, max_covert):
+        """No two back-pointer paths spell one sequence where empty spans
+        are pinned only by the adjacency or landing above them: "kim saw"
+        lands a covert object at its left edge, and each ``ε :: =c c``
+        the cap allows above it adds a reading."""
+        lex = pdmg.parse_lexicon(FLOAT)
+        vocab = sorted({it.phon for it in lex.items if it.phon})
+        counts = {}
+        for sentence in oracle.all_sentences(vocab, 4):
+            for start in lex.categories:
+                forest = assert_same_as_reference(lex, sentence, start, max_covert)
+                counts[sentence, start] = forest.count
+        assert counts["kim saw", "c"] == max(0, max_covert - 1)
+        assert counts["who kim saw", "c"] == max_covert
+        assert counts["saw", "c"] == 0  # two -f movers break the SMC
 
     def test_shortest_move_lexicon(self):
         lex = pdmg.parse_lexicon(SMC)

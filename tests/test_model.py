@@ -281,6 +281,18 @@ class TestSampler:
         with pytest.raises(pdmg.UnderivableCategory, match=message):
             _draws(lex, uniform_theta(lex), cfg, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("sampler", [sample_derivation, oracle.sample_reference])
+    def test_cap_allows_that_many_rejections(self, whq, sampler):
+        """Seed 5's first draw follows exactly one rejection: a cap of 1
+        allows it and a cap of 0 does not."""
+        theta = uniform_theta(whq)
+        cfg = SampleConfig(start="c", max_rejections=1)
+        seq, rejected = sampler(whq, theta, cfg, np.random.default_rng(5))
+        assert rejected == 1
+        cfg = SampleConfig(start="c", max_rejections=0)
+        with pytest.raises(CapExceeded, match="^sampler exceeded 0 rejected draws$"):
+            sampler(whq, theta, cfg, np.random.default_rng(5))
+
     def test_certain_rejection_hits_cap(self, whq):
         # force both argument slots to draw the same mover: every proposal
         # stacks two -wh chains and the checker refuses it

@@ -173,10 +173,11 @@ def test_cli_stream_is_the_reference_stream(monkeypatch):
         assert len(builds) == 1
 
 
-@pytest.mark.parametrize("cap", [5, 8])
+@pytest.mark.parametrize("cap", [5, 6, 7, 8])
 def test_cli_caps_rejections_per_draw(cap):
     """``--max-rejections`` bounds each draw of ``sample -n``, as each call.
-    On this stream a cap of 5 trips at the 15th draw and 8 never does."""
+    On this stream the 15th draw follows 7 rejections, the most of any
+    draw: caps of 5 and 6 trip there, and 7 and 8 never do."""
     lex = pdmg.load_lexicon(data_path("whq.lex"))
     theta = uniform_theta(lex)
     cfg = SampleConfig(start="c", max_rejections=cap)
@@ -193,6 +194,7 @@ def test_cli_caps_rejections_per_draw(cap):
                                            "--seed", "3",
                                            "--max-rejections", str(cap)])
     assert (result.exit_code, result.stdout) == (code, "".join(lines))
+    assert (code, len(lines)) == ((4, 14) if cap < 7 else (0, 200))
 
 
 class TestRowsCheckedUpFront:
