@@ -374,9 +374,7 @@ def parse_lexicon(text: str) -> Lexicon:
             feats = tuple(parse_feature(t) for t in tokens)
             entries.append((phon, feats, feature_stages(feats)[1]))
         except LexiconError as e:
-            if e.line is None:
-                raise type(e)(str(e), line=lineno) from None
-            raise
+            raise type(e)(str(e), line=lineno) from None
     if not entries:
         raise LexiconError("lexicon has no items")
     return _assemble(entries)

@@ -174,6 +174,12 @@ def log_prob_of_sequence(seq: Sequence[LexicalItem],
     """log P(sequence | theta); -inf when the checker rejects it."""
     if not is_wellformed(seq):
         return -math.inf
+    return _log_prob_of_items(seq, theta)
+
+
+def _log_prob_of_items(seq: Sequence[LexicalItem],
+                       theta: Mapping[str, Sequence[float]]) -> float:
+    """The sum of log theta over ``seq``'s items, without the checker."""
     total = 0.0
     for it in seq:
         p = theta[it.category][it.item_index]
@@ -272,13 +278,12 @@ def log_joint(seq: Sequence[LexicalItem], theta: Mapping[str, Sequence[float]],
     """
     theta = validate_theta(lexicon, theta)
     alpha = validate_alpha(lexicon, alpha)
-    lp = log_prob_of_sequence(seq, theta)
-    if lp == -math.inf and not is_wellformed(seq):
+    if not is_wellformed(seq):
         raise InvalidModel("sequence is not well-formed; log joint undefined")
     prior = 0.0
     for cat in lexicon.categories:
         prior += log_dirichlet_density(theta[cat], alpha[cat])
-    return prior + lp
+    return prior + _log_prob_of_items(seq, theta)
 
 
 def sample_theta(lexicon: Lexicon, alpha: Mapping[str, Sequence[float]],

@@ -18,11 +18,14 @@ cursor walking the sequence and deleting features as they check:
       continue from the current item;
    c. otherwise the sequence is ill-formed.
 3. Leading licensee: move one item left.
-4. Leading licensor +y: find the nearest item to the right whose leading
-   feature is the licensee -y;
-   a. no such item: ill-formed;
-   b. an item still carrying a category feature sits in between: ill-formed;
-   c. otherwise delete both features and continue from the current item.
+4. Leading licensor +y: look at the movers in flight, the items to the
+   right up to the first one that still carries a category feature;
+   a. none of them leads with the licensee -y: ill-formed;
+   b. two of them lead with -y: ill-formed by the shortest-move
+      constraint (SMC), which lets at most one mover per licensee be
+      in flight;
+   c. exactly one does: delete both features and continue from the
+      current item.
 5. No features left: delete the item and continue from its left neighbour,
    or its right neighbour if there is none.
 
@@ -42,8 +45,22 @@ The walk ends with no record of where the cursor has been.  Each check or
 deletion removes a feature or an item.  Between two of them the cursor
 moves left only from an item leading with a licensee (rule 3), and a move
 right (rule 1) never lands on such an item, so it makes some left moves,
-then some right moves, and then checks, deletes or rejects: it never
-revisits an item.
+then some right moves, and then checks, deletes or rejects (a reject by
+rule 1, 2c, 3, 4a or 4b ends the walk): it never revisits an item.
+
+Rule 4 needs to search no further than the first item that still
+carries a category.  The cursor moves right only by rule 1, past
+checked-out movers, or by rule 5 from the leftmost item to its
+neighbour, so the items it has visited form a prefix of the live
+sequence.  An item leads with a licensee only once its category has
+checked, which takes the cursor on it (rule 2).  So every live item
+right of the cursor that still carries a category is unvisited, as is
+everything after it: each leads with a selector, licensor or category,
+never a licensee.  A licensor's mover, and any second mover that would
+break the SMC, lies before the first such item.  When the sequence
+spells a tree, the items before it are what remains of the licensor's
+own subtree: its projection's movers in flight, the ones the SMC
+constrains.
 """
 
 from __future__ import annotations
@@ -201,31 +218,35 @@ def _run(seq: Sequence[LexicalItem], steps: list[TraceStep] | None) -> bool:
             cur = left[cur]
 
         else:
-            # rule 4: leading licensor
-            j = right[cur]
-            blocker = -1
-            while j != -1:
-                a = at[j]
-                if cat[j] < a < end[j] and feats[j][a].name == f.name:
-                    break
-                if blocker == -1 and a <= cat[j]:
-                    blocker = j
-                j = right[j]
+            # rule 4: the movers in flight are the checked-out items right
+            # of the cursor, up to the first that still bears a category.
+            y = f.name
+            j = twin = -1
+            r = right[cur]
+            while r != -1 and at[r] > cat[r]:
+                a = at[r]
+                if a < end[r] and feats[r][a].name == y:
+                    if j != -1:
+                        twin = r
+                        break
+                    j = r
+                r = right[r]
             if j == -1:
                 if steps is not None:
                     steps.append(TraceStep(
                         cur, REJECT,
-                        f"rule 4a: no item to the right leads with -{f.name}"))
+                        f"rule 4a: no item to the right leads with -{y}"))
                 return False
-            if blocker != -1:
+            if twin != -1:
                 if steps is not None:
                     steps.append(TraceStep(
-                        cur, REJECT, "rule 4b: category-bearing item "
-                        f"{seq[blocker].phon_display} intervenes before -{f.name}"))
+                        cur, REJECT, f"rule 4b: {seq[j].phon_display} and "
+                        f"{seq[twin].phon_display} both lead with -{y} "
+                        "(shortest-move constraint)"))
                 return False
             at[cur] += 1
             at[j] += 1
             if steps is not None:
                 steps.append(TraceStep(
-                    cur, LICENSOR_MATCH, f"licensor {f} checked against -{f.name} "
+                    cur, LICENSOR_MATCH, f"licensor {f} checked against -{y} "
                     f"on {seq[j].phon_display}"))

@@ -53,6 +53,15 @@ def data_path(name: str) -> str:
     return str(DATA / name)
 
 
+# The shortest-move counterexample: in "what did lee knows who saw" both
+# wh-words are in flight in the embedded clause.
+SMC_WH_LEXICON = (
+    "what :: d -wh\nwho :: d -wh\nkim :: d\nlee :: d\nsaw :: =d d= v\n"
+    "knows :: =c d= v\ndid :: =v t\nε :: =v t\nε :: =t +wh c\n")
+SMC_WH_REFS = ("ε@3.0 did@2.0 knows@1.1 ε@3.0 ε@2.1 saw@1.0 who@0.1 what@0.0 "
+               "lee@0.3").split()
+
+
 def random_lexicon(rng: random.Random) -> Lexicon:
     """3-7 items over categories a-c and licensees f, g; ε items are covert."""
     cats, lics = "abc"[:rng.randint(2, 3)], "fg"[:rng.randint(0, 2)]
@@ -65,3 +74,36 @@ def random_lexicon(rng: random.Random) -> Lexicon:
         feats += ["-" + y for y in rng.sample(lics, rng.randint(0, len(lics)))]
         lines.add(f"{rng.choice('pqrε')} :: {' '.join(feats)}")
     return parse_lexicon("\n".join(sorted(lines)) + "\n")
+
+
+def rich_lexicon(rng: random.Random) -> Lexicon:
+    """4-8 items over categories a-d and licensees f-h, each with up to 3
+    selectors, 2 licensors (possibly the same twice) and 3 distinct
+    licensees, so that several movers are often in flight at one licensor;
+    ε items are covert."""
+    cats, lics = "abcd"[:rng.randint(2, 4)], "fgh"[:rng.randint(1, 3)]
+    lines = set()
+    for _ in range(rng.randint(4, 8)):
+        feats = [rng.choice(("={}", "{}=")).format(rng.choice(cats))
+                 for _ in range(rng.randint(0, 3))]
+        feats += ["+" + rng.choice(lics) for _ in range(rng.randint(0, 2))]
+        feats.append(rng.choice(cats))
+        feats += ["-" + y for y in rng.sample(lics, rng.randint(0, len(lics)))]
+        lines.add(f"{rng.choice('pqrε')} :: {' '.join(feats)}")
+    return parse_lexicon("\n".join(sorted(lines)) + "\n")
+
+
+def top_down_proposals(lex: Lexicon, rng: random.Random, count: int,
+                       max_items: int = 12):
+    """Up to ``count`` sequences, each expanding a root category top-down
+    with uniformly chosen items, as the sampler proposes; an expansion that
+    reaches a category with no items or passes ``max_items`` is dropped."""
+    starts = sorted(lex.root_categories)
+    for _ in range(count if starts else 0):
+        seq, todo = [], [rng.choice(starts)]
+        while todo and len(seq) < max_items and lex.has_category(todo[-1]):
+            item = rng.choice(lex.items_of_category(todo.pop()))
+            seq.append(item)
+            todo += [f.name for f in reversed(item.selectors)]
+        if not todo:
+            yield tuple(seq)

@@ -53,10 +53,12 @@ def check(seq) -> tuple[bool, str | None]:
     left when that item leads with the matching selector (the root's
     category just deletes); a licensee steps left; a licensor scans
     right for the matching licensee with no category-bearing item in
-    between; a featureless item is removed.  Words attach to the
-    checking head when an item checks its last feature: selected
-    arguments append (``=x``) or prepend (``x=``), landing movers
-    prepend.  A generous step budget rejects unproductive wandering.
+    between and no second item to its right leading with that licensee
+    (the shortest-move constraint); a featureless item is removed.
+    Words attach to the checking head when an item checks its last
+    feature: selected arguments append (``=x``) or prepend (``x=``),
+    landing movers prepend.  A generous step budget rejects unproductive
+    wandering.
     """
     items = [_record(it, i == 0) for i, it in enumerate(seq)]
     if not items:
@@ -123,6 +125,11 @@ def check(seq) -> tuple[bool, str | None]:
                 if any(g[0] == CAT for g in f):
                     blocked = True
             if j is None or blocked:
+                return False, None
+            # Shortest move: no second item anywhere to the right may lead
+            # with the same licensee.
+            if any(items[i]["feats"] and items[i]["feats"][0] == (LICENSEE, name)
+                   for i in range(j + 1, len(items))):
                 return False, None
             rec["feats"].pop(0)
             items[j]["feats"].pop(0)

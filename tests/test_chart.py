@@ -584,7 +584,9 @@ class TestChartSoundness:
                          "what did kim knows that lee met",
                          "what did lee knows that kim saw"):
             assert assert_sound(lex, sentence, "c") == 1
-        # The checker accepts this sequence; the chart must not derive it.
+        # Both wh-words are in flight in the embedded clause: the checker
+        # rejects the sequence by the SMC (rule 4b), and the chart derives
+        # nothing.
         assert parse(lex, "what did lee knows who saw".split(), CFG()).count == 0
 
 

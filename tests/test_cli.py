@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import oracle
 import pdmg.cli
 import pdmg.model
-from conftest import data_path, random_lexicon
+from conftest import SMC_WH_LEXICON, SMC_WH_REFS, data_path, random_lexicon
 from pdmg.cli import main
 
 WHQ = data_path("whq.lex")
@@ -70,6 +70,14 @@ class TestCheckSeq:
         assert r.exit_code == 1
         assert "rule 1" in r.output
         assert r.output.endswith("ill-formed\n")
+
+    def test_two_wh_movers_in_flight_reject(self, runner, tmp_path):
+        lex = tmp_path / "smc.lex"
+        lex.write_text(SMC_WH_LEXICON, encoding="utf-8")
+        r = runner.invoke(main, ["check-seq", str(lex), *SMC_WH_REFS,
+                                 "--no-trace"])
+        assert r.exit_code == 1
+        assert r.output == "ill-formed\n"
 
     def test_indexed_references(self, runner):
         r = runner.invoke(main, ["check-seq", WHQ, "--no-trace",

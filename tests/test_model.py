@@ -188,6 +188,25 @@ class TestPrior:
         with pytest.raises(InvalidModel, match="not well-formed"):
             log_joint((did, you), uniform_theta(whq), ones_alpha(whq), whq)
 
+    def test_log_joint_runs_the_checker_once(self, whq, whq_seq, whq_items,
+                                             monkeypatch):
+        checks = [0]
+        check = pdmg.model.is_wellformed
+
+        def counted(seq):
+            checks[0] += 1
+            return check(seq)
+
+        monkeypatch.setattr(pdmg.model, "is_wellformed", counted)
+        what, you, see, did, eps = whq_items
+        with pytest.raises(InvalidModel, match="not well-formed"):
+            log_joint((did, you), uniform_theta(whq), ones_alpha(whq), whq)
+        assert checks[0] == 1
+        theta = uniform_theta(whq)
+        theta["d"] = [1.0, 0.0]
+        assert log_joint(whq_seq, theta, ones_alpha(whq), whq) == -math.inf
+        assert checks[0] == 2
+
     def test_log_joint_zero_probability(self, whq, whq_seq):
         # well-formed, but theta gives one of its items probability 0
         theta = uniform_theta(whq)

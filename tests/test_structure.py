@@ -13,7 +13,7 @@ import pytest
 
 import oracle
 import pdmg
-from conftest import data_path, random_lexicon
+from conftest import SMC_WH_LEXICON, SMC_WH_REFS, data_path, random_lexicon
 from pdmg import (
     ArityError,
     Chain,
@@ -32,6 +32,7 @@ from pdmg import (
     eval_expression,
     eval_sequence,
     eval_tree,
+    is_wellformed,
     leaf_expression,
     merge_left,
     merge_mover,
@@ -451,7 +452,8 @@ k :: d
 
 
 def test_shortest_move_in_every_rule_matches_the_tree_fold():
-    """Every sequence that fills each selector with an item of its category."""
+    """Every sequence that fills each selector with an item of its category;
+    the cursor checker accepts exactly those that evaluate."""
     lex = pdmg.parse_lexicon(SMC_LEXICON)
     smc = set()
     todo = [((), ("c",))]
@@ -464,18 +466,16 @@ def test_shortest_move_in_every_rule_matches_the_tree_fold():
             continue
         _assert_same_evaluation(seq)
         got = _outcome(eval_sequence, seq)
+        assert is_wellformed(seq) == (not isinstance(got, tuple)), seq
         if isinstance(got, tuple) and got[0] is SmcViolation:
             smc.add(got[1])
     assert smc == {f"two movers lead with -{y}" for y in "efg"}
 
 
 def test_two_wh_movers_in_flight_violate_the_smc():
-    """The sequence the cursor checker accepts (a known gap) stops at the SMC."""
-    lex = pdmg.parse_lexicon(
-        "what :: d -wh\nwho :: d -wh\nkim :: d\nlee :: d\nsaw :: =d d= v\n"
-        "knows :: =c d= v\ndid :: =v t\nε :: =v t\nε :: =t +wh c\n")
-    refs = "ε@3.0 did@2.0 knows@1.1 ε@3.0 ε@2.1 saw@1.0 who@0.1 what@0.0 lee@0.3"
-    seq = tuple(resolve_item(lex, r) for r in refs.split())
+    """The sequence the cursor checker rejects by its rule 4b stops at the SMC."""
+    lex = pdmg.parse_lexicon(SMC_WH_LEXICON)
+    seq = tuple(resolve_item(lex, r) for r in SMC_WH_REFS)
     with pytest.raises(SmcViolation, match="^two movers lead with -wh$"):
         eval_sequence(seq)
     _assert_same_evaluation(seq)

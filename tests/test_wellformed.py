@@ -3,12 +3,15 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import oracle
 import pdmg
-from conftest import random_lexicon
-from pdmg import Feature, LexicalItem, is_wellformed, trace_wellformed
+from conftest import (SMC_WH_LEXICON, SMC_WH_REFS, random_lexicon, rich_lexicon,
+                      top_down_proposals)
+from pdmg import Feature, LexicalItem, TraceStep, is_wellformed, trace_wellformed
+from pdmg.cli import resolve_item
 
 # Actions that check a feature or delete an item.
 PROGRESS = {"category-match", "licensor-match", "root-category", "delete-item"}
@@ -166,6 +169,58 @@ class TestAgainstOracle:
             ((3, 0), (2, 0), (1, 0), (0, 0), (0, 1)),
             ((3, 0), (2, 0), (1, 0), (0, 1), (0, 0)),
         ]
+
+
+def _evaluates(seq) -> bool:
+    try:
+        pdmg.eval_sequence(seq)
+    except pdmg.PdmgError:
+        return False
+    return True
+
+
+class TestShortestMove:
+    def test_two_wh_movers_reject_by_rule_4b(self):
+        lex = pdmg.parse_lexicon(SMC_WH_LEXICON)
+        seq = tuple(resolve_item(lex, r) for r in SMC_WH_REFS)
+        t = trace_wellformed(seq)
+        assert t.verdict is False
+        assert t.steps[-1] == TraceStep(
+            3, "reject", "rule 4b: who and what both lead with -wh "
+            "(shortest-move constraint)")
+        assert oracle.check(seq) == (False, None)
+        with pytest.raises(pdmg.SmcViolation):
+            pdmg.eval_sequence(seq)
+
+    def test_every_draw_evaluates(self):
+        # Without the SMC the checker passed 117 of these 3,000 draws, each
+        # raising SmcViolation in the evaluator.
+        lex = pdmg.parse_lexicon(
+            SMC_WH_LEXICON + "met :: =d d= v\nthat :: =t c\n")
+        assert set(lex.smc_risk_groups()) == {"wh"}
+        theta, config = pdmg.uniform_theta(lex), pdmg.SampleConfig(start="c")
+        rng = np.random.default_rng(1)
+        for _ in range(3000):
+            seq, _ = pdmg.sample_derivation(lex, theta, config, rng)
+            assert oracle.check(seq)[0], [it.ref for it in seq]
+            pdmg.eval_sequence(seq)
+
+    def test_rich_lexicons_agree_with_oracle_and_evaluator(self):
+        """Top-down proposals over lexicons whose heads take up to three
+        arguments and two licensors, so that several movers, some sharing a
+        licensee, are in flight at one licensor."""
+        seen = {True: 0, False: 0}
+        smc = 0
+        for seed in range(1000):
+            rng = random.Random(seed)
+            lex = rich_lexicon(rng)
+            for seq in top_down_proposals(lex, rng, 100):
+                verdict = is_wellformed(seq)
+                assert verdict == oracle.check(seq)[0], [it.ref for it in seq]
+                assert verdict == _evaluates(seq), [it.ref for it in seq]
+                seen[verdict] += 1
+                smc += "rule 4b" in trace_wellformed(seq).steps[-1].detail
+        assert min(seen.values()) > 1000 and smc > 100, (seen, smc)
 
 
 class TestTraceShape:
