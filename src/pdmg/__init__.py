@@ -5,9 +5,11 @@ licensors, one category, then licensees).  A derivation is named by the
 head-first flattening of its tree into a sequence of items; this package
 checks such sequences (`is_wellformed`), evaluates them in one pass
 (`eval_sequence`), rebuilds their trees (`seq_to_tree`), enumerates all
-derivations of a sentence (`parse`), scores and samples them under
-per-item probabilities (`log_prob_of_sequence`, `sample_derivation`), and
-fits those probabilities to a corpus with variational Bayes (`train`).
+derivations of a sentence (`parse`), scores sequences and sentences
+under per-item probabilities (`log_prob_of_sequence`, `score_sentence`),
+draws them from those probabilities (`sample_derivations`, one stream of
+draws, and `sample_derivation`, its first), and fits the probabilities to
+a corpus with variational Bayes (`train`).
 
 Only training's e-step and the two random draws (`sample_theta` and the
 sampler) compute with numpy, so importing the package does not load it:
@@ -25,8 +27,9 @@ from .lexicon import (Feature, FeatureKind, LexicalItem, Lexicon,
                       parse_feature, parse_lexicon)
 from .model import (SampleConfig, load_alpha, load_theta, log_joint,
                     log_prob_of_sequence, ones_alpha, posterior_mean,
-                    prob_of_sequence, sample_derivation, sample_theta,
-                    theta_star, uniform_theta, validate_alpha, validate_theta)
+                    prob_of_sequence, sample_derivation, sample_derivations,
+                    sample_theta, score_sentence, theta_star, uniform_theta,
+                    validate_alpha, validate_theta)
 from .structure import (Chain, Expression, Leaf, MergeNode, MoveNode,
                         count_nodes, derived_category, eval_expression,
                         eval_sequence, eval_tree, leaf_expression, merge_left,
@@ -66,7 +69,8 @@ __all__ = [
     "load_lexicon", "load_theta", "log_joint", "log_prob_of_sequence",
     "merge_left", "merge_mover", "merge_right", "move_again", "move_final",
     "ones_alpha", "parse", "parse_feature", "parse_lexicon", "posterior_mean",
-    "prob_of_sequence", "render_tree", "sample_derivation", "sample_theta",
-    "seq_to_tree", "theta_star", "trace_wellformed", "train", "tree_to_seq",
-    "uniform_theta", "validate_alpha", "validate_theta",
+    "prob_of_sequence", "render_tree", "sample_derivation",
+    "sample_derivations", "sample_theta", "score_sentence", "seq_to_tree",
+    "theta_star", "trace_wellformed", "train", "tree_to_seq", "uniform_theta",
+    "validate_alpha", "validate_theta",
 ]

@@ -11,20 +11,19 @@ exception type.
 
 from __future__ import annotations
 
-import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable
 
 import click
 
 from . import __version__
 from .chart import ParseConfig, TrainConfig, parse
-from .corpus import _fmt_float, canonical_json, load_corpus
+from .corpus import canonical_json, load_corpus
 from .errors import (CapExceeded, EvalError, LexiconError, PdmgError,
                      UnknownCategoryError, UnparsedSentence)
 from .lexicon import LexicalItem, Lexicon, load_lexicon
-from .model import (SampleConfig, Theta, _draws, load_alpha, load_theta,
-                    ones_alpha, uniform_theta)
+from .model import (SampleConfig, load_alpha, load_theta, ones_alpha,
+                    sample_derivations, score_sentence, uniform_theta)
 from .structure import _derive, render_tree, seq_to_tree
 from .wellformed import is_wellformed, trace_wellformed
 
@@ -33,6 +32,8 @@ BAD_INPUT = 2
 EVAL_FAILURE = 3
 CAP_EXCEEDED = 4
 INTERNAL_ERROR = 5
+
+_COVERT = ("ε", "eps")  # reference aliases of the empty phon
 
 
 def _run(body: Callable[[], int | None]) -> None:
@@ -73,7 +74,12 @@ def _cap_options(command: Callable) -> Callable:
 
 
 def resolve_item(lexicon: Lexicon, ref: str) -> LexicalItem:
-    """Resolve ``phon@k.m`` (0-based category.item) or a bare unique phon."""
+    """Resolve ``phon@k.m`` (0-based category.item) or a bare unique phon.
+
+    ``ε`` and ``eps`` name covert items, but a literal spelling wins: a bare
+    ``eps`` is the item spelled so if there is one, and ``eps@k.m`` names
+    item k.m if that item is spelled ``eps`` or is covert.
+    """
     if "@" in ref:
         phon, _, pos = ref.rpartition("@")
         parts = pos.split(".")
@@ -88,44 +94,19 @@ def resolve_item(lexicon: Lexicon, ref: str) -> LexicalItem:
             item = lexicon.item(k, m)
         except (LexiconError, UnknownCategoryError) as exc:
             raise LexiconError(f"bad item reference {ref!r}: {exc}") from None
-        want = "" if phon in ("ε", "eps") else phon
-        if item.phon != want:
+        if phon != item.phon and not (phon in _COVERT and not item.phon):
             raise LexiconError(f"bad item reference {ref!r}: item at "
                                f"{k}.{m} is {item.ref}")
         return item
-    phon = "" if ref in ("ε", "eps") else ref
-    matches = lexicon.items_by_phon(phon)
+    matches = lexicon.items_by_phon(ref)
+    if not matches and ref in _COVERT:
+        matches = lexicon.covert_items()
     if not matches:
         raise LexiconError(f"no lexical item spelled {ref!r}")
     if len(matches) > 1:
         options = ", ".join(it.ref for it in matches)
         raise LexiconError(f"{ref!r} is ambiguous; use one of: {options}")
     return matches[0]
-
-
-def _item_pairs(lex: Lexicon) -> list[list[int]]:
-    """Each item's ``[category, item]`` pair, indexed by global item id."""
-    return [[it.cat_index, it.item_index] for it in lex.items]
-
-
-def _log_probs(lex: Lexicon, theta: Theta,
-               ids: Sequence[tuple[int, ...]]) -> list[float]:
-    """log P of each chart derivation, given as global item ids.
-
-    The chart derives only well-formed sequences, so no checker runs.  The
-    terms are added in item order from 0.0, as ``log_prob_of_sequence``
-    adds them, so each result equals its value bit for bit; a zero
-    probability makes the sum -inf.
-    """
-    log_theta = [math.log(p) if p > 0.0 else -math.inf
-                 for cat in lex.categories for p in theta[cat]]
-    out = []
-    for d in ids:
-        total = 0.0
-        for g in d:
-            total += log_theta[g]
-        out.append(total)
-    return out
 
 
 @click.group()
@@ -208,7 +189,7 @@ def parse_cmd(lexicon_path: str, sentences: tuple[str, ...], start: str,
         if corpus_path is not None:
             todo.extend(load_corpus(corpus_path))
         cfg = ParseConfig(start=start, **caps)
-        pairs = _item_pairs(lex)
+        pairs = [[it.cat_index, it.item_index] for it in lex.items]
         for sentence in todo:
             forest = parse(lex, sentence.split(), cfg)
             payload = {
@@ -235,29 +216,9 @@ def score(lexicon_path: str, sentence: str, start: str, theta_path: str | None,
         lex.check_start(start)
         theta = (uniform_theta(lex) if theta_path is None
                  else load_theta(theta_path, lex))
-        forest = parse(lex, sentence.split(), ParseConfig(start=start, **caps))
-        logs = _log_probs(lex, theta, forest.ids)
-        finite = [lp for lp in logs if lp != -math.inf]
-        total = _logsumexp(finite) if finite else -math.inf
-        pairs = _item_pairs(lex)
-        payload = {
-            "sentence": sentence,
-            "count": forest.count,
-            "prob": math.exp(total),
-            "log_prob": total,
-            "derivations": [
-                {"items": [pairs[g] for g in d],
-                 "prob": math.exp(lp), "log_prob": lp}
-                for d, lp in zip(forest.ids, logs)
-            ],
-        }
-        click.echo(canonical_json(payload))
+        cfg = ParseConfig(start=start, **caps)
+        click.echo(canonical_json(score_sentence(lex, sentence, theta, cfg)))
     _run(body)
-
-
-def _logsumexp(values: list[float]) -> float:
-    m = max(values)
-    return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
 @main.command()
@@ -284,7 +245,7 @@ def sample(lexicon_path: str, start: str, count: int, seed: int | None,
                  else load_theta(theta_path, lex))
         cfg = SampleConfig(start=start, max_depth=max_depth,
                            max_rejections=max_rejections)
-        draws = _draws(lex, theta, cfg, np.random.default_rng(seed))
+        draws = sample_derivations(lex, theta, cfg, np.random.default_rng(seed))
         for _ in range(count):
             seq, _rejected = next(draws)
             click.echo(" ".join(it.ref for it in seq))
@@ -335,7 +296,7 @@ def train_cmd(lexicon_path: str, corpus_path: str, start: str,
         bound = state.elbo_trace[-1] if state.elbo_trace else float("nan")
         # From 1e16 on, .6f spells out every integer digit (hundreds near
         # 1e305); print such a bound as result.json holds it.
-        shown = _fmt_float(bound) if abs(bound) >= 1e16 else f"{bound:.6f}"
+        shown = canonical_json(bound) if abs(bound) >= 1e16 else f"{bound:.6f}"
         click.echo(f"{status} after {state.iterations} iterations, "
                    f"bound {shown}, wrote {out_path}")
     _run(body)

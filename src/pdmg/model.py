@@ -3,12 +3,15 @@
 A parameter vector assigns each lexical item a probability, normalized
 within its category.  The probability of a derivation sequence is the
 product over its items of those per-item probabilities; sequences that
-fail the well-formedness check carry probability zero.  Each category's
-probabilities have a Dirichlet prior, and the Dirichlet row math (the
-density, ``theta_star``, ``posterior_mean`` and the trainer's log theta*
-and KL) lives here too, on plain lists of floats.
+fail the well-formedness check carry probability zero.  A sentence's
+probability sums that product over its chart derivations:
+``score_sentence`` returns it, with each derivation's, as the payload
+``pdmg score`` prints.  Each category's probabilities have a Dirichlet
+prior, and the Dirichlet row math (the density, ``theta_star``,
+``posterior_mean`` and the trainer's log theta* and KL) lives here too,
+on plain lists of floats.
 
-``sample_derivation`` draws from the model by top-down expansion: grow a
+``sample_derivations`` draws from the model by top-down expansion: grow a
 sequence from the start category by repeatedly spelling out a head and
 recursing into its selector slots (first selector first, so the emitted
 order is exactly the head-first flattening the checker expects), then
@@ -19,9 +22,9 @@ Each node's head is drawn by inverse-transform sampling: one
 is the draw ``Generator.choice`` makes from the same row, on the same
 double of the stream, without re-validating the row and rebuilding its
 cumulative sum at every node; ``validate_theta`` checks the rows once, up
-front.  ``sample_derivation`` builds the tables once per call; ``pdmg
-sample -n N`` takes its N draws from one ``_draws`` stream, so it builds
-them once per run.
+front.  The stream builds the tables once, so ``pdmg sample -n N``, which
+takes its N draws from one stream, builds them once per run;
+``sample_derivation`` is one draw, a stream's first.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .chart import _nonnegative
+from .chart import ParseConfig, _nonnegative, parse
 from .errors import CapExceeded, InvalidModel, UnderivableCategory
 from .lexicon import LexicalItem, Lexicon
 from .special import _TINY, lgamma, psi
@@ -195,6 +198,42 @@ def prob_of_sequence(seq: Sequence[LexicalItem],
     return 0.0 if lp == -math.inf else math.exp(lp)
 
 
+def score_sentence(lexicon: Lexicon, sentence: str,
+                   theta: Mapping[str, Sequence[float]],
+                   config: ParseConfig) -> dict:
+    """What ``pdmg score`` prints for ``sentence``, as a dict: the count,
+    total probability and log probability of its derivations, then each
+    derivation's items (``[category, item]`` pairs), probability and log
+    probability.
+
+    The chart derives only well-formed sequences, so no checker runs.  Each
+    derivation's log theta terms are added in item order from 0.0, as
+    ``log_prob_of_sequence`` adds them, so each ``log_prob`` equals its
+    value bit for bit; a zero probability makes the sum -inf.  theta is
+    read as ``log_prob_of_sequence`` reads it, unvalidated.
+    """
+    forest = parse(lexicon, sentence.split(), config)
+    log_theta = [math.log(p) if p > 0.0 else -math.inf
+                 for cat in lexicon.categories for p in theta[cat]]
+    logs = []
+    for d in forest.ids:
+        lp = 0.0
+        for g in d:
+            lp += log_theta[g]
+        logs.append(lp)
+    finite = [lp for lp in logs if lp != -math.inf]
+    total = -math.inf
+    if finite:
+        m = max(finite)
+        total = m + math.log(math.fsum(math.exp(lp - m) for lp in finite))
+    pairs = [[it.cat_index, it.item_index] for it in lexicon.items]
+    return {"sentence": sentence, "count": forest.count,
+            "prob": math.exp(total), "log_prob": total,
+            "derivations": [{"items": [pairs[g] for g in d],
+                             "prob": math.exp(lp), "log_prob": lp}
+                            for d, lp in zip(forest.ids, logs)]}
+
+
 # -- Dirichlet rows ------------------------------------------------------------
 #
 # One category's Dirichlet parameters are a plain list of floats.  The
@@ -333,26 +372,29 @@ def sample_derivation(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
                       config: SampleConfig,
                       rng: np.random.Generator | None = None,
                       ) -> tuple[tuple[LexicalItem, ...], int]:
-    """Draw one well-formed sequence; returns (sequence, rejected_count).
+    """One draw, ``next(sample_derivations(...))``: (sequence, rejected_count)."""
+    return next(sample_derivations(lexicon, theta, config, rng))
+
+
+def sample_derivations(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
+                       config: SampleConfig,
+                       rng: np.random.Generator | None = None,
+                       ) -> Iterator[tuple[tuple[LexicalItem, ...], int]]:
+    """Draw well-formed sequences, one (sequence, rejected_count) per ``next``.
 
     Proposals come from the top-down expansion of the start category;
-    draws the checker rejects are discarded and retried.  A proposal
-    deeper than ``max_depth`` levels (the root is level one), or more than
-    ``max_rejections`` rejections, raises CapExceeded.  A start category
-    whose every item has licensees raises UnderivableCategory up front:
-    each proposal's root would keep them unchecked.  A theta that
-    ``validate_theta`` refuses raises InvalidModel before any draw.
+    draws the checker rejects are discarded and retried, and
+    ``rejected_count`` counts those discarded since the previous draw.  A
+    proposal deeper than ``max_depth`` levels (the root is level one), or
+    more than ``max_rejections`` rejections for one draw, raises
+    CapExceeded.  The stream builds its cumulative tables once, and checks
+    the start category and theta when it is called, not at the first
+    ``next``: a start category whose every item has licensees raises
+    UnderivableCategory (each proposal's root would keep them unchecked),
+    and a theta that ``validate_theta`` refuses raises InvalidModel, even
+    for a stream that is never read.  ``rng`` defaults to a fresh numpy
+    generator.
     """
-    return next(_draws(lexicon, theta, config, rng))
-
-
-def _draws(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
-           config: SampleConfig, rng: np.random.Generator | None,
-           ) -> Iterator[tuple[tuple[LexicalItem, ...], int]]:
-    """``sample_derivation``'s draws, one per ``next``, from one set of
-    tables.  The start category and theta are checked, and the tables
-    built, when this is called: a stream that is never read refuses a bad
-    start all the same."""
     lexicon.check_start(config.start)
     if config.start not in lexicon.root_categories:
         raise UnderivableCategory(

@@ -360,7 +360,7 @@ def _evaluate(seq: Sequence[LexicalItem]) -> list:
             e, s, c = waiting.pop()
             f = e[1][e[2]]
             feats, j = t[1], t[2]
-            if feats[j].kind is not FeatureKind.CAT or feats[j].name != f.name:
+            if feats[j].name != f.name:  # t stands at its category
                 raise FeatureMismatch(
                     f"selector {f} against argument head {_chain(*t[:3])}")
             _merge_step(e, t, left=f.kind is FeatureKind.SEL_LEFT)

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import oracle
 import pdmg
-from conftest import data_path, random_lexicon
+from conftest import data_path, random_lexicon, rich_lexicon, top_down_proposals
 from pdmg import (CapExceeded, InvalidModel, ParseConfig, TrainConfig,
                   UnknownCategoryError, chart, inference, parse)
 from pdmg.cli import main
@@ -588,6 +588,32 @@ class TestChartSoundness:
         # rejects the sequence by the SMC (rule 4b), and the chart derives
         # nothing.
         assert parse(lex, "what did lee knows who saw".split(), CFG()).count == 0
+
+    def test_rich_lexicon_draws_parse_back(self):
+        """Sampler to checker, evaluator and chart: each well-formed top-down
+        proposal over a ``rich_lexicon`` (several licensors per head, movers
+        with up to three licensees) parses from its own string at its own
+        category, with as many covert leaves as it holds, and every
+        derivation the chart finds evaluates back to that string."""
+        draws = moving = 0
+        for seed in range(2500):
+            rng = random.Random(seed)
+            lex = rich_lexicon(rng)
+            for seq in dict.fromkeys(top_down_proposals(lex, rng, 100)):
+                if not pdmg.is_wellformed(seq):
+                    continue
+                text = pdmg.eval_sequence(seq)
+                cfg = CFG(pdmg.derived_category(seq),
+                          max_covert=sum(not it.phon for it in seq))
+                forest = parse(lex, text.split(), cfg)
+                ids = tuple(lex.global_index(it) for it in seq)
+                assert ids in forest.ids, (seed, [it.ref for it in seq])
+                for found in forest.sequences:
+                    assert pdmg.eval_sequence(found) == text, (seed, found)
+                draws += 1
+                moving += sum(bool(it.licensees) for it in seq) >= 2
+        # Seed 2349 draws a head whose two licensors meet two movers in flight.
+        assert draws > 500 and moving >= 3, (draws, moving)
 
 
 def twin_lexicon(lex):

@@ -18,6 +18,8 @@ from pdmg.cli import main
 
 WHQ = data_path("whq.lex")
 AMBIG = data_path("ambig.lex")
+# An item spelled "eps": a literal spelling, not the covert alias.
+EPS_LEXICON = "eps :: d\nsee :: =d v\n"
 
 
 @pytest.fixture()
@@ -90,6 +92,39 @@ class TestCheckSeq:
         r = runner.invoke(main, ["check-seq", WHQ, "--no-trace",
                                  "eps", "did", "see", "you", "what"])
         assert r.exit_code == 0
+
+    @pytest.mark.parametrize("refs", [["see", "eps"], ["see@1.0", "eps@0.0"]])
+    def test_item_spelled_eps(self, runner, tmp_path, refs):
+        """A literal spelling wins over the covert alias."""
+        lex = tmp_path / "eps.lex"
+        lex.write_text(EPS_LEXICON, encoding="utf-8")
+        r = runner.invoke(main, ["check-seq", str(lex), "--no-trace", *refs])
+        assert (r.exit_code, r.output) == (0, "well-formed\n")
+        r = runner.invoke(main, ["derive", str(lex), *refs])
+        assert (r.exit_code, r.output.splitlines()[-2:]) == (
+            0, ["category: v", "string: see eps"])
+
+    def test_alias_still_names_the_covert_item(self, runner, tmp_path):
+        """Beside an item spelled eps, ε and ε@/eps@ references to a covert
+        item name that item; bare ε with no covert item names nothing."""
+        lex = tmp_path / "both.lex"
+        lex.write_text(EPS_LEXICON + "ε :: =v c\n", encoding="utf-8")
+        for refs in (["ε", "see", "eps"], ["eps@2.0", "see", "eps@0.0"],
+                     ["ε@2.0", "see@1.0", "eps"]):
+            r = runner.invoke(main, ["check-seq", str(lex), "--no-trace", *refs])
+            assert (r.exit_code, r.output) == (0, "well-formed\n"), refs
+        # Bare eps is the d item, not ambiguous with the covert one.
+        r = runner.invoke(main, ["check-seq", str(lex), "--no-trace",
+                                 "eps@0.0", "eps"])
+        assert (r.exit_code, r.output) == (1, "ill-formed\n")
+        lex.write_text(EPS_LEXICON, encoding="utf-8")
+        r = runner.invoke(main, ["check-seq", str(lex), "see", "ε"])
+        _assert_one_error_line(r, 2)
+        assert r.stderr == "error: no lexical item spelled 'ε'\n"
+        r = runner.invoke(main, ["check-seq", str(lex), "see", "ε@0.0"])
+        _assert_one_error_line(r, 2)
+        assert r.stderr == ("error: bad item reference 'ε@0.0': "
+                            "item at 0.0 is eps@0.0\n")
 
     def test_ambiguous_bare_reference(self, runner):
         r = runner.invoke(main, ["check-seq", AMBIG, "saw"])
@@ -248,9 +283,11 @@ class TestScore:
 
 
 def assert_log_probs_agree(lex, theta, sentence, start) -> int:
-    """score's sums over ids equal log_prob_of_sequence bit for bit."""
-    forest = pdmg.parse(lex, sentence.split(), pdmg.ParseConfig(start=start))
-    got = pdmg.cli._log_probs(lex, theta, forest.ids)
+    """score_sentence's sums over ids equal log_prob_of_sequence bit for bit."""
+    cfg = pdmg.ParseConfig(start=start)
+    forest = pdmg.parse(lex, sentence.split(), cfg)
+    scored = pdmg.score_sentence(lex, sentence, theta, cfg)
+    got = [d["log_prob"] for d in scored["derivations"]]
     want = [pdmg.log_prob_of_sequence(seq, theta) for seq in forest.sequences]
     assert [lp.hex() for lp in got] == [lp.hex() for lp in want], (sentence, start)
     return forest.count
@@ -265,7 +302,7 @@ def thetas(lex, seed):
 
 
 class TestScoreSumsIds:
-    """score adds each derivation's log θ by id, without the checker."""
+    """score_sentence adds each derivation's log θ by id, without the checker."""
 
     @pytest.mark.parametrize("name", ["ambig", "chain", "move2", "symmetric",
                                       "whq"])
@@ -290,6 +327,27 @@ class TestScoreSumsIds:
 
 
 class TestSample:
+    @pytest.mark.parametrize("name", ["eps", "ambig", "chain", "move2",
+                                      "symmetric", "whq"])
+    def test_lines_check_back_well_formed(self, runner, tmp_path, name):
+        """Every line sample prints resolves, through check-seq, to the
+        well-formed sequence it drew."""
+        path = data_path(f"{name}.lex")
+        if name == "eps":
+            path = str(tmp_path / "eps.lex")
+            Path(path).write_text(EPS_LEXICON, encoding="utf-8")
+        checked = 0
+        for start in sorted(pdmg.load_lexicon(path).root_categories):
+            r = runner.invoke(main, ["sample", path, "--start", start,
+                                     "-n", "20", "--seed", "0"])
+            assert r.exit_code == 0, r.output
+            for line in sorted(set(r.output.splitlines())):
+                c = runner.invoke(main, ["check-seq", path, "--no-trace",
+                                         *line.split()])
+                assert (c.exit_code, c.output) == (0, "well-formed\n"), line
+                checked += 1
+        assert checked > 0
+
     def test_seed_reproducible(self, runner):
         args = ["sample", WHQ, "--start", "c", "-n", "10", "--seed", "7"]
         a = runner.invoke(main, args)

@@ -23,12 +23,13 @@ from pdmg import (
     ones_alpha,
     prob_of_sequence,
     sample_derivation,
+    sample_derivations,
     sample_theta,
     uniform_theta,
     validate_alpha,
     validate_theta,
 )
-from pdmg.model import _cumulative_tables, _draws, log_dirichlet_density
+from pdmg.model import _cumulative_tables, log_dirichlet_density
 
 
 class TestValidateTheta:
@@ -298,7 +299,8 @@ class TestSampler:
             with pytest.raises(pdmg.UnderivableCategory, match=message):
                 sampler(lex, uniform_theta(lex), cfg, np.random.default_rng(0))
         with pytest.raises(pdmg.UnderivableCategory, match=message):
-            _draws(lex, uniform_theta(lex), cfg, np.random.default_rng(0))
+            sample_derivations(lex, uniform_theta(lex), cfg,
+                               np.random.default_rng(0))
 
     @pytest.mark.parametrize("sampler", [sample_derivation, oracle.sample_reference])
     def test_cap_allows_that_many_rejections(self, whq, sampler):

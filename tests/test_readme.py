@@ -50,6 +50,9 @@ def test_stated_values_hold(example):
         "pdmg.eval_sequence(seq)": "what did you see",
         "forest.ids": ((4, 3, 2, 1, 0),),
         "pdmg.prob_of_sequence(seq, theta)": 0.25,
+        'pdmg.score_sentence(lex, "what did you see", theta, config)["prob"]': 0.25,
+        "drawn == seq": True,
+        "rejected": 0,
         "state.omega": {"d": [2.0, 2.0], "v": [2.0], "i": [2.0], "c": [2.0]},
     }
     for expr, value in stated.items():

@@ -5,7 +5,9 @@ Only training's e-step (``pdmg.inference``) and the random draws of
 math (``theta_star``, ``posterior_mean``, the density) runs on plain
 floats.  The behavioural tests run a fresh interpreter, because this
 process already holds numpy; the ``ast`` guard names the module whose
-import would load it.
+import would load it.  A second ``ast`` guard keeps scoring and drawing
+out of the command line: ``cli.py`` imports no private name of
+``pdmg.model`` or ``pdmg.corpus``, and no ``math``.
 """
 
 import ast
@@ -65,6 +67,8 @@ theta = pdmg.uniform_theta(lex)
 step("load")
 forest = pdmg.parse(lex, {SENTENCE!r}.split(), pdmg.ParseConfig(start="c"))
 assert pdmg.log_prob_of_sequence(forest.sequences[0], theta) < 0.0
+assert pdmg.score_sentence(lex, {SENTENCE!r}, theta,
+                           pdmg.ParseConfig(start="c"))["prob"] == 0.25
 step("library")
 cli("--help")
 cli("parse", {WHQ!r}, {SENTENCE!r}, "--start", "c")
@@ -188,6 +192,45 @@ def test_no_module_level_numpy_import():
         found += [f"{path.name}:{line} imports {name}"
                   for line, name in _heavy_module_level_imports(tree)]
     assert found == []
+
+
+# The CLI parses options, loads files and prints: scoring and drawing live
+# in the library, so cli.py reaches no private name of the modules that
+# hold them and does no arithmetic of its own.
+LIBRARY_MODULES = ("pdmg.model", "pdmg.corpus")
+
+
+def _cli_boundary_crossings(tree: ast.Module) -> list[tuple[int, str]]:
+    """Private names taken from LIBRARY_MODULES, and imports of math."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for name in _imported(node):
+            if name == "math" or name.startswith("math."):
+                found.append((node.lineno, name))
+            elif name in LIBRARY_MODULES and isinstance(node, ast.ImportFrom):
+                found += [(node.lineno, f"{name}.{alias.name}")
+                          for alias in node.names if alias.name.startswith("_")]
+    return sorted(found)
+
+
+def test_cli_imports_no_private_library_name_and_no_math():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert _cli_boundary_crossings(tree) == []
+
+
+def test_cli_guard_sees_every_form():
+    tree = ast.parse(
+        "import math\n"
+        "from math import exp\n"
+        "from .model import _draws, load_theta\n"
+        "from pdmg.corpus import _fmt_float\n"
+        "from .chart import _nonnegative\n"
+        "def f():\n    from .model import _cumulative_tables\n")
+    assert _cli_boundary_crossings(tree) == [
+        (1, "math"), (2, "math"), (3, "pdmg.model._draws"),
+        (4, "pdmg.corpus._fmt_float"), (7, "pdmg.model._cumulative_tables")]
 
 
 def test_guard_sees_every_form():
