@@ -24,7 +24,7 @@ from .errors import (CapExceeded, EvalError, LexiconError, PdmgError,
 from .lexicon import LexicalItem, Lexicon, load_lexicon
 from .model import (SampleConfig, load_alpha, load_theta, ones_alpha,
                     sample_derivations, score_sentence, uniform_theta)
-from .structure import _derive, render_tree, seq_to_tree
+from .structure import eval_sequence, render_tree, seq_to_tree
 from .wellformed import is_wellformed, trace_wellformed
 
 REJECTED = 1
@@ -76,29 +76,19 @@ def _cap_options(command: Callable) -> Callable:
 def resolve_item(lexicon: Lexicon, ref: str) -> LexicalItem:
     """Resolve ``phon@k.m`` (0-based category.item) or a bare unique phon.
 
-    ``ε`` and ``eps`` name covert items, but a literal spelling wins: a bare
-    ``eps`` is the item spelled so if there is one, and ``eps@k.m`` names
-    item k.m if that item is spelled ``eps`` or is covert.
+    ``phon@k.m`` names item k.m if that item is spelled ``phon``, or is
+    covert and ``phon`` is ``ε`` or ``eps``: the form ``LexicalItem.ref``
+    prints, so every printed reference reads back.  Otherwise a literal
+    spelling wins, so an item spelled ``eps`` or ``a@b`` is named by its
+    spelling, and ``ε`` and ``eps`` name covert items.
     """
-    if "@" in ref:
-        phon, _, pos = ref.rpartition("@")
-        parts = pos.split(".")
-        try:  # int() refuses, too, a number past its digit limit
-            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
-                raise ValueError
-            k, m = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise LexiconError(f"bad item reference {ref!r}: "
-                               "expected phon@<cat>.<item> with integers") from None
-        try:
-            item = lexicon.item(k, m)
-        except (LexiconError, UnknownCategoryError) as exc:
-            raise LexiconError(f"bad item reference {ref!r}: {exc}") from None
-        if phon != item.phon and not (phon in _COVERT and not item.phon):
-            raise LexiconError(f"bad item reference {ref!r}: item at "
-                               f"{k}.{m} is {item.ref}")
-        return item
     matches = lexicon.items_by_phon(ref)
+    if "@" in ref:
+        try:
+            return _indexed_item(lexicon, ref)
+        except LexiconError:
+            if not matches:
+                raise
     if not matches and ref in _COVERT:
         matches = lexicon.covert_items()
     if not matches:
@@ -107,6 +97,27 @@ def resolve_item(lexicon: Lexicon, ref: str) -> LexicalItem:
         options = ", ".join(it.ref for it in matches)
         raise LexiconError(f"{ref!r} is ambiguous; use one of: {options}")
     return matches[0]
+
+
+def _indexed_item(lexicon: Lexicon, ref: str) -> LexicalItem:
+    """The item ``ref``, read as ``phon@k.m``, names; LexiconError if none."""
+    phon, _, pos = ref.rpartition("@")
+    parts = pos.split(".")
+    try:  # int() refuses, too, a number past its digit limit
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+            raise ValueError
+        k, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise LexiconError(f"bad item reference {ref!r}: "
+                           "expected phon@<cat>.<item> with integers") from None
+    try:
+        item = lexicon.item(k, m)
+    except (LexiconError, UnknownCategoryError) as exc:
+        raise LexiconError(f"bad item reference {ref!r}: {exc}") from None
+    if phon != item.phon and not (phon in _COVERT and not item.phon):
+        raise LexiconError(f"bad item reference {ref!r}: item at "
+                           f"{k}.{m} is {item.ref}")
+    return item
 
 
 @click.group()
@@ -166,8 +177,8 @@ def derive(lexicon_path: str, refs: tuple[str, ...]) -> None:
         lex = load_lexicon(lexicon_path)
         seq = tuple(resolve_item(lex, r) for r in refs)
         click.echo(render_tree(seq_to_tree(seq)))
-        category, text = _derive(seq)
-        click.echo(f"category: {category}")
+        text = eval_sequence(seq)
+        click.echo(f"category: {seq[0].category}")
         click.echo(f"string: {text or 'ε'}")
     _run(body)
 

@@ -328,25 +328,29 @@ def train(lexicon: Lexicon, sentences: Sequence[str],
     q = np.zeros(0)
     logz = np.zeros(0)
 
-    for it in range(1, config.max_iters + 1):
-        iterations = it
-        # One digamma pass: log t* weighs the derivations and enters the KL.
-        log_tstar = log_theta_star_flat(omega, offsets)
-        q, logz, expected = estep_flat(np.array(log_tstar), encoded)
-        surrogate = float(np.sum(logz)) - dirichlet_kl_flat(
-            omega, alpha_flat, offsets, log_tstar)
-        if not math.isfinite(surrogate):
-            raise InvalidModel(
-                f"objective became non-finite at iteration {it}")
-        trace.append(surrogate)
-        new_omega = [a + c for a, c in zip(alpha_flat, expected.tolist())]
-        if new_omega == omega:
-            converged = True
-            break
-        omega = new_omega
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= config.tol:
-            converged = True
-            break
+    # An α entry just above 2**-1024 gives a log t* near -1.7e308, which
+    # overflows in the e-step once weighed by an item count; the
+    # non-finite bound check below is then the one report of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, config.max_iters + 1):
+            iterations = it
+            # One digamma pass: log t* weighs the derivations and enters the KL.
+            log_tstar = log_theta_star_flat(omega, offsets)
+            q, logz, expected = estep_flat(np.array(log_tstar), encoded)
+            surrogate = float(np.sum(logz)) - dirichlet_kl_flat(
+                omega, alpha_flat, offsets, log_tstar)
+            if not math.isfinite(surrogate):
+                raise InvalidModel(
+                    f"objective became non-finite at iteration {it}")
+            trace.append(surrogate)
+            new_omega = [a + c for a, c in zip(alpha_flat, expected.tolist())]
+            if new_omega == omega:
+                converged = True
+                break
+            omega = new_omega
+            if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= config.tol:
+                converged = True
+                break
 
     rows = {cat: omega[a:b]
             for cat, a, b in zip(lexicon.categories, offsets, offsets[1:])}

@@ -15,9 +15,12 @@ are written with an empty phon before the ``::`` separator; the glyph
 from __future__ import annotations
 
 import enum
+import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable, Iterator
 
 from .errors import FeatureOrderError, LexiconError, UnknownCategoryError
 
@@ -305,56 +308,61 @@ class Lexicon:
 
 def build_lexicon(entries: list[tuple[str, tuple[Feature, ...]]]) -> Lexicon:
     """Assemble a lexicon from (phon, features) pairs in file order."""
-    return _assemble([(phon, feats, feature_stages(feats)[1])
-                      for phon, feats in entries])
+    return _assemble((phon, feats, None) for phon, feats in entries)
 
 
-def _assemble(entries: list[tuple[str, tuple[Feature, ...], int]]) -> Lexicon:
-    """``build_lexicon``, given each entry's checked category position ``c``
-    from ``feature_stages``, as ``parse_lexicon`` has it from its line."""
-    categories: list[str] = []
-    blocks: dict[str, list[tuple[str, tuple[Feature, ...]]]] = {}
+def _assemble(
+    entries: Iterable[tuple[str, tuple[Feature, ...], int | None]],
+) -> Lexicon:
+    """``build_lexicon``, given each entry's line number (or None) for the
+    errors of building it.  Each item is built once, at its final (k, m):
+    k numbers its category by first appearance and m counts the items of
+    that category before it.  The items are then put in (k, m) order."""
+    cat_index: dict[str, int] = {}
+    sizes: Counter[str] = Counter()  # items of each category so far
     seen: set[tuple[str, tuple[Feature, ...]]] = set()
-    for phon, feats, c in entries:
-        cat = feats[c].name
-        key = (phon, feats)
-        if key in seen:
-            raise LexiconError(f"duplicate item {phon or EPSILON_GLYPH!r} :: "
-                               f"{' '.join(str(f) for f in feats)}")
-        seen.add(key)
-        if cat not in blocks:
-            categories.append(cat)
-            blocks[cat] = []
-        blocks[cat].append((phon, feats))
+    items: list[LexicalItem] = []
+    for phon, feats, line in entries:
+        try:
+            if (phon, feats) in seen:
+                raise LexiconError(f"duplicate item {phon or EPSILON_GLYPH!r} :: "
+                                   f"{' '.join(str(f) for f in feats)}")
+            seen.add((phon, feats))
+            # The first bare feature; on a misshapen sequence the item's own
+            # check raises before its (k, m) matters.
+            cat = next((f.name for f in feats if f.kind is FeatureKind.CAT), "")
+            k = cat_index.setdefault(cat, len(cat_index))
+            items.append(LexicalItem(phon, feats, k, sizes[cat]))
+            sizes[cat] += 1
+        except LexiconError as e:
+            raise type(e)(str(e), line=line) from None
+    items.sort(key=lambda it: it.item_id)
 
-    by_cat: dict[str, tuple[LexicalItem, ...]] = {}
-    flat: list[LexicalItem] = []
-    offsets = [0]
-    for k, cat in enumerate(categories):
-        block = tuple(
-            LexicalItem(phon, feats, k, m)
-            for m, (phon, feats) in enumerate(blocks[cat])
-        )
-        by_cat[cat] = block
-        flat.extend(block)
-        offsets.append(len(flat))
-
+    offsets = [0, *itertools.accumulate(sizes[cat] for cat in cat_index)]
     phon_ids: dict[str, list[int]] = {}
-    for g, it in enumerate(flat):
+    for g, it in enumerate(items):
         phon_ids.setdefault(it.phon, []).append(g)
-
     return Lexicon(
-        items=tuple(flat),
-        categories=tuple(categories),
+        items=tuple(items),
+        categories=tuple(cat_index),
         offsets=tuple(offsets),
-        _by_cat=by_cat,
+        _by_cat={cat: tuple(items[offsets[k]:offsets[k + 1]])
+                 for cat, k in cat_index.items()},
         phon_ids={p: tuple(g) for p, g in phon_ids.items()},
     )
 
 
 def parse_lexicon(text: str) -> Lexicon:
     """Parse lexicon text (see the module docstring for the format)."""
-    entries: list[tuple[str, tuple[Feature, ...], int]] = []
+    lex = _assemble(_entries(text))
+    if not lex.items:
+        raise LexiconError("lexicon has no items")
+    return lex
+
+
+def _entries(text: str) -> Iterator[tuple[str, tuple[Feature, ...], int]]:
+    """Each item line's (phon, features, line number), read as it is asked
+    for, so the first defective line in file order is the one reported."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -372,12 +380,9 @@ def parse_lexicon(text: str) -> Lexicon:
             raise LexiconError("item has no features", line=lineno)
         try:
             feats = tuple(parse_feature(t) for t in tokens)
-            entries.append((phon, feats, feature_stages(feats)[1]))
         except LexiconError as e:
             raise type(e)(str(e), line=lineno) from None
-    if not entries:
-        raise LexiconError("lexicon has no items")
-    return _assemble(entries)
+        yield phon, feats, lineno
 
 
 def load_lexicon(path: str) -> Lexicon:

@@ -386,24 +386,20 @@ def eval_sequence(seq: Sequence[LexicalItem]) -> str:
     FeatureMismatch/SmcViolation from rule application, and EvalError for
     an incomplete result.
     """
-    return _derive(seq)[1]
-
-
-def derived_category(seq: Sequence[LexicalItem]) -> str:
-    """Category of the completed derivation (eval_sequence must succeed)."""
-    return _derive(seq)[0]
-
-
-def _derive(seq: Sequence[LexicalItem]) -> tuple[str, str]:
-    """(category, surface string) of ``seq``, if its result is one chain
-    whose suffix is exactly a category; EvalError otherwise."""
     state = _evaluate(seq)
     words, feats, i, movers = state
     if movers:
         raise EvalError(f"movers never landed: {_expression(state)}")
     if len(feats) - i != 1 or feats[i].kind is not FeatureKind.CAT:
         raise EvalError(f"head features left unchecked: {_expression(state)}")
-    return feats[i].name, " ".join(_words(words))
+    return " ".join(_words(words))
+
+
+def derived_category(seq: Sequence[LexicalItem]) -> str:
+    """Category of the completed derivation (eval_sequence must succeed):
+    its root item's, and the root is the first item."""
+    eval_sequence(seq)
+    return seq[0].category
 
 
 def render_tree(node: Node) -> str:

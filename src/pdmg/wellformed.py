@@ -34,6 +34,14 @@ dead ends make the walk total: a leading selector with nothing checkable
 to its right, and a leading licensee with no item to its left, both mean
 the feature can never check, so they reject.
 
+A traced walk records one tuple per action, tagged with its rule: ``1``,
+``2a``, ``2b``, ``3``, ``4c`` and ``5`` for the steps; ``4a`` and ``4b``
+for rule 4's rejects; ``2c`` for rule 2c and ``2c0`` for its case with
+no category-bearing item left of the cursor; ``1x`` and ``3x`` for the
+two dead ends.  ``RULES`` maps each tag to its action and the wording of
+its detail, and ``trace_wellformed`` words the records after the walk,
+so an untraced walk builds no record and formats nothing.
+
 Features are deleted only from the front, and each item's features come
 in the order (selector)* (licensor)* category (licensee)*.  So an item's
 state is one int, the index of its first unchecked feature, and each rule
@@ -101,6 +109,28 @@ class CursorTrace:
     verdict: bool
 
 
+# Each rule tag the walk records, with its action and the wording of its
+# detail: {f} is the cursor item's feature, {g} its partner's, {0} the
+# cursor item's spelling and {1}, {2} its partners'.
+RULES = {
+    "1": (SKIP_RIGHT, "selector {f}; move right"),
+    "1x": (REJECT, "rule 1: selector {f} with no checkable item to the right"),
+    "2a": (ROOT_CATEGORY, "root category {f} deleted"),
+    "2b": (CATEGORY_MATCH, "category {f} checked by {g} on {1}"),
+    "2c": (REJECT, "rule 2c: nearest category-bearing item {1} leads with "
+           "{g}, not a selector for {f.name}"),
+    "2c0": (REJECT, "rule 2c: no item to the left still carries a category "
+            "to project over {f}"),
+    "3": (LICENSEE_LEFT, "licensee {f}; move left"),
+    "3x": (REJECT, "rule 3: licensee {f} with no item to the left"),
+    "4a": (REJECT, "rule 4a: no item to the right leads with -{f.name}"),
+    "4b": (REJECT, "rule 4b: {1} and {2} both lead with -{f.name} "
+           "(shortest-move constraint)"),
+    "4c": (LICENSOR_MATCH, "licensor {f} checked against -{f.name} on {1}"),
+    "5": (DELETE_ITEM, "{0} is out of features; deleted"),
+}
+
+
 def is_wellformed(seq: Sequence[LexicalItem]) -> bool:
     """True iff ``seq`` is the polish traversal of a convergent derivation.
 
@@ -115,13 +145,22 @@ def trace_wellformed(seq: Sequence[LexicalItem]) -> CursorTrace:
     sequence; a false verdict's trace ends with a ``reject`` step naming
     the failing rule.
     """
-    steps: list[TraceStep] = []
-    verdict = _run(seq, steps)
+    records: list[tuple] = []
+    verdict = _run(seq, records)
+    steps = []
+    for cur, tag, f, g, *partners in records:
+        action, detail = RULES[tag]
+        names = [seq[j].phon_display for j in (cur, *partners)]
+        steps.append(TraceStep(cur, action, detail.format(*names, f=f, g=g)))
+    if verdict:
+        steps.append(TraceStep(-1, ACCEPT, "empty sequence"))
     return CursorTrace(steps=tuple(steps), verdict=verdict)
 
 
-def _run(seq: Sequence[LexicalItem], steps: list[TraceStep] | None) -> bool:
-    """The verdict; records each action in ``steps`` unless it is None."""
+def _run(seq: Sequence[LexicalItem], steps: list[tuple] | None) -> bool:
+    """The verdict; unless ``steps`` is None, appends to it one record
+    ``(cursor, rule tag, feature, partner's feature, *partner items)`` per
+    action, the items as indices into ``seq``."""
     if not seq:
         raise ArityError("empty item sequence")
     n = len(seq)
@@ -131,27 +170,22 @@ def _run(seq: Sequence[LexicalItem], steps: list[TraceStep] | None) -> bool:
     at = [0] * n  # index of each item's first unchecked feature
     left = list(range(-1, n - 1))
     right = [*range(1, n), -1]
-    live = n
     cur = 0
 
     while True:
         i = at[cur]
 
         if i == end[cur]:
-            # rule 5: delete the item, move left if possible, else right
+            # rule 5: delete the item, move left if possible, else right;
+            # the sequence is empty once an item with no neighbour goes.
             l, r = left[cur], right[cur]
             if l != -1:
                 right[l] = r
             if r != -1:
                 left[r] = l
-            live -= 1
             if steps is not None:
-                steps.append(TraceStep(
-                    cur, DELETE_ITEM,
-                    f"{seq[cur].phon_display} is out of features; deleted"))
-                if not live:
-                    steps.append(TraceStep(-1, ACCEPT, "empty sequence"))
-            if not live:
+                steps.append((cur, "5", None, None))
+            if l == r == -1:
                 return True
             cur = l if l != -1 else r
             continue
@@ -164,14 +198,10 @@ def _run(seq: Sequence[LexicalItem], steps: list[TraceStep] | None) -> bool:
             r = right[cur]
             while r != -1 and cat[r] < at[r] < end[r]:
                 r = right[r]
-            if r == -1:
-                if steps is not None:
-                    steps.append(TraceStep(
-                        cur, REJECT,
-                        f"rule 1: selector {f} with no checkable item to the right"))
-                return False
             if steps is not None:
-                steps.append(TraceStep(cur, SKIP_RIGHT, f"selector {f}; move right"))
+                steps.append((cur, "1x" if r == -1 else "1", f, None))
+            if r == -1:
+                return False
             cur = r
 
         elif i == cat[cur]:
@@ -179,43 +209,32 @@ def _run(seq: Sequence[LexicalItem], steps: list[TraceStep] | None) -> bool:
             if cur == 0:
                 at[0] += 1
                 if steps is not None:
-                    steps.append(TraceStep(0, ROOT_CATEGORY,
-                                           f"root category {f} deleted"))
+                    steps.append((0, "2a", f, None))
                 continue
             j = left[cur]
             while j != -1 and at[j] > cat[j]:
                 j = left[j]
             if j == -1:
                 if steps is not None:
-                    steps.append(TraceStep(
-                        cur, REJECT, "rule 2c: no item to the left still carries "
-                        f"a category to project over {f}"))
+                    steps.append((cur, "2c0", f, None))
                 return False
             g = feats[j][at[j]]
-            if not (at[j] < sel[j] and g.name == f.name):
-                if steps is not None:
-                    steps.append(TraceStep(
-                        cur, REJECT, "rule 2c: nearest category-bearing item "
-                        f"{seq[j].phon_display} leads with {g}, not a selector "
-                        f"for {f.name}"))
+            ok = at[j] < sel[j] and g.name == f.name
+            if steps is not None:
+                steps.append((cur, "2b" if ok else "2c", f, g, j))
+            if not ok:
                 return False
             at[cur] += 1
             at[j] += 1
-            if steps is not None:
-                steps.append(TraceStep(
-                    cur, CATEGORY_MATCH,
-                    f"category {f} checked by {g} on {seq[j].phon_display}"))
 
         elif i > cat[cur]:
             # rule 3
-            if left[cur] == -1:
-                if steps is not None:
-                    steps.append(TraceStep(
-                        cur, REJECT, f"rule 3: licensee {f} with no item to the left"))
-                return False
+            l = left[cur]
             if steps is not None:
-                steps.append(TraceStep(cur, LICENSEE_LEFT, f"licensee {f}; move left"))
-            cur = left[cur]
+                steps.append((cur, "3x" if l == -1 else "3", f, None))
+            if l == -1:
+                return False
+            cur = l
 
         else:
             # rule 4: the movers in flight are the checked-out items right
@@ -231,22 +250,12 @@ def _run(seq: Sequence[LexicalItem], steps: list[TraceStep] | None) -> bool:
                         break
                     j = r
                 r = right[r]
-            if j == -1:
+            if j == -1 or twin != -1:
                 if steps is not None:
-                    steps.append(TraceStep(
-                        cur, REJECT,
-                        f"rule 4a: no item to the right leads with -{y}"))
-                return False
-            if twin != -1:
-                if steps is not None:
-                    steps.append(TraceStep(
-                        cur, REJECT, f"rule 4b: {seq[j].phon_display} and "
-                        f"{seq[twin].phon_display} both lead with -{y} "
-                        "(shortest-move constraint)"))
+                    steps.append((cur, "4a", f, None) if j == -1
+                                 else (cur, "4b", f, None, j, twin))
                 return False
             at[cur] += 1
             at[j] += 1
             if steps is not None:
-                steps.append(TraceStep(
-                    cur, LICENSOR_MATCH, f"licensor {f} checked against -{y} "
-                    f"on {seq[j].phon_display}"))
+                steps.append((cur, "4c", f, None, j))

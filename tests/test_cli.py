@@ -13,13 +13,16 @@ from click.testing import CliRunner
 import oracle
 import pdmg.cli
 import pdmg.model
-from conftest import SMC_WH_LEXICON, SMC_WH_REFS, data_path, random_lexicon
+from conftest import (OVERFLOW_ALPHA, OVERFLOW_LEXICON, SMC_WH_LEXICON,
+                      SMC_WH_REFS, data_path, random_lexicon)
 from pdmg.cli import main
 
 WHQ = data_path("whq.lex")
 AMBIG = data_path("ambig.lex")
 # An item spelled "eps": a literal spelling, not the covert alias.
 EPS_LEXICON = "eps :: d\nsee :: =d v\n"
+# Items spelled with "@", one spelled as another item's reference.
+AT_LEXICON = "a@b :: d\nb :: d\nb@1.0 :: d\nb@0.1 :: d\nsee :: =d v\n"
 
 
 @pytest.fixture()
@@ -103,6 +106,33 @@ class TestCheckSeq:
         r = runner.invoke(main, ["derive", str(lex), *refs])
         assert (r.exit_code, r.output.splitlines()[-2:]) == (
             0, ["category: v", "string: see eps"])
+
+    @pytest.mark.parametrize("refs, text", [
+        (["see", "a@b"], "see a@b"), (["see@1.0", "a@b@0.0"], "see a@b"),
+        (["see", "b@1.0"], "see b@1.0"), (["see", "b@0.1"], "see b"),
+        (["see", "b@0.1@0.3"], "see b@0.1")])
+    def test_item_spelled_with_at(self, runner, tmp_path, refs, text):
+        """A spelling with "@" names its item, unless it is the exact
+        reference of an item so spelled: ``b@1.0`` is the item spelled so,
+        as item 1.0 is ``see``, but ``b@0.1`` is item 0.1, spelled ``b``."""
+        lex = tmp_path / "at.lex"
+        lex.write_text(AT_LEXICON, encoding="utf-8")
+        r = runner.invoke(main, ["check-seq", str(lex), "--no-trace", *refs])
+        assert (r.exit_code, r.output) == (0, "well-formed\n")
+        r = runner.invoke(main, ["derive", str(lex), *refs])
+        assert (r.exit_code, r.output.splitlines()[-2:]) == (
+            0, ["category: v", f"string: {text}"])
+
+    @pytest.mark.parametrize("text", [AT_LEXICON, EPS_LEXICON + "ε :: =v c\n"])
+    def test_validate_refs_resolve_back(self, runner, tmp_path, text):
+        lex_path = tmp_path / "refs.lex"
+        lex_path.write_text(text, encoding="utf-8")
+        r = runner.invoke(main, ["validate", str(lex_path)])
+        assert r.exit_code == 0
+        refs = [ref for line in r.output.splitlines() if line.startswith("  [")
+                for ref in line.split(": ", 1)[1].split(", ")]
+        lex = pdmg.parse_lexicon(text)
+        assert [pdmg.cli.resolve_item(lex, ref) for ref in refs] == list(lex.items)
 
     def test_alias_still_names_the_covert_item(self, runner, tmp_path):
         """Beside an item spelled eps, ε and ε@/eps@ references to a covert
@@ -758,6 +788,24 @@ class TestBadModelRows:
         assert r.stdout.startswith("converged after ")
         # one count each for what and you; 1e-305 + 1 rounds to 1
         assert json.loads(out.read_text())["omega"]["d"] == [1.0, 2.0]
+
+    def test_estep_overflow_is_one_error_line(self, runner, tmp_path):
+        # psi(6e-309) passes the row check, but two counts of item a times
+        # its log t* overflow the e-step: the non-finite bound is the one
+        # report, and numpy prints no RuntimeWarning.
+        lex, corpus = tmp_path / "lex.txt", tmp_path / "corpus.txt"
+        lex.write_text(OVERFLOW_LEXICON)
+        corpus.write_text("b a a\n")
+        p = tmp_path / "alpha.json"
+        p.write_text(json.dumps(OVERFLOW_ALPHA))
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails it
+            r = runner.invoke(main, ["train", str(lex), str(corpus), "--start",
+                                     "y", "--alpha", str(p), "--out", str(out)])
+        _assert_one_error_line(r, 2)
+        assert r.stderr == "error: objective became non-finite at iteration 1\n"
+        assert not out.exists()
 
     def test_huge_bound_printed_as_in_result(self, runner, tmp_path):
         # The bound is about -1e305: .6f would print 306 digits before the

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 import oracle
 import pdmg
-from conftest import data_path
+from conftest import OVERFLOW_ALPHA, OVERFLOW_LEXICON, data_path
 from pdmg import (
     InvalidModel,
     ParseConfig,
@@ -372,6 +372,16 @@ class TestTrainBehavior:
         bad["d"] = [1.0, 0.0]
         with pytest.raises(InvalidModel):
             train(whq, [], bad, TrainConfig(start="c"))
+
+    def test_estep_overflow_is_invalid_model(self):
+        # psi(6e-309) is about -1.7e308, which the row check lets through;
+        # two counts of item a overflow the e-step's weights.  pyproject
+        # turns any numpy RuntimeWarning into an error, so this raised
+        # RuntimeWarning before the fit ignored overflow in numpy.
+        lex = pdmg.parse_lexicon(OVERFLOW_LEXICON)
+        with pytest.raises(InvalidModel, match="^objective became non-finite "
+                           "at iteration 1$"):
+            train(lex, ["b a a"], OVERFLOW_ALPHA, TrainConfig(start="y"))
 
     def test_invalid_config(self, whq):
         with pytest.raises(InvalidModel):

@@ -95,9 +95,9 @@ def test_accessors_read_the_one_stage_check():
                                    if f.kind is FeatureKind.CAT)
 
 
-def test_load_checks_each_item_twice(monkeypatch):
-    # once as its line is parsed, for the line number, and once as the item
-    # is built; the category, selectors and licensees read the item's stages
+def test_load_checks_each_item_once(monkeypatch):
+    # as the item is built, in its line's turn; the category, selectors
+    # and licensees read the item's stages
     calls = []
     real = lexicon_module.feature_stages
 
@@ -109,7 +109,7 @@ def test_load_checks_each_item_twice(monkeypatch):
     lex = pdmg.load_lexicon(str(DATA / "whq.lex"))
     read = [(it.category, it.selectors, it.licensees) for it in lex.items]
     assert len(read) == lex.n_items
-    assert len(calls) == 2 * lex.n_items
+    assert len(calls) == lex.n_items
 
 
 class TestParseLexicon:
@@ -133,6 +133,21 @@ class TestParseLexicon:
     def test_duplicate_rejected(self):
         with pytest.raises(LexiconError):
             parse_lexicon("x :: c\nx :: c\n")
+
+    def test_duplicate_names_its_line(self):
+        with pytest.raises(LexiconError, match="^line 3: duplicate item 'x' :: c$"):
+            parse_lexicon("x :: c\ny :: c\nx :: c\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("x :: c\nx :: c\ny :: c d\n", 2),    # duplicate before bad order
+        ("x :: c\ny :: c d\nx :: c\n", 2),    # bad order before duplicate
+        ("x :: c\nx :: c\ny :: +\n", 2),      # duplicate before bad name
+        ("x :: c\ny :: c =d\nz c\n", 2),      # bad order before bad line
+    ])
+    def test_first_defective_line_reported(self, text, line):
+        with pytest.raises(LexiconError) as info:
+            parse_lexicon(text)
+        assert info.value.line == line
 
     def test_same_phon_different_features_ok(self):
         lex = parse_lexicon("saw :: =d v\nsaw :: v\n")

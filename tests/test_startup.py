@@ -194,24 +194,23 @@ def test_no_module_level_numpy_import():
     assert found == []
 
 
-# The CLI parses options, loads files and prints: scoring and drawing live
-# in the library, so cli.py reaches no private name of the modules that
-# hold them and does no arithmetic of its own.
-LIBRARY_MODULES = ("pdmg.model", "pdmg.corpus")
-
-
+# The CLI parses options, loads files and prints: scoring, drawing and
+# evaluation live in the library, so cli.py reaches no private name of any
+# pdmg module and does no arithmetic of its own.
 def _cli_boundary_crossings(tree: ast.Module) -> list[tuple[int, str]]:
-    """Private names taken from LIBRARY_MODULES, and imports of math."""
+    """Private names taken from pdmg modules, and imports of math."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        for name in _imported(node):
-            if name == "math" or name.startswith("math."):
-                found.append((node.lineno, name))
-            elif name in LIBRARY_MODULES and isinstance(node, ast.ImportFrom):
-                found += [(node.lineno, f"{name}.{alias.name}")
-                          for alias in node.names if alias.name.startswith("_")]
+        names = _imported(node)
+        found += [(node.lineno, name) for name in names
+                  if name == "math" or name.startswith("math.")]
+        if isinstance(node, ast.ImportFrom) and names[0].split(".")[0] == "pdmg":
+            module = "pdmg" if node.module is None else names[0]
+            found += [(node.lineno, f"{module}.{alias.name}")
+                      for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
     return sorted(found)
 
 
@@ -227,10 +226,15 @@ def test_cli_guard_sees_every_form():
         "from .model import _draws, load_theta\n"
         "from pdmg.corpus import _fmt_float\n"
         "from .chart import _nonnegative\n"
-        "def f():\n    from .model import _cumulative_tables\n")
+        "def f():\n    from .model import _cumulative_tables\n"
+        "from .structure import _x\n"
+        "from . import __version__, _y\n"
+        "from pdmg import _z\n")
     assert _cli_boundary_crossings(tree) == [
         (1, "math"), (2, "math"), (3, "pdmg.model._draws"),
-        (4, "pdmg.corpus._fmt_float"), (7, "pdmg.model._cumulative_tables")]
+        (4, "pdmg.corpus._fmt_float"), (5, "pdmg.chart._nonnegative"),
+        (7, "pdmg.model._cumulative_tables"), (8, "pdmg.structure._x"),
+        (9, "pdmg._y"), (10, "pdmg._z")]
 
 
 def test_guard_sees_every_form():

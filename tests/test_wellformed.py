@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import oracle
 import pdmg
-from conftest import (SMC_WH_LEXICON, SMC_WH_REFS, random_lexicon, rich_lexicon,
-                      top_down_proposals)
-from pdmg import Feature, LexicalItem, TraceStep, is_wellformed, trace_wellformed
+from conftest import (SMC_WH_LEXICON, SMC_WH_REFS, embedded_mover_lexicon,
+                      random_lexicon, remnant_lexicon, rich_lexicon,
+                      top_down_proposals, twin_mover_lexicon)
+from pdmg import (Feature, LexicalItem, MergeNode, MoveNode,
+                  TraceStep, is_wellformed, trace_wellformed)
 from pdmg.cli import resolve_item
 
 # Actions that check a feature or delete an item.
@@ -221,6 +224,85 @@ class TestShortestMove:
                 seen[verdict] += 1
                 smc += "rule 4b" in trace_wellformed(seq).steps[-1].detail
         assert min(seen.values()) > 1000 and smc > 100, (seen, smc)
+
+
+AIMED = {"twin": twin_mover_lexicon, "embedded": embedded_mover_lexicon,
+         "remnant": remnant_lexicon}
+
+
+def aimed_proposals(make, seeds=range(400), per_lexicon=60):
+    """The distinct top-down proposals over lexicons from one aimed generator."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        lex = make(rng)
+        yield from dict.fromkeys(top_down_proposals(lex, rng, per_lexicon,
+                                                    start="c"))
+
+
+class _Fails(Exception):
+    pass
+
+
+def _fold(node, facts: set) -> tuple[tuple, list]:
+    """(head features left, movers' features left) of a subtree, folding
+    the rules bottom-up with the SMC applied only at a licensor; adds to
+    ``facts`` the patterns met on the way."""
+    if isinstance(node, MoveNode):
+        head, movers = _fold(node.child, facts)
+        hits = [i for i, m in enumerate(movers) if m[0].name == head[0].name]
+        if len(hits) != 1:
+            raise _Fails("4b" if hits else "other")
+        i = hits[0]
+        rest = [movers[i][1:]] if len(movers[i]) > 1 else []
+        return head[1:], movers[:i] + rest + movers[i + 1:]
+    if not isinstance(node, MergeNode):
+        return node.item.features, []
+    head, movers = _fold(node.head, facts)
+    arg, arg_movers = _fold(node.arg, facts)
+    if arg_movers and arg[0].name == "e":
+        facts.add("mover leaves an embedded clause")
+    if arg_movers and len(arg) > 1:
+        facts.add("remnant moves")
+    return head[1:], movers + ([arg[1:]] if len(arg) > 1 else []) + arg_movers
+
+
+def relaxed_fold(seq) -> tuple[str | None, set]:
+    """Of a top-down proposal: (None if it derives, "4b" if the first rule
+    to fail in its tree's post-order is a licensor meeting two movers that
+    lead with its licensee, "other" for any other failure; the patterns
+    met on the way)."""
+    facts: set = set()
+    try:
+        head, movers = _fold(pdmg.seq_to_tree(seq), facts)
+    except _Fails as exc:
+        return str(exc), facts
+    return (None if len(head) == 1 and not movers else "other"), facts
+
+
+class TestAimedGenerators:
+    """Lexicons built to force the shortest-move patterns: a head taking two
+    arguments with one licensee, a mover in flight out of an embedded
+    clause, and remnant movement."""
+
+    @pytest.mark.parametrize("name", sorted(AIMED))
+    def test_checker_oracle_and_evaluator_agree(self, name):
+        seen: Counter = Counter()
+        for seq in aimed_proposals(AIMED[name]):
+            refs = [it.ref for it in seq]
+            verdict = is_wellformed(seq)
+            assert verdict == oracle.check(seq)[0], refs
+            assert verdict == _evaluates(seq), refs
+            t = trace_wellformed(seq)
+            assert t.verdict == verdict
+            assert t.steps[-1].action == ("accept" if verdict else "reject")
+            failure, facts = relaxed_fold(seq)
+            assert verdict == (failure is None), refs
+            assert t.steps[-1].detail.startswith("rule 4b") == (failure == "4b"), refs
+            seen.update([verdict, failure] + (sorted(facts) if verdict else []))
+        assert seen[True] > 300 and seen["4b"] > 40, seen
+        wanted = {"embedded": "mover leaves an embedded clause",
+                  "remnant": "remnant moves"}.get(name)
+        assert wanted is None or seen[wanted] > 100, seen
 
 
 class TestTraceShape:
