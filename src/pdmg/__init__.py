@@ -11,66 +11,62 @@ draws them from those probabilities (`sample_derivations`, one stream of
 draws, and `sample_derivation`, its first), and fits the probabilities to
 a corpus with variational Bayes (`train`).
 
-Only training's e-step and the two random draws (`sample_theta` and the
-sampler) compute with numpy, so importing the package does not load it:
-the names taken from `pdmg.inference` import that module, and numpy, on
-first access, and the draws import numpy when they run.
+`_EXPORTS` names each public name once, under the module that defines
+it, and has a key for every library module (all but ``cli``); `__all__`
+and `dir()` are read from it.  A bare ``import pdmg`` loads
+no submodule: the first read of a name imports its module and keeps the
+value here, and a module's own name (``pdmg.model``) resolves the same
+way.  So a caller loads only what it reads, and numpy, which only
+training's e-step (`pdmg.inference`) and the two random draws
+(`sample_theta` and the sampler) compute with, is loaded by the trainer
+on first access and by the draws when they run.
 """
 
-from .chart import ChartItem, DerivationForest, ParseConfig, TrainConfig, parse
-from .errors import (ArityError, CapExceeded, EvalError, FeatureMismatch,
-                     FeatureOrderError, InvalidModel, LexiconError, PdmgError,
-                     RuleError, SmcViolation, UnderivableCategory,
-                     UnknownCategoryError, UnparsedSentence)
-from .lexicon import (Feature, FeatureKind, LexicalItem, Lexicon,
-                      build_lexicon, lexicon_to_text, load_lexicon,
-                      parse_feature, parse_lexicon)
-from .model import (SampleConfig, load_alpha, load_theta, log_joint,
-                    log_prob_of_sequence, ones_alpha, posterior_mean,
-                    prob_of_sequence, sample_derivation, sample_derivations,
-                    sample_theta, score_sentence, theta_star, uniform_theta,
-                    validate_alpha, validate_theta)
-from .structure import (Chain, Expression, Leaf, MergeNode, MoveNode,
-                        count_nodes, derived_category, eval_expression,
-                        eval_sequence, eval_tree, leaf_expression, merge_left,
-                        merge_mover, merge_right, move_again, move_final,
-                        render_tree, seq_to_tree, tree_to_seq)
-from .wellformed import CursorTrace, TraceStep, is_wellformed, trace_wellformed
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-_FROM_INFERENCE = frozenset({
-    "EncodedCorpus", "SentencePosterior", "TrainState", "encode_corpus", "train",
-})
+_EXPORTS = {
+    "chart": ("ChartItem", "DerivationForest", "ParseConfig", "SampleConfig",
+              "TrainConfig", "parse"),
+    "corpus": (),
+    "errors": ("ArityError", "CapExceeded", "EvalError", "FeatureMismatch",
+               "FeatureOrderError", "InvalidModel", "LexiconError", "PdmgError",
+               "RuleError", "SmcViolation", "UnderivableCategory",
+               "UnknownCategoryError", "UnparsedSentence"),
+    "inference": ("EncodedCorpus", "SentencePosterior", "TrainState",
+                  "encode_corpus", "train"),
+    "lexicon": ("Feature", "FeatureKind", "LexicalItem", "Lexicon",
+                "build_lexicon", "lexicon_to_text", "load_lexicon",
+                "parse_feature", "parse_lexicon"),
+    "model": ("load_alpha", "load_theta", "log_joint", "log_prob_of_sequence",
+              "ones_alpha", "posterior_mean", "prob_of_sequence",
+              "sample_derivation", "sample_derivations", "sample_theta",
+              "score_sentence", "theta_star", "uniform_theta",
+              "validate_alpha", "validate_theta"),
+    "special": (),
+    "structure": ("Chain", "Expression", "Leaf", "MergeNode", "MoveNode",
+                  "count_nodes", "derived_category", "eval_expression",
+                  "eval_sequence", "eval_tree", "leaf_expression", "merge_left",
+                  "merge_mover", "merge_right", "move_again", "move_final",
+                  "render_tree", "seq_to_tree", "tree_to_seq"),
+    "wellformed": ("CursorTrace", "TraceStep", "is_wellformed",
+                   "trace_wellformed"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _FROM_INFERENCE:
-        from . import inference
-        return getattr(inference, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _MODULE_OF:
+        value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _FROM_INFERENCE)
-
-
-__all__ = [
-    "ArityError", "CapExceeded", "Chain", "ChartItem", "CursorTrace",
-    "DerivationForest", "EncodedCorpus", "EvalError", "Expression", "Feature",
-    "FeatureKind", "FeatureMismatch", "FeatureOrderError", "InvalidModel",
-    "Leaf", "LexicalItem", "Lexicon", "LexiconError", "MergeNode", "MoveNode",
-    "ParseConfig", "PdmgError", "RuleError", "SampleConfig",
-    "SentencePosterior", "SmcViolation", "TraceStep", "TrainConfig",
-    "TrainState", "UnderivableCategory", "UnknownCategoryError",
-    "UnparsedSentence", "build_lexicon", "count_nodes", "derived_category",
-    "encode_corpus", "eval_expression", "eval_sequence", "eval_tree",
-    "is_wellformed", "leaf_expression", "lexicon_to_text", "load_alpha",
-    "load_lexicon", "load_theta", "log_joint", "log_prob_of_sequence",
-    "merge_left", "merge_mover", "merge_right", "move_again", "move_final",
-    "ones_alpha", "parse", "parse_feature", "parse_lexicon", "posterior_mean",
-    "prob_of_sequence", "render_tree", "sample_derivation",
-    "sample_derivations", "sample_theta", "score_sentence", "seq_to_tree",
-    "theta_star", "trace_wellformed", "train", "tree_to_seq", "uniform_theta",
-    "validate_alpha", "validate_theta",
-]
+    return sorted(set(globals()) | set(_MODULE_OF) | set(_EXPORTS))

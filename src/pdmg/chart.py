@@ -100,6 +100,12 @@ derivations is capped by max_derivations and the total closure plus
 extraction work by max_steps; exceeding either raises CapExceeded rather
 than silently truncating.  The closure itself always ends, as each item
 is queued once and there are finitely many spans.
+
+The three configs live here, each range-checked when built by one
+``_nonnegative``: ``ParseConfig`` (the caps above), ``TrainConfig`` (a
+ParseConfig plus the VB loop's settings) and ``SampleConfig`` (the
+sampler's caps).  So the command line reads every default from this
+module without importing the modules that use them.
 """
 
 from __future__ import annotations
@@ -173,6 +179,19 @@ class TrainConfig(ParseConfig):
         _nonnegative(self, "max_iters")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise InvalidModel("tol must be finite and >= 0")
+
+
+@dataclass(frozen=True)
+class SampleConfig:
+    """The sampler's settings (``model.sample_derivations``): a proposal may
+    have ``max_depth`` levels, the root being level one; a draw may follow
+    ``max_rejections`` rejected proposals."""
+    start: str
+    max_depth: int = 64
+    max_rejections: int = 10_000
+
+    def __post_init__(self) -> None:
+        _nonnegative(self, "max_depth", "max_rejections")
 
 
 @dataclass(frozen=True)

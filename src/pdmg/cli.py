@@ -7,6 +7,11 @@ builds but does not evaluate to a complete expression (EvalError), or a
 corpus sentence with no derivation; 4 a configured cap was exceeded; 5 an
 unexpected internal error, reported as one ``error:`` line naming the
 exception type.
+
+At module level this imports only what every command uses (click and
+``chart``, ``corpus``, ``errors``, ``lexicon``); each command imports
+the module it runs when it runs, so ``parse`` and ``validate`` never
+load the evaluator, the checker or the scorer.
 """
 
 from __future__ import annotations
@@ -17,15 +22,11 @@ from typing import Callable
 import click
 
 from . import __version__
-from .chart import ParseConfig, TrainConfig, parse
+from .chart import ParseConfig, SampleConfig, TrainConfig, parse
 from .corpus import canonical_json, load_corpus
 from .errors import (CapExceeded, EvalError, LexiconError, PdmgError,
                      UnknownCategoryError, UnparsedSentence)
 from .lexicon import LexicalItem, Lexicon, load_lexicon
-from .model import (SampleConfig, load_alpha, load_theta, ones_alpha,
-                    sample_derivations, score_sentence, uniform_theta)
-from .structure import eval_sequence, render_tree, seq_to_tree
-from .wellformed import is_wellformed, trace_wellformed
 
 REJECTED = 1
 BAD_INPUT = 2
@@ -152,6 +153,8 @@ def validate(lexicon_path: str) -> None:
               help="Print each cursor action.")
 def check_seq(lexicon_path: str, refs: tuple[str, ...], trace: bool) -> None:
     """Run the well-formedness check on an item sequence."""
+    from .wellformed import is_wellformed, trace_wellformed
+
     def body() -> int:
         lex = load_lexicon(lexicon_path)
         seq = tuple(resolve_item(lex, r) for r in refs)
@@ -173,6 +176,8 @@ def check_seq(lexicon_path: str, refs: tuple[str, ...], trace: bool) -> None:
 @click.argument("refs", metavar="ITEM...", nargs=-1, required=True)
 def derive(lexicon_path: str, refs: tuple[str, ...]) -> None:
     """Build the tree for an item sequence and spell out its string."""
+    from .structure import eval_sequence, render_tree, seq_to_tree
+
     def body() -> None:
         lex = load_lexicon(lexicon_path)
         seq = tuple(resolve_item(lex, r) for r in refs)
@@ -222,6 +227,8 @@ def parse_cmd(lexicon_path: str, sentences: tuple[str, ...], start: str,
 def score(lexicon_path: str, sentence: str, start: str, theta_path: str | None,
           **caps: int) -> None:
     """Sum derivation probabilities for SENTENCE; one JSON object."""
+    from .model import load_theta, score_sentence, uniform_theta
+
     def body() -> None:
         lex = load_lexicon(lexicon_path)
         lex.check_start(start)
@@ -248,6 +255,8 @@ def sample(lexicon_path: str, start: str, count: int, seed: int | None,
            theta_path: str | None, max_depth: int, max_rejections: int) -> None:
     """Draw well-formed sequences; one line of item references each."""
     import numpy as np
+
+    from .model import load_theta, sample_derivations, uniform_theta
 
     def body() -> None:
         lex = load_lexicon(lexicon_path)
@@ -282,6 +291,7 @@ def train_cmd(lexicon_path: str, corpus_path: str, start: str,
               skip_unparsed: bool, out_path: str, **caps: int) -> None:
     """Fit per-item probabilities to CORPUS and write a JSON result."""
     from .inference import train
+    from .model import load_alpha, ones_alpha
 
     def body() -> None:
         lex = load_lexicon(lexicon_path)

@@ -9,7 +9,9 @@ drive movement.
 
 The text format is one item per line, ``phon :: f1 f2 ...``.  Covert items
 are written with an empty phon before the ``::`` separator; the glyph
-``ε`` is accepted as an alias.  ``#`` starts a comment.
+``ε`` is accepted as an alias.  ``#`` starts a comment.  So a phon holds
+no whitespace, ``#`` or ``::``, and ``build_lexicon`` reads its phons by
+the same rule, ``ε`` included, so every lexicon writes back as text.
 """
 
 from __future__ import annotations
@@ -307,8 +309,23 @@ class Lexicon:
 
 
 def build_lexicon(entries: list[tuple[str, tuple[Feature, ...]]]) -> Lexicon:
-    """Assemble a lexicon from (phon, features) pairs in file order."""
-    return _assemble((phon, feats, None) for phon, feats in entries)
+    """Assemble a lexicon from (phon, features) pairs in file order.
+
+    Each phon is read as the text format reads it (``_phon``), so
+    ``lexicon_to_text`` can write back every lexicon built here.
+    """
+    return _assemble((_phon(phon), feats, None) for phon, feats in entries)
+
+
+def _phon(phon: str) -> str:
+    """The one spelling rule of both entry points: ``ε`` is the empty
+    (covert) phon, and a phon may hold no whitespace, ``#`` or ``::``,
+    which the text format reads as separators."""
+    if phon == EPSILON_GLYPH:
+        return ""
+    if re.search(r"\s|#|::", phon):
+        raise LexiconError(f"bad phon {phon!r}")
+    return phon
 
 
 def _assemble(
@@ -370,15 +387,11 @@ def _entries(text: str) -> Iterator[tuple[str, tuple[Feature, ...], int]]:
         if "::" not in line:
             raise LexiconError("expected 'phon :: features'", line=lineno)
         left, right = line.split("::", 1)
-        phon = left.strip()
-        if phon == EPSILON_GLYPH:
-            phon = ""
-        if phon and (re.search(r"\s", phon) or "#" in phon):
-            raise LexiconError(f"bad phon {phon!r}", line=lineno)
         tokens = right.split()
-        if not tokens:
-            raise LexiconError("item has no features", line=lineno)
         try:
+            phon = _phon(left.strip())
+            if not tokens:
+                raise LexiconError("item has no features")
             feats = tuple(parse_feature(t) for t in tokens)
         except LexiconError as e:
             raise type(e)(str(e), line=lineno) from None

@@ -33,11 +33,10 @@ import json
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .chart import ParseConfig, _nonnegative, parse
+from .chart import ParseConfig, SampleConfig, parse
 from .errors import CapExceeded, InvalidModel, UnderivableCategory
 from .lexicon import LexicalItem, Lexicon
 from .special import _TINY, lgamma, psi
@@ -354,18 +353,6 @@ def _cumulative_tables(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],
             cdf[i] = c / total
         tables[cat] = lexicon.items_of_category(cat), cdf
     return tables
-
-
-@dataclass(frozen=True)
-class SampleConfig:
-    """A proposal may have ``max_depth`` levels, the root being level one;
-    a draw may follow ``max_rejections`` rejected proposals."""
-    start: str
-    max_depth: int = 64
-    max_rejections: int = 10_000
-
-    def __post_init__(self) -> None:
-        _nonnegative(self, "max_depth", "max_rejections")
 
 
 def sample_derivation(lexicon: Lexicon, theta: Mapping[str, Sequence[float]],

@@ -436,13 +436,14 @@ class TestLazyDecode:
 
     def test_train_score_and_parse_never_decode(self, monkeypatch, tmp_path):
         """Nor do they read ``forest.sequences`` or run the checker."""
-        from pdmg import cli, model, wellformed
+        from pdmg import model, wellformed
 
         def no_decode(*args):
             raise AssertionError("chart decoded")
 
         reads, checks = [0], [0]
         decode = chart.DerivationForest.sequences
+        is_wellformed = wellformed.is_wellformed
 
         def read(forest):
             reads[0] += 1
@@ -450,11 +451,11 @@ class TestLazyDecode:
 
         def check(seq):
             checks[0] += 1
-            return wellformed.is_wellformed(seq)
+            return is_wellformed(seq)
 
         monkeypatch.setattr(chart, "_decode", no_decode)
         monkeypatch.setattr(chart.DerivationForest, "sequences", property(read))
-        for module in (model, cli):
+        for module in (model, wellformed):
             monkeypatch.setattr(module, "is_wellformed", check)
         runner = CliRunner()
         for name, pairs in FIXTURE_SENTENCES.items():

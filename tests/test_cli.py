@@ -219,7 +219,7 @@ class TestDerive:
         assert r.exit_code == 2
 
     def test_builds_the_tree_once(self, runner, monkeypatch):
-        from pdmg import cli, structure
+        from pdmg import structure
         calls = []
         real = structure.seq_to_tree
 
@@ -228,7 +228,6 @@ class TestDerive:
             return real(seq)
 
         monkeypatch.setattr(structure, "seq_to_tree", counted)
-        monkeypatch.setattr(cli, "seq_to_tree", counted)
         r = runner.invoke(main, ["derive", WHQ, "ε", "did", "see", "you", "what"])
         assert r.exit_code == 0
         assert len(calls) == 1

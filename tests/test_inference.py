@@ -1,6 +1,7 @@
 """Unit tests for corpus encoding, the bound, and the training loop."""
 
 import math
+import random
 import re
 
 import numpy as np
@@ -9,10 +10,14 @@ from click.testing import CliRunner
 
 import oracle
 import pdmg
-from conftest import OVERFLOW_ALPHA, OVERFLOW_LEXICON, data_path
+from conftest import (OVERFLOW_ALPHA, OVERFLOW_LEXICON, data_path,
+                      embedded_mover_lexicon, random_lexicon, remnant_lexicon,
+                      twin_mover_lexicon)
 from pdmg import (
+    CapExceeded,
     InvalidModel,
     ParseConfig,
+    SampleConfig,
     TrainConfig,
     UnknownCategoryError,
     UnparsedSentence,
@@ -542,3 +547,71 @@ class TestPPCorpusFit:
         got_omega = [v for cat in lex.categories for v in state.omega[cat]]
         assert got_omega == pytest.approx(want_omega, rel=1e-12, abs=0)
         assert state.elbo_trace == pytest.approx(want_trace, rel=1e-12, abs=0)
+
+
+# -- the trainer and the scorer agree -----------------------------------------
+
+def _drawn_corpus(lex, start, seed, count=20):
+    """Up to ``count`` sentences drawn from ``start`` at uniform θ; fewer
+    when a draw trips the sampler's caps."""
+    if start not in lex.root_categories:
+        return []
+    cfg = SampleConfig(start, max_depth=10, max_rejections=200)
+    draws = pdmg.sample_derivations(lex, uniform_theta(lex), cfg,
+                                    np.random.default_rng(seed))
+    sentences = []
+    try:
+        for _ in range(count):
+            sentences.append(pdmg.eval_sequence(next(draws)[0]))
+    except CapExceeded:
+        pass
+    return sentences
+
+
+def _assert_log_z_is_score(lex, sentences, start, rng):
+    """Each kept sentence's log Z after one iteration from a random α is its
+    ``score_sentence`` log-probability at θ*(α); returns how many were kept."""
+    alpha = {cat: [rng.uniform(0.05, 5.0) for _ in row]
+             for cat, row in ones_alpha(lex).items()}
+    state = train(lex, sentences, alpha,
+                  TrainConfig(start=start, max_iters=1, skip_unparsed=True))
+    theta, cfg = theta_star(lex, alpha), ParseConfig(start=start)
+    kept = [s for n, s in enumerate(sentences) if n not in state.unparsed]
+    assert [post.sentence for post in state.posteriors] == kept
+    for post in state.posteriors:
+        want = pdmg.score_sentence(lex, post.sentence, theta, cfg)["log_prob"]
+        assert post.log_z == pytest.approx(want, rel=1e-12), post.sentence
+    return len(kept)
+
+
+class TestTrainerMatchesScorer:
+    """The first e-step's log Z of a sentence is what ``pdmg score`` gives
+    it at θ* of the prior: the trainer and the scorer sum one set of
+    derivations under one θ."""
+
+    @pytest.mark.parametrize("name", ["ambig", "chain", "move2", "symmetric", "whq"])
+    def test_fixtures(self, name, request):
+        lex = request.getfixturevalue(name)
+        vocab = sorted({it.phon for it in lex.items if it.phon})
+        rng = random.Random(name)
+        for start in lex.categories:
+            sentences = [*oracle.all_sentences(vocab, 3), *_drawn_corpus(lex, start, 0)]
+            for _ in range(3):
+                _assert_log_z_is_score(lex, sentences, start, rng)
+
+    def test_pp_corpus(self):
+        lex = pdmg.parse_lexicon(PP_LEXICON)
+        assert _assert_log_z_is_score(lex, list(PP_CORPUS), "v",
+                                      random.Random(0)) == len(PP_CORPUS)
+
+    @pytest.mark.parametrize("generator", [
+        random_lexicon, twin_mover_lexicon, embedded_mover_lexicon, remnant_lexicon])
+    def test_sampled_corpora(self, generator):
+        checked = 0
+        for seed in range(20 if generator is random_lexicon else 4):
+            lex = generator(random.Random(seed))
+            rng = random.Random(seed)
+            for start in sorted(lex.root_categories):
+                checked += _assert_log_z_is_score(
+                    lex, _drawn_corpus(lex, start, seed), start, rng)
+        assert checked >= 40

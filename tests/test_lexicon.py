@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdmg
-from conftest import DATA, random_lexicon
+from conftest import (DATA, embedded_mover_lexicon, random_lexicon,
+                      remnant_lexicon, rich_lexicon, twin_mover_lexicon)
 from pdmg import (Feature, FeatureKind, FeatureOrderError, LexiconError,
                   UnknownCategoryError, build_lexicon, lexicon_to_text,
                   parse_feature, parse_lexicon)
@@ -244,6 +245,33 @@ def test_serialize_parse_round_trip(text):
     lex = parse_lexicon(text)
     again = parse_lexicon(lexicon_to_text(lex))
     assert again == lex
+
+
+@pytest.mark.parametrize("generator", [
+    random_lexicon, rich_lexicon, twin_mover_lexicon, embedded_mover_lexicon,
+    remnant_lexicon])
+def test_generated_lexicons_round_trip(generator):
+    for seed in range(300):
+        lex = generator(random.Random(seed))
+        assert parse_lexicon(lexicon_to_text(lex)) == lex, seed
+
+
+# build_lexicon reads a phon as the text format does: "ε" is covert, and a
+# phon the text could not hold is refused, so every built lexicon writes back.
+@pytest.mark.parametrize("phon, read", [
+    ("x", "x"), ("", ""), ("ε", ""), ("a:b", "a:b"), ("x:", "x:"),
+    ("a@0.0", "a@0.0"), (" x", None), ("x ", None), ("a b", None),
+    ("a\tb", None), ("a\nb", None), ("a\u2028b", None), ("a#b", None),
+    ("#", None), ("a::b", None), ("::", None)])
+def test_built_spelling_round_trips_or_is_refused(phon, read):
+    entries = [(phon, (Feature(FeatureKind.CAT, "d"),))]
+    if read is None:
+        with pytest.raises(LexiconError, match="^bad phon "):
+            build_lexicon(entries)
+        return
+    lex = build_lexicon(entries)
+    assert lex.items[0].phon == read
+    assert parse_lexicon(lexicon_to_text(lex)) == lex
 
 
 def test_build_lexicon_matches_parse(whq):

@@ -1,13 +1,16 @@
-"""Start-up: parsing, scoring and checking load neither numpy nor the trainer.
+"""Start-up: parsing, scoring and checking load neither numpy nor the trainer,
+and each command loads only the modules it runs.
 
 Only training's e-step (``pdmg.inference``) and the random draws of
 ``sample_theta`` and the sampler compute with numpy; the Dirichlet row
 math (``theta_star``, ``posterior_mean``, the density) runs on plain
-floats.  The behavioural tests run a fresh interpreter, because this
-process already holds numpy; the ``ast`` guard names the module whose
-import would load it.  A second ``ast`` guard keeps scoring and drawing
-out of the command line: ``cli.py`` imports no private name of
-``pdmg.model`` or ``pdmg.corpus``, and no ``math``.
+floats.  A bare ``import pdmg`` loads no submodule, and ``pdmg parse``
+and ``validate`` load neither the evaluator, the checker nor the scorer.
+The behavioural tests run a fresh interpreter, because this process
+already holds numpy and every pdmg module; the ``ast`` guards name the
+import that would load one too early.  A further ``ast`` guard keeps
+scoring and drawing out of the command line: ``cli.py`` imports no
+private name of ``pdmg.model`` or ``pdmg.corpus``, and no ``math``.
 """
 
 import ast
@@ -25,15 +28,17 @@ ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "pdmg"
 HEAVY = ("numpy", "pdmg.inference")
 
-# Runs in the child: `step(name)` records which of HEAVY are loaded, and
-# `cli(...)` runs one command in process and records its exit code.
+# Runs in the child: `step(name)` records which of HEAVY are loaded and,
+# in `loaded`, every pdmg submodule; `cli(...)` runs one command in
+# process and records its exit code.
 PRELUDE = f"""
 import json, sys
 HEAVY = {HEAVY!r}
-steps, codes = {{}}, {{}}
+steps, loaded, codes = {{}}, {{}}, {{}}
 
 def step(name):
     steps[name] = sorted(m for m in HEAVY if m in sys.modules)
+    loaded[name] = sorted(m for m in sys.modules if m.startswith("pdmg."))
 
 def cli(*args):
     import pdmg.cli
@@ -51,7 +56,8 @@ SENTENCE = "what did you see"
 def _child(body: str) -> dict:
     """Run PRELUDE + body in a new interpreter; its last stdout line."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = PRELUDE + body + "\nprint(json.dumps({'steps': steps, 'codes': codes}))\n"
+    code = PRELUDE + body + (
+        "\nprint(json.dumps({'steps': steps, 'loaded': loaded, 'codes': codes}))\n")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -81,6 +87,42 @@ step("cli")
     assert out["steps"] == {"import": [], "load": [], "library": [], "cli": []}
     assert out["codes"] == {"--help": 0, "parse": 0, "score": 0, "derive": 0,
                             "check-seq": 0, "validate": 0}
+
+
+# The modules that only some commands run, and which of them each loads.
+PER_COMMAND = ("pdmg.model", "pdmg.special", "pdmg.structure", "pdmg.wellformed")
+REFS = ("ε", "did", "see", "you", "what")
+COMMAND_LOADS = [
+    (("parse", WHQ, SENTENCE, "--start", "c"), []),
+    (("validate", WHQ), []),
+    (("derive", WHQ, *REFS), ["pdmg.structure"]),
+    (("check-seq", WHQ, *REFS), ["pdmg.wellformed"]),
+    (("score", WHQ, SENTENCE, "--start", "c"),
+     ["pdmg.model", "pdmg.special", "pdmg.wellformed"]),
+]
+
+
+def test_bare_import_loads_no_submodule():
+    out = _child("""
+import pdmg
+step("import")
+import pdmg.cli
+step("cli")
+""")
+    assert out["loaded"] == {
+        "import": [],
+        "cli": ["pdmg.chart", "pdmg.cli", "pdmg.corpus", "pdmg.errors", "pdmg.lexicon"]}
+
+
+@pytest.mark.parametrize("args, loads", COMMAND_LOADS,
+                         ids=[args[0] for args, _ in COMMAND_LOADS])
+def test_each_command_loads_only_what_it_runs(args, loads):
+    out = _child(f"""
+cli(*{args!r})
+step("command")
+""")
+    assert out["codes"] == {args[0]: 0}
+    assert [m for m in out["loaded"]["command"] if m in PER_COMMAND] == loads
 
 
 def test_log_joint_loads_no_numpy():
@@ -143,8 +185,18 @@ def test_every_public_name_resolves():
     exec("from pdmg import *", namespace)
     assert set(pdmg.__all__) <= set(namespace)
     assert pdmg.TrainConfig is pdmg.inference.TrainConfig
+    assert pdmg.SampleConfig is pdmg.model.SampleConfig
     with pytest.raises(AttributeError):
         pdmg.no_such_name
+
+
+def test_export_table_names_each_name_once():
+    assert sum(map(len, pdmg._EXPORTS.values())) == len(set(pdmg.__all__))
+    for module, names in pdmg._EXPORTS.items():
+        assert getattr(pdmg, module) is sys.modules[f"pdmg.{module}"]
+        assert module in dir(pdmg)
+        for name in names:
+            assert getattr(pdmg, name) is getattr(sys.modules[f"pdmg.{module}"], name)
 
 
 # -- tooling guard ------------------------------------------------------------
@@ -165,7 +217,9 @@ def _imported(node: ast.Import | ast.ImportFrom) -> list[str]:
     return [f"pdmg.{node.module}"]
 
 
-def _heavy_module_level_imports(tree: ast.Module) -> list[tuple[int, str]]:
+def _module_level_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, dotted name) of each import that importing the module runs:
+    not inside a function or class, nor under ``if TYPE_CHECKING``."""
     found = []
     todo = list(tree.body)
     while todo:
@@ -177,10 +231,21 @@ def _heavy_module_level_imports(tree: ast.Module) -> list[tuple[int, str]]:
             todo.extend(node.orelse)
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            found += [(node.lineno, name) for name in _imported(node)
-                      if name.split(".")[0] == "numpy" or name in HEAVY]
+            found += [(node.lineno, name) for name in _imported(node)]
         todo.extend(ast.iter_child_nodes(node))
     return sorted(found)
+
+
+def _heavy_module_level_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    return [(line, name) for line, name in _module_level_imports(tree)
+            if name.split(".")[0] == "numpy" or name in HEAVY]
+
+
+def _eager_pdmg_imports(tree: ast.Module, modules: tuple[str, ...] | None = None,
+                        ) -> list[tuple[int, str]]:
+    """Module-level imports of pdmg submodules, or of those in ``modules``."""
+    return [(line, name) for line, name in _module_level_imports(tree)
+            if name.startswith("pdmg.") and (modules is None or name in modules)]
 
 
 def test_no_module_level_numpy_import():
@@ -192,6 +257,35 @@ def test_no_module_level_numpy_import():
         found += [f"{path.name}:{line} imports {name}"
                   for line, name in _heavy_module_level_imports(tree)]
     assert found == []
+
+
+# A name's module loads on its first read, so __init__.py imports no
+# submodule; cli.py imports the modules that only some commands run
+# inside those commands.
+def test_package_and_cli_import_submodules_lazily():
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert _eager_pdmg_imports(init) == []
+    assert _eager_pdmg_imports(cli, PER_COMMAND) == []
+
+
+def test_lazy_guard_sees_every_form():
+    tree = ast.parse(
+        "from importlib import import_module\n"
+        "from .chart import parse\n"
+        "from . import model\n"
+        "import pdmg.structure\n"
+        "try:\n    from .wellformed import is_wellformed\n"
+        "except ImportError:\n    pass\n"
+        "def f():\n    from .model import score_sentence\n"
+        "if TYPE_CHECKING:\n    from .structure import Leaf\n"
+        "from pdmg.special import psi\n")
+    assert _eager_pdmg_imports(tree) == [
+        (2, "pdmg.chart"), (3, "pdmg.model"), (4, "pdmg.structure"),
+        (6, "pdmg.wellformed"), (13, "pdmg.special")]
+    assert _eager_pdmg_imports(tree, PER_COMMAND) == [
+        (3, "pdmg.model"), (4, "pdmg.structure"), (6, "pdmg.wellformed"),
+        (13, "pdmg.special")]
 
 
 # The CLI parses options, loads files and prints: scoring, drawing and
