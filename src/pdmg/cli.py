@@ -1,12 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success; 1 a checked sequence was rejected; 2 bad input
-(lexicon, references, model vectors, or a sequence ``derive`` cannot
-build: ArityError, FeatureMismatch, SmcViolation); 3 a sequence that
-builds but does not evaluate to a complete expression (EvalError), or a
-corpus sentence with no derivation; 4 a configured cap was exceeded; 5 an
-unexpected internal error, reported as one ``error:`` line naming the
-exception type.
+Every command runs through ``_Command``, the one place that maps how a
+command ends to its exit status: its callback's return value, or the
+``exit_code`` of the ``PdmgError`` it raised (see ``pdmg.errors``).  The
+README tabulates the codes.
 
 At module level this imports only what every command uses (click and
 ``chart``, ``corpus``, ``errors``, ``lexicon``); each command imports
@@ -24,38 +21,37 @@ import click
 from . import __version__
 from .chart import ParseConfig, SampleConfig, TrainConfig, parse
 from .corpus import canonical_json, load_corpus
-from .errors import (CapExceeded, EvalError, LexiconError, PdmgError,
-                     UnknownCategoryError, UnparsedSentence)
+from .errors import LexiconError, PdmgError, UnknownCategoryError
 from .lexicon import LexicalItem, Lexicon, load_lexicon
 
 REJECTED = 1
 BAD_INPUT = 2
-EVAL_FAILURE = 3
-CAP_EXCEEDED = 4
 INTERNAL_ERROR = 5
 
 _COVERT = ("ε", "eps")  # reference aliases of the empty phon
 
 
-def _run(body: Callable[[], int | None]) -> None:
-    try:
-        code = body()
-    except CapExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(CAP_EXCEEDED)
-    except (EvalError, UnparsedSentence) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EVAL_FAILURE)
-    except (PdmgError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(BAD_INPUT)
-    except UnicodeDecodeError as exc:
-        click.echo(f"error: input is not UTF-8 text ({exc})", err=True)
-        sys.exit(BAD_INPUT)
-    except Exception as exc:  # a bug, not a verdict: keep it apart from 1-4
-        click.echo(f"error: internal error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(INTERNAL_ERROR)
-    sys.exit(code or 0)
+class _Command(click.Command):
+    """A command whose every ending is a documented exit status."""
+
+    def invoke(self, ctx: click.Context) -> None:
+        try:
+            code = super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click ends a run whose stdout was closed: silent, status 1
+        except PdmgError as exc:
+            message, code = str(exc), exc.exit_code
+        except OSError as exc:
+            message, code = str(exc), BAD_INPUT
+        except UnicodeDecodeError as exc:
+            message, code = f"input is not UTF-8 text ({exc})", BAD_INPUT
+        except Exception as exc:  # a bug, not a verdict: keep it apart from 1-4
+            message = f"internal error: {type(exc).__name__}: {exc}"
+            code = INTERNAL_ERROR
+        else:
+            sys.exit(code or 0)
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
 
 
 def _cap_options(command: Callable) -> Callable:
@@ -127,23 +123,24 @@ def main() -> None:
     """Derivation sequences: check, enumerate, score, sample, train."""
 
 
+main.command_class = _Command
+
+
 @main.command()
 @click.argument("lexicon_path", metavar="LEXICON")
 def validate(lexicon_path: str) -> None:
     """Parse LEXICON and summarize it."""
-    def body() -> None:
-        lex = load_lexicon(lexicon_path)
-        click.echo(f"{lex.n_items} items, {len(lex.categories)} categories")
-        for k, cat in enumerate(lex.categories):
-            items = ", ".join(it.ref for it in lex.items_of_category(cat))
-            click.echo(f"  [{k}] {cat}: {items}")
-        covert = lex.covert_items()
-        if covert:
-            click.echo("covert: " + ", ".join(it.ref for it in covert))
-        for name, group in lex.smc_risk_groups().items():
-            refs = ", ".join(it.ref for it in group)
-            click.echo(f"note: several items lead with -{name}: {refs}")
-    _run(body)
+    lex = load_lexicon(lexicon_path)
+    click.echo(f"{lex.n_items} items, {len(lex.categories)} categories")
+    for k, cat in enumerate(lex.categories):
+        items = ", ".join(it.ref for it in lex.items_of_category(cat))
+        click.echo(f"  [{k}] {cat}: {items}")
+    covert = lex.covert_items()
+    if covert:
+        click.echo("covert: " + ", ".join(it.ref for it in covert))
+    for name, group in lex.smc_risk_groups().items():
+        refs = ", ".join(it.ref for it in group)
+        click.echo(f"note: several items lead with -{name}: {refs}")
 
 
 @main.command("check-seq")
@@ -151,24 +148,22 @@ def validate(lexicon_path: str) -> None:
 @click.argument("refs", metavar="ITEM...", nargs=-1, required=True)
 @click.option("--trace/--no-trace", default=True, show_default=True,
               help="Print each cursor action.")
-def check_seq(lexicon_path: str, refs: tuple[str, ...], trace: bool) -> None:
+def check_seq(lexicon_path: str, refs: tuple[str, ...], trace: bool) -> int:
     """Run the well-formedness check on an item sequence."""
     from .wellformed import is_wellformed, trace_wellformed
 
-    def body() -> int:
-        lex = load_lexicon(lexicon_path)
-        seq = tuple(resolve_item(lex, r) for r in refs)
-        if trace:
-            result = trace_wellformed(seq)
-            for i, step in enumerate(result.steps, start=1):
-                where = "-" if step.position < 0 else str(step.position)
-                click.echo(f"{i:3d}  pos={where:>2}  {step.action:<14} {step.detail}")
-            verdict = result.verdict
-        else:
-            verdict = is_wellformed(seq)
-        click.echo("well-formed" if verdict else "ill-formed")
-        return 0 if verdict else REJECTED
-    _run(body)
+    lex = load_lexicon(lexicon_path)
+    seq = tuple(resolve_item(lex, r) for r in refs)
+    if trace:
+        result = trace_wellformed(seq)
+        for i, step in enumerate(result.steps, start=1):
+            where = "-" if step.position < 0 else str(step.position)
+            click.echo(f"{i:3d}  pos={where:>2}  {step.action:<14} {step.detail}")
+        verdict = result.verdict
+    else:
+        verdict = is_wellformed(seq)
+    click.echo("well-formed" if verdict else "ill-formed")
+    return 0 if verdict else REJECTED
 
 
 @main.command()
@@ -178,14 +173,12 @@ def derive(lexicon_path: str, refs: tuple[str, ...]) -> None:
     """Build the tree for an item sequence and spell out its string."""
     from .structure import eval_sequence, render_tree, seq_to_tree
 
-    def body() -> None:
-        lex = load_lexicon(lexicon_path)
-        seq = tuple(resolve_item(lex, r) for r in refs)
-        click.echo(render_tree(seq_to_tree(seq)))
-        text = eval_sequence(seq)
-        click.echo(f"category: {seq[0].category}")
-        click.echo(f"string: {text or 'ε'}")
-    _run(body)
+    lex = load_lexicon(lexicon_path)
+    seq = tuple(resolve_item(lex, r) for r in refs)
+    click.echo(render_tree(seq_to_tree(seq)))
+    text = eval_sequence(seq)
+    click.echo(f"category: {seq[0].category}")
+    click.echo(f"string: {text or 'ε'}")
 
 
 @main.command("parse")
@@ -198,23 +191,21 @@ def derive(lexicon_path: str, refs: tuple[str, ...]) -> None:
 def parse_cmd(lexicon_path: str, sentences: tuple[str, ...], start: str,
               corpus_path: str | None, **caps: int) -> None:
     """Enumerate the derivations of each sentence; one JSON line each."""
-    def body() -> None:
-        lex = load_lexicon(lexicon_path)
-        lex.check_start(start)
-        todo = list(sentences)
-        if corpus_path is not None:
-            todo.extend(load_corpus(corpus_path))
-        cfg = ParseConfig(start=start, **caps)
-        pairs = [[it.cat_index, it.item_index] for it in lex.items]
-        for sentence in todo:
-            forest = parse(lex, sentence.split(), cfg)
-            payload = {
-                "sentence": sentence,
-                "count": forest.count,
-                "derivations": [[pairs[g] for g in d] for d in forest.ids],
-            }
-            click.echo(canonical_json(payload))
-    _run(body)
+    lex = load_lexicon(lexicon_path)
+    lex.check_start(start)
+    todo = list(sentences)
+    if corpus_path is not None:
+        todo.extend(load_corpus(corpus_path))
+    cfg = ParseConfig(start=start, **caps)
+    pairs = [[it.cat_index, it.item_index] for it in lex.items]
+    for sentence in todo:
+        forest = parse(lex, sentence.split(), cfg)
+        payload = {
+            "sentence": sentence,
+            "count": forest.count,
+            "derivations": [[pairs[g] for g in d] for d in forest.ids],
+        }
+        click.echo(canonical_json(payload))
 
 
 @main.command()
@@ -229,14 +220,12 @@ def score(lexicon_path: str, sentence: str, start: str, theta_path: str | None,
     """Sum derivation probabilities for SENTENCE; one JSON object."""
     from .model import load_theta, score_sentence, uniform_theta
 
-    def body() -> None:
-        lex = load_lexicon(lexicon_path)
-        lex.check_start(start)
-        theta = (uniform_theta(lex) if theta_path is None
-                 else load_theta(theta_path, lex))
-        cfg = ParseConfig(start=start, **caps)
-        click.echo(canonical_json(score_sentence(lex, sentence, theta, cfg)))
-    _run(body)
+    lex = load_lexicon(lexicon_path)
+    lex.check_start(start)
+    theta = (uniform_theta(lex) if theta_path is None
+             else load_theta(theta_path, lex))
+    cfg = ParseConfig(start=start, **caps)
+    click.echo(canonical_json(score_sentence(lex, sentence, theta, cfg)))
 
 
 @main.command()
@@ -258,18 +247,16 @@ def sample(lexicon_path: str, start: str, count: int, seed: int | None,
 
     from .model import load_theta, sample_derivations, uniform_theta
 
-    def body() -> None:
-        lex = load_lexicon(lexicon_path)
-        lex.check_start(start)
-        theta = (uniform_theta(lex) if theta_path is None
-                 else load_theta(theta_path, lex))
-        cfg = SampleConfig(start=start, max_depth=max_depth,
-                           max_rejections=max_rejections)
-        draws = sample_derivations(lex, theta, cfg, np.random.default_rng(seed))
-        for _ in range(count):
-            seq, _rejected = next(draws)
-            click.echo(" ".join(it.ref for it in seq))
-    _run(body)
+    lex = load_lexicon(lexicon_path)
+    lex.check_start(start)
+    theta = (uniform_theta(lex) if theta_path is None
+             else load_theta(theta_path, lex))
+    cfg = SampleConfig(start=start, max_depth=max_depth,
+                       max_rejections=max_rejections)
+    draws = sample_derivations(lex, theta, cfg, np.random.default_rng(seed))
+    for _ in range(count):
+        seq, _rejected = next(draws)
+        click.echo(" ".join(it.ref for it in seq))
 
 
 @main.command("train")
@@ -293,34 +280,32 @@ def train_cmd(lexicon_path: str, corpus_path: str, start: str,
     from .inference import train
     from .model import load_alpha, ones_alpha
 
-    def body() -> None:
-        lex = load_lexicon(lexicon_path)
-        lex.check_start(start)
-        alpha = (ones_alpha(lex) if alpha_path is None
-                 else load_alpha(alpha_path, lex))
-        sentences = load_corpus(corpus_path)
-        cfg = TrainConfig(start=start, tol=tol, max_iters=max_iters,
-                          skip_unparsed=skip_unparsed, **caps)
-        state = train(lex, sentences, alpha, cfg)
-        payload = {
-            "omega": state.omega,
-            "theta_mean": state.theta_mean,
-            "elbo_trace": state.elbo_trace,
-            "iterations": state.iterations,
-            "converged": state.converged,
-            "unparsed": state.unparsed,
-        }
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(payload))
-            fh.write("\n")
-        status = "converged" if state.converged else "stopped"
-        bound = state.elbo_trace[-1] if state.elbo_trace else float("nan")
-        # From 1e16 on, .6f spells out every integer digit (hundreds near
-        # 1e305); print such a bound as result.json holds it.
-        shown = canonical_json(bound) if abs(bound) >= 1e16 else f"{bound:.6f}"
-        click.echo(f"{status} after {state.iterations} iterations, "
-                   f"bound {shown}, wrote {out_path}")
-    _run(body)
+    lex = load_lexicon(lexicon_path)
+    lex.check_start(start)
+    alpha = (ones_alpha(lex) if alpha_path is None
+             else load_alpha(alpha_path, lex))
+    sentences = load_corpus(corpus_path)
+    cfg = TrainConfig(start=start, tol=tol, max_iters=max_iters,
+                      skip_unparsed=skip_unparsed, **caps)
+    state = train(lex, sentences, alpha, cfg)
+    payload = {
+        "omega": state.omega,
+        "theta_mean": state.theta_mean,
+        "elbo_trace": state.elbo_trace,
+        "iterations": state.iterations,
+        "converged": state.converged,
+        "unparsed": state.unparsed,
+    }
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(payload))
+        fh.write("\n")
+    status = "converged" if state.converged else "stopped"
+    bound = state.elbo_trace[-1] if state.elbo_trace else float("nan")
+    # From 1e16 on, .6f spells out every integer digit (hundreds near
+    # 1e305); print such a bound as result.json holds it.
+    shown = canonical_json(bound) if abs(bound) >= 1e16 else f"{bound:.6f}"
+    click.echo(f"{status} after {state.iterations} iterations, "
+               f"bound {shown}, wrote {out_path}")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,8 @@
 """Exception hierarchy.
 
-The CLI maps these onto exit codes.  Input problems exit 2: bad lexicon
-files, malformed references, invalid model vectors, and item sequences
-that no rule can build (ArityError, and the RuleErrors FeatureMismatch and
-SmcViolation).  EvalError, a sequence that builds but does not evaluate to
-a complete expression, and UnparsedSentence exit 3.  Exceeded caps exit
-4.  Any other exception is a bug; the CLI reports it on one ``error:``
-line naming its type and exits 5.
+Each class carries, as ``exit_code``, the status ``pdmg`` exits with
+when a command raises it: 2, bad input, unless the class says otherwise.
+A sequence that no rule can build (ArityError, RuleError) is bad input.
 """
 
 from __future__ import annotations
@@ -14,6 +10,8 @@ from __future__ import annotations
 
 class PdmgError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class LexiconError(PdmgError):
@@ -61,13 +59,19 @@ class ArityError(PdmgError):
 class EvalError(PdmgError):
     """A sequence builds a tree but does not evaluate to a complete expression."""
 
+    exit_code = 3
+
 
 class CapExceeded(PdmgError):
     """A configured search or sampling cap was hit; results would be partial."""
 
+    exit_code = 4
+
 
 class UnparsedSentence(PdmgError):
     """A corpus sentence with no derivations where one is required."""
+
+    exit_code = 3
 
     def __init__(self, index: int, sentence: str):
         self.index = index

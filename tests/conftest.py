@@ -5,9 +5,13 @@ from pathlib import Path
 
 import pytest
 
+import pdmg.errors
 from pdmg import Lexicon, load_lexicon, parse_lexicon
 
 DATA = Path(__file__).parent / "data"
+# PdmgError and each of its subclasses: the classes a command ends with.
+ERROR_CLASSES = tuple(cls for cls in vars(pdmg.errors).values()
+                      if isinstance(cls, type) and issubclass(cls, pdmg.errors.PdmgError))
 
 
 @pytest.fixture(scope="session")

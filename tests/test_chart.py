@@ -11,7 +11,9 @@ from click.testing import CliRunner
 
 import oracle
 import pdmg
-from conftest import data_path, random_lexicon, rich_lexicon, top_down_proposals
+from conftest import (data_path, embedded_mover_lexicon, random_lexicon,
+                      remnant_lexicon, rich_lexicon, top_down_proposals,
+                      twin_mover_lexicon)
 from pdmg import (CapExceeded, InvalidModel, ParseConfig, TrainConfig,
                   UnknownCategoryError, chart, inference, parse)
 from pdmg.cli import main
@@ -203,6 +205,29 @@ class TestAgainstOracle:
             tokens = sentence.split()
             forest = parse(whq, tokens, CFG())
             assert ids_of(forest) == sorted(by_sentence.get(sentence, []))
+
+    @pytest.mark.parametrize("max_overt, seeds", [(2, 40), (3, 10)])
+    @pytest.mark.parametrize("generator", [
+        random_lexicon, rich_lexicon, twin_mover_lexicon, embedded_mover_lexicon,
+        remnant_lexicon])
+    def test_generated_lexicons(self, generator, max_overt, seeds):
+        """Chart completeness: at each start, every sentence of up to
+        ``max_overt`` tokens gets exactly the sequences the brute-force
+        enumeration finds, with the same covert budget on both sides."""
+        derived = 0
+        for seed in range(seeds):
+            lex = generator(random.Random(seed))
+            vocab = sorted({it.phon for it in lex.items if it.phon})
+            for start in lex.categories:
+                table = oracle.enumerate_wellformed(lex, start, max_overt, 2)
+                cfg = CFG(start, max_covert=2)
+                for sentence in oracle.all_sentences(vocab, max_overt):
+                    forest = parse(lex, sentence.split(), cfg)
+                    got = [tuple(lex.items[g].item_id for g in d) for d in forest.ids]
+                    want = oracle.derivations_of(lex, sentence, start, 2, table)
+                    assert got == want, (seed, start, sentence)
+                    derived += bool(want)
+        assert derived > 0
 
 
 CHAIN = "a :: =x x\nb :: x\nε :: =x c\n"

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -997,6 +1000,29 @@ class TestInternalError:
         assert "RuntimeError" in r.stderr
         assert "chart exploded" in r.stderr
         assert "Traceback" not in r.stderr + r.stdout
+
+    def test_failed_import_in_a_command_exits_5(self, runner, monkeypatch):
+        """A command's own imports run under the exit contract too."""
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        r = runner.invoke(main, ["sample", WHQ, "--start", "c", "-n", "1"])
+        _assert_one_error_line(r, 5)
+        assert "ModuleNotFoundError" in r.stderr
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops early (``| head -1``) is not bad input: click ends
+    the run with status 1 and nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pdmg.cli.__file__).parents[1]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "pdmg.cli", "sample", WHQ, "--start", "c",
+             "-n", "200000", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert first.endswith(b"\n")
+    assert err == b""
 
 
 class TestHelp:

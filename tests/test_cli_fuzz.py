@@ -19,13 +19,14 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA, data_path
+from conftest import DATA, ERROR_CLASSES, data_path
 from pdmg.cli import main
 
 WHQ = data_path("whq.lex")
 THETA = {"d": [0.5, 0.5], "v": [1.0], "i": [1.0], "c": [1.0]}
 ALPHA = {"d": [1.0, 1.0], "v": [1.0], "i": [1.0], "c": [1.0]}
-DOCUMENTED = {0, 2, 3, 4}
+# Success, and the status each error class carries.
+DOCUMENTED = {0} | {cls.exit_code for cls in ERROR_CLASSES}
 
 FUZZ = settings(max_examples=400, derandomize=True, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -85,6 +86,12 @@ def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     (d / "corpus.txt").write_text("what did you see\n", encoding="utf-8")
     return d
+
+
+def test_documented_codes_are_the_classes():
+    """The set above is read off the error classes, so a class given a new
+    or wrong exit_code fails here instead of widening what the fuzz accepts."""
+    assert DOCUMENTED == {0, 2, 3, 4}
 
 
 def _invoke(args):

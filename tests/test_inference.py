@@ -12,7 +12,7 @@ import oracle
 import pdmg
 from conftest import (OVERFLOW_ALPHA, OVERFLOW_LEXICON, data_path,
                       embedded_mover_lexicon, random_lexicon, remnant_lexicon,
-                      twin_mover_lexicon)
+                      rich_lexicon, twin_mover_lexicon)
 from pdmg import (
     CapExceeded,
     InvalidModel,
@@ -549,23 +549,68 @@ class TestPPCorpusFit:
         assert state.elbo_trace == pytest.approx(want_trace, rel=1e-12, abs=0)
 
 
+class TestSampledCorpusFit:
+    """The fit above, on corpora drawn from the random lexicon generators at
+    every root start (seeds 0-19; a start whose draws all trip the
+    sampler's caps has no corpus), from a seeded α.  Each corpus is parsed
+    with as many covert leaves as its drawn sequences hold, and at least
+    the default: twin-mover seed 11 and embedded-mover seed 2 at ``c`` draw
+    sentences that need 4 and 6, and would be unparsed at the default."""
+
+    @pytest.mark.parametrize("generator, corpora", [
+        (random_lexicon, 10), (rich_lexicon, 3), (twin_mover_lexicon, 72),
+        (embedded_mover_lexicon, 47), (remnant_lexicon, 72)])
+    def test_matches_pure_python_loop(self, generator, corpora):
+        fits = 0
+        for seed in range(20):
+            lex = generator(random.Random(seed))
+            rng = random.Random(seed)
+            for start in sorted(lex.root_categories):
+                sequences = _drawn_sequences(lex, start, seed)
+                if not sequences:
+                    continue
+                covert = max(sum(not it.phon for it in seq) for seq in sequences)
+                cfg = TrainConfig(start=start, tol=1e-9,
+                                  max_covert=max(covert, ParseConfig.max_covert))
+                sentences = [pdmg.eval_sequence(seq) for seq in sequences]
+                forests = [parse(lex, s.split(), cfg).ids for s in sentences]
+                alpha = {cat: [rng.uniform(0.5, 2.0) for _ in row]
+                         for cat, row in ones_alpha(lex).items()}
+                state = train(lex, sentences, alpha, cfg)
+                want_omega, want_trace, want_iters, want_converged = vb_reference(
+                    lex, forests, [v for cat in lex.categories for v in alpha[cat]],
+                    cfg.tol, cfg.max_iters)
+                assert state.iterations == want_iters
+                assert state.converged is want_converged
+                got_omega = [v for cat in lex.categories for v in state.omega[cat]]
+                assert got_omega == pytest.approx(want_omega, rel=1e-12, abs=0)
+                assert state.elbo_trace == pytest.approx(want_trace, rel=1e-12, abs=0)
+                fits += 1
+        assert fits == corpora
+
+
 # -- the trainer and the scorer agree -----------------------------------------
 
-def _drawn_corpus(lex, start, seed, count=20):
-    """Up to ``count`` sentences drawn from ``start`` at uniform θ; fewer
+def _drawn_sequences(lex, start, seed, count=20):
+    """Up to ``count`` sequences drawn from ``start`` at uniform θ; fewer
     when a draw trips the sampler's caps."""
     if start not in lex.root_categories:
         return []
     cfg = SampleConfig(start, max_depth=10, max_rejections=200)
     draws = pdmg.sample_derivations(lex, uniform_theta(lex), cfg,
                                     np.random.default_rng(seed))
-    sentences = []
+    sequences = []
     try:
         for _ in range(count):
-            sentences.append(pdmg.eval_sequence(next(draws)[0]))
+            sequences.append(next(draws)[0])
     except CapExceeded:
         pass
-    return sentences
+    return sequences
+
+
+def _drawn_corpus(lex, start, seed, count=20):
+    """The sentences of ``_drawn_sequences``."""
+    return [pdmg.eval_sequence(seq) for seq in _drawn_sequences(lex, start, seed, count)]
 
 
 def _assert_log_z_is_score(lex, sentences, start, rng):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import ERROR_CLASSES
 from pdmg.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,3 +124,22 @@ def test_transcript(command, expected, tmp_path, monkeypatch):
     pattern = "".join(r"(?:.*\n)*" if line.strip() == "..."
                       else re.escape(line) + r"\n" for line in expected)
     assert re.fullmatch(pattern, result.output), result.output
+
+
+# -- the exit-code table --------------------------------------------------------
+
+
+def _exit_rows() -> list[tuple[int, str]]:
+    """Each ``| code | meaning | classes |`` row of the README's table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [(int(code), rest)
+            for code, rest in re.findall(r"^\| (\d) \|(.*)\|$", text, flags=re.M)]
+
+
+def test_exit_table_names_each_class_in_its_row():
+    rows = _exit_rows()
+    assert sorted({code for code, _ in rows}) == [0, 1, 2, 3, 4, 5]
+    for cls in ERROR_CLASSES:
+        assert cls.exit_code in {2, 3, 4}, cls
+        name = f"`{cls.__name__}`"
+        assert {code for code, rest in rows if name in rest} == {cls.exit_code}, cls
