@@ -8,6 +8,7 @@ under ``-s``.  Tolerances and budgets are pinned in the assertions.
 import itertools
 import math
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -28,6 +29,7 @@ from pdmg import (
     train,
     uniform_theta,
 )
+from pdmg import inference
 from pdmg.cli import main as cli_main
 from pdmg.model import log_theta_star_flat
 from pdmg.special import psi
@@ -254,10 +256,42 @@ def test_criterion_09_posterior_sanity(ambig):
            f"max TV = {worst:.4f}")
 
 
-def test_criterion_10_swap_symmetry(symmetric):
+def count_accepted_extrapolations(monkeypatch):
+    """Spy on ``train``'s SQUAREM steps.  Returns a function that gives, for
+    the fit just run, how many extrapolated points it ran an e-step on and
+    kept: a refused one is the only e-step that records no bound."""
+    real_extrapolate, real_estep = inference._extrapolate, inference._estep
+    points, tried = [], []
+
+    def extrapolate(*args):
+        out = real_extrapolate(*args)
+        if out is not None:
+            points.append(out)
+        return out
+
+    def estep(omega, *args):
+        if any(omega is p for p in points):
+            tried.append(omega)
+        return real_estep(omega, *args)
+
+    monkeypatch.setattr(inference, "_extrapolate", extrapolate)
+    monkeypatch.setattr(inference, "_estep", estep)
+
+    def accepted(state) -> int:
+        refused = state.iterations - len(state.elbo_trace)
+        count = len(tried) - refused
+        points.clear()
+        tried.clear()
+        return count
+
+    return accepted
+
+
+def test_criterion_10_swap_symmetry(symmetric, monkeypatch):
     # categories a and b are mirror images, as are the two covert c heads;
     # a corpus and prior that respect the mirror must yield omegas that
     # are bitwise equal under the swap
+    accepted = count_accepted_extrapolations(monkeypatch)
     corpus = ["w", "w", "w"]
     alpha = {"a": [1.3], "b": [1.3], "c": [0.8, 0.8]}
     state = train(symmetric, corpus, alpha,
@@ -265,8 +299,26 @@ def test_criterion_10_swap_symmetry(symmetric):
     assert state.omega["a"][0] == state.omega["b"][0]
     assert state.omega["c"][0] == state.omega["c"][1]
     assert state.theta_mean["c"][0] == state.theta_mean["c"][1]
+    # Each reading keeps weight 1/2 there, so the update is constant and
+    # the fit never extrapolates.  A third reading that is its own mirror
+    # image (w :: c) makes the weights move, so the fit takes SQUAREM
+    # steps, and their one scalar step length keeps the mirror.
+    assert accepted(state) == 0
+    text = Path(data_path("symmetric.lex")).read_text(encoding="utf-8")
+    mirrored = pdmg.parse_lexicon(text + "w :: c\n")
+    alpha = {"a": [1.3], "b": [1.3], "c": [0.8, 0.8, 0.5]}
+    ambiguous = train(mirrored, corpus, alpha,
+                      TrainConfig(start="c", tol=1e-9, max_iters=100))
+    steps = accepted(ambiguous)
+    assert steps >= 1
+    assert ambiguous.converged
+    assert ambiguous.omega["a"][0] == ambiguous.omega["b"][0]
+    assert ambiguous.omega["c"][0] == ambiguous.omega["c"][1]
+    assert ambiguous.omega["c"][2] != ambiguous.omega["c"][0]
     report(10, "item-swap symmetry preserved bitwise",
-           f"omega_a = omega_b = {state.omega['a'][0]!r}")
+           f"omega_a = omega_b = {state.omega['a'][0]!r}; with a third "
+           f"reading, {steps} extrapolated steps, omega_a = omega_b = "
+           f"{ambiguous.omega['a'][0]!r}")
 
 
 def test_criterion_11_sampler_distribution(whq):
